@@ -149,8 +149,11 @@ def _cmd_euclid_bottom(args):
 
 
 def _cmd_euclid_verify(args):
-    with open(args.file) as fh:
-        data = json.load(fh)
+    try:
+        with open(args.file) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise DomainError(f"cannot read table file {args.file!r}: {exc}")
     table = table_from_dict(data)
     ok, cex = is_euclidean_function(table)
     ring = table.ring
@@ -245,7 +248,7 @@ def _cmd_realize(args):
 
 
 def _cmd_model_z(args):
-    bound = args.window or 1024
+    bound = 1024 if args.window is None else args.window
     model = windowed_bottom_integers(report_bound=bound)
     cert = model.certificate
     report = {
@@ -265,7 +268,7 @@ def _cmd_model_z(args):
 
 
 def _cmd_model_poly(args):
-    degree = args.window or 10
+    degree = 10 if args.window is None else args.window
     model = windowed_bottom_polynomials(args.q, report_degree=degree)
     cert = model.certificate
     by_degree = {}

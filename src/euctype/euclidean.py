@@ -63,7 +63,8 @@ def _ranks(table_values: Dict[object, Ordinal]) -> Dict[object, int]:
 
 
 def _coset_partition(ring: FiniteRing, ideal: frozenset):
-    """Map element -> coset id for the given ideal, plus the coset count."""
+    """Map element -> coset id for the given ideal, plus the least element
+    of each coset.  Ids follow the carrier order of those least elements."""
     cache = getattr(ring, "_coset_cache", None)
     if cache is None:
         cache = ring._coset_cache = {}
@@ -71,45 +72,57 @@ def _coset_partition(ring: FiniteRing, ideal: frozenset):
         return cache[ideal]
     add = ring.add
     cid: Dict[object, int] = {}
-    k = 0
+    reps = []
     for x in ring.elements:
         if x in cid:
             continue
         for i in ideal:
-            cid[add(x, i)] = k
-        k += 1
-    cache[ideal] = (cid, k)
-    return cid, k
+            cid[add(x, i)] = len(reps)
+        reps.append(x)
+    cache[ideal] = (cid, reps)
+    return cid, reps
 
 
 def division_counterexample(ring: FiniteRing, values: Dict[object, Ordinal]):
     """Least (a, b) with no valid quotient, or None if the table is Euclidean.
 
     A pair (a, b) is satisfied iff the coset a + (b) contains 0 or some r
-    with value below the value of b; checking cosets instead of quotients
-    keeps the search quadratic in the carrier.
+    with value below the value of b.  Divisors generating the same ideal
+    share its cosets, so each ideal class is swept once with its divisors
+    in rank order: the cosets met grow with the rank, and the least bad a
+    is the least element of the first coset not yet met.  The cost is
+    O(classes * n) instead of O(n^2).
     """
     zero = ring.zero
     pids = ring.principal_ideals()
     rank = _ranks(values)
+    by_rank = sorted(rank, key=rank.__getitem__)
     index = ring.index
-    best = None
+    # ideal -> rank -> least divisor of that rank generating the ideal
+    classes: Dict[frozenset, Dict[int, object]] = {}
     for b in ring.elements:
-        if b == zero:
-            continue
-        cid, k = _coset_partition(ring, pids[b])
-        hit = [False] * k
+        if b != zero:
+            classes.setdefault(pids[b], {}).setdefault(rank[b], b)
+    best = None
+    for ideal, divisors in classes.items():
+        cid, reps = _coset_partition(ring, ideal)
+        hit = [False] * len(reps)
         hit[cid[zero]] = True
-        rb = rank[b]
-        for r, rr in rank.items():
-            if rr < rb:
-                hit[cid[r]] = True
-        if all(hit):
-            continue
-        bad = min((x for x in ring.elements if not hit[cid[x]]), key=index)
-        if best is None or (index(bad), index(b)) < (index(best[0]), index(best[1])):
-            best = (bad, b)
-    return best
+        met = first_unmet = 0
+        for rb in sorted(divisors):
+            while met < len(by_rank) and rank[by_rank[met]] < rb:
+                hit[cid[by_rank[met]]] = True
+                met += 1
+            while first_unmet < len(reps) and hit[first_unmet]:
+                first_unmet += 1
+            if first_unmet == len(reps):
+                break  # every coset is met for this rank and all above it
+            pair = (index(reps[first_unmet]), index(divisors[rb]))
+            if best is None or pair < best:
+                best = pair
+    if best is None:
+        return None
+    return ring.elements[best[0]], ring.elements[best[1]]
 
 
 def is_euclidean_function(table: EuclideanTable):
@@ -170,8 +183,8 @@ def bottom_euclidean(ring: FiniteRing) -> EuclideanTable:
 
     partitions = {ideal: _coset_partition(ring, ideal) for ideal in classes}
     unsat: Dict[frozenset, set] = {}
-    for ideal, (cid, k) in partitions.items():
-        unsat[ideal] = set(range(k)) - {cid[zero]}
+    for ideal, (cid, reps) in partitions.items():
+        unsat[ideal] = set(range(len(reps))) - {cid[zero]}
 
     assigned: Dict[object, int] = {}
     remaining = set(classes)

@@ -122,6 +122,8 @@ def windowed_bottom_polynomials(q: int, report_degree: int = 10, start_window: i
     Degree windows grow additively: a doubling schedule squares the work
     at every step because the carrier is exponential in the degree.
     """
+    if report_degree < 0:
+        raise DomainError("reporting degree must be nonnegative")
     F = GaloisField(q)
     window = max(start_window, 1)
     previous = None

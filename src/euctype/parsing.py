@@ -10,9 +10,13 @@ letter is accepted on input)::
     atom    := 'w' ['^' exponent] ['*' nat] | nat | '(' expr ')'
     exponent:= nat | 'w' ['^' exponent] | '(' expr ')'
 
-Ring spec grammar: factors joined by ``x``; a factor is ``Z/<n>``,
-``GF(<q>)[t]/(<poly>)``, or the symbolic PID factors ``Z`` and
-``GF(<q>)[t]``.  A spec with a symbolic factor parses to a
+Ring spec grammar: factors joined by `` x ``; a factor is ``Z/<n>``,
+``GF(<q>)[t]/(<poly>)``, the symbolic PID factors ``Z`` and
+``GF(<q>)[t]``, or a spec in parentheses.  A suffix ``/(<element>)``
+names the quotient by that element and binds to the whole spec before
+it whenever that spec is a concrete ring: ``Z/8 x Z/27/((2, 3))`` is a
+quotient of the product, which is how quotient rings name themselves.
+A spec with a symbolic factor parses to a
 :class:`~euctype.models.RingSpec`; otherwise to a concrete ring.
 
 Polynomial coefficients in a ring spec are integers reduced into the
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .errors import DomainError, ParseError
 from .euclidean import EuclideanTable
@@ -231,15 +235,7 @@ _ZMOD = re.compile(r"^Z/(\d+)$")
 def parse_ring_spec(src: str) -> Union[FiniteRing, RingSpec]:
     if not src or not src.strip():
         raise ParseError("empty ring spec")
-    parts = re.split(r"\s+x\s+", src.strip())
-    concrete: List[FiniteRing] = []
-    symbolic: List[str] = []
-    for part in parts:
-        kind, value = _parse_factor(part)
-        if kind == "ring":
-            concrete.append(value)
-        else:
-            symbolic.append(value)
+    concrete, symbolic = _parse_factors(src)
     if symbolic:
         lengths: List[int] = []
         for ring in concrete:
@@ -248,9 +244,67 @@ def parse_ring_spec(src: str) -> Union[FiniteRing, RingSpec]:
             locals_, _ = crt_decompose(ring)
             lengths.extend(loc.element_length(loc.zero) for loc in locals_)
         return RingSpec(tuple(symbolic), tuple(lengths))
-    if len(concrete) == 1:
-        return concrete[0]
-    return ProductRing(concrete)
+    return _join(concrete)
+
+
+def _join(concrete: List[FiniteRing]) -> FiniteRing:
+    return concrete[0] if len(concrete) == 1 else ProductRing(concrete)
+
+
+def _parse_factors(src: str) -> Tuple[List[FiniteRing], List[str]]:
+    """The concrete and the symbolic factors of a spec, in order."""
+    src = src.strip()
+    group = _last_group(src)
+    if group > 1 and src[group - 1] == "/":
+        concrete, symbolic = _parse_factors(src[:group - 1])
+        if not symbolic:
+            base = _join(concrete)
+            return [QuotientRing(base, parse_element(base, src[group + 1:-1]))], []
+    parts = _split_product(src)
+    if len(parts) > 1:
+        concrete, symbolic = [], []
+        for part in parts:
+            c, s = _parse_factors(part)
+            # a concrete product in parentheses stays one factor; symbolic
+            # specs are flat products anyway
+            concrete.extend(c if s else [_join(c)])
+            symbolic.extend(s)
+        return concrete, symbolic
+    if group == 0:
+        return _parse_factors(src[1:-1])
+    kind, value = _parse_factor(src)
+    return ([value], []) if kind == "ring" else ([], [value])
+
+
+def _last_group(src: str) -> int:
+    """Index of the parenthesis that a final ``)`` closes, or -1."""
+    if not src.endswith(")"):
+        return -1
+    depth = 0
+    for i in range(len(src) - 1, -1, -1):
+        if src[i] == ")":
+            depth += 1
+        elif src[i] == "(":
+            depth -= 1
+            if depth == 0:
+                return i
+    return -1
+
+
+def _split_product(src: str) -> List[str]:
+    """Split at the `` x `` separators outside parentheses."""
+    pieces, depth, start = [], 0, 0
+    for m in re.finditer(r"[()]|\s+x\s+", src):
+        token = m.group()
+        if token == "(":
+            depth += 1
+        elif token == ")":
+            depth -= 1
+        elif depth == 0:
+            pieces.append(src[start:m.start()])
+            start = m.end()
+    pieces.append(src[start:])
+    return pieces
 
 
 def _parse_factor(part: str):
@@ -376,17 +430,51 @@ def parse_poset(src: str):
 
 
 def table_from_dict(data: dict) -> EuclideanTable:
+    """Table read back from :func:`~euctype.euclidean.table_to_dict` output.
+
+    Every nonzero element needs exactly one value, under its canonical
+    name (as the ring prints it, up to whitespace).  The value at zero
+    must lie above every value: at least their supremum plus one, which
+    is what a written table holds.  A larger one is kept, since a table
+    edited to fail the division property may keep its old value at zero.
+    """
+    fields = {"ring": str, "values": dict, "value_at_zero": str}
+    if not isinstance(data, dict) or not all(
+            isinstance(data.get(name), kind) for name, kind in fields.items()):
+        raise DomainError("a table needs the string fields 'ring' and 'value_at_zero' "
+                          "and the object 'values'")
     ring = parse_ring_spec(data["ring"])
     if not isinstance(ring, FiniteRing):
         raise DomainError("tables exist for concrete finite rings only")
-    values = {
-        parse_element(ring, key): parse_ordinal(text)
-        for key, text in data["values"].items()
-    }
+    values = {}
+    parsed: Dict[str, Ordinal] = {}  # tables repeat few values; parse each text once
+    for key, text in data["values"].items():
+        x = parse_element(ring, key)
+        name = ring.format_element(x)
+        if key != name and "".join(key.split()) != "".join(name.split()):
+            raise DomainError(f"table key {key!r} is not canonical; the element is {name!r}")
+        if x == ring.zero:
+            raise DomainError("the value at zero belongs in 'value_at_zero', not in 'values'")
+        if x in values:
+            raise DomainError(f"two table keys name the element {name!r}")
+        if not isinstance(text, str):
+            raise DomainError(f"the value of {name!r} is not an ordinal expression")
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse_ordinal(text)
+        values[x] = value
+    if len(values) < len(ring.elements) - 1:
+        missing = next(x for x in ring.elements if x != ring.zero and x not in values)
+        raise DomainError(f"the table has no value for {ring.format_element(missing)!r}")
+    value_at_zero = parse_ordinal(data["value_at_zero"])
+    if value_at_zero < max(parsed.values()).successor():
+        raise DomainError(
+            f"value_at_zero {data['value_at_zero']!r} is below the supremum of the values plus one"
+        )
     return EuclideanTable(
         ring,
         values,
-        parse_ordinal(data["value_at_zero"]),
+        value_at_zero,
         validated=bool(data.get("validated", False)),
         is_bottom=bool(data.get("bottom", False)),
     )

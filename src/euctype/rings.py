@@ -8,14 +8,22 @@ quotients, tuples for products, labels for table rings -- and the list
 ``ring.elements`` fixes the canonical order used everywhere (witness
 search, counterexample reporting, coset representatives).
 
-Ideal-theoretic operations (ideal enumeration, lengths, CRT) work by
-exhaustive search over the carrier and are meant for desk scale; the
-enumeration bound is explicit.
+Ideal-theoretic operations rest on one ideal-class layer.  Each ring
+names the principal ideal (x) by a cheap hashable key -- gcd(x, n) in
+Z/n, the monic gcd with the modulus in GF(q)[t]/(f), the tuple of factor
+keys in a product, the base ring's key in a quotient -- and builds the
+members of each ideal once per key, without multiplying.  Units,
+divisibility, lengths and the ideals of a principal ring all read this
+map.  Table-presented rings fall back to scanning the carrier, which also
+serves as the test oracle for the keyed rings.  Enumerating the ideals
+of a ring not known to be principal still closes sums of ideals and is
+meant for desk scale; the enumeration bound is explicit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ResourceError
@@ -54,12 +62,14 @@ def poly_mul(F, a, b) -> Tuple[int, ...]:
     a, b = poly_trim(a), poly_trim(b)
     if not a or not b:
         return ()
+    add, mul = F.add, F.mul
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
         for j, y in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(x, y))
+            if y:
+                out[i + j] = add(out[i + j], mul(x, y))
     return poly_trim(out)
 
 
@@ -67,22 +77,34 @@ def poly_divmod(F, a, b) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     a, b = list(poly_trim(a)), poly_trim(b)
     if not b:
         raise DomainError("polynomial division by zero")
+    add, mul, neg = F.add, F.mul, F.neg
+    db = len(b) - 1
     inv_lead = F.inv(b[-1])
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = F.mul(a[-1], inv_lead)
-        d = len(a) - len(b)
-        q[d] = c
+    q = [0] * max(0, len(a) - db)
+    for d in range(len(a) - 1 - db, -1, -1):
+        c = a[d + db]
+        if c == 0:
+            continue
+        c = q[d] = mul(c, inv_lead)
+        c = neg(c)
         for i, y in enumerate(b):
-            a[d + i] = F.add(a[d + i], F.neg(F.mul(c, y)))
-        a = list(poly_trim(a))
-        if not a:
-            break
-    return poly_trim(q), poly_trim(a)
+            if y:
+                a[d + i] = add(a[d + i], mul(c, y))
+    return poly_trim(q), poly_trim(a[:db])
 
 
 def poly_mod(F, a, b) -> Tuple[int, ...]:
     return poly_divmod(F, a, b)[1]
+
+
+def poly_gcd(F, a, b) -> Tuple[int, ...]:
+    """Monic greatest common divisor of two polynomials, not both zero."""
+    a, b = poly_trim(a), poly_trim(b)
+    while b:
+        a, b = b, poly_mod(F, a, b)
+    if a[-1] == 1:
+        return a
+    return poly_mul(F, a, (F.inv(a[-1]),))
 
 
 def _monic_polys(F, degree: int):
@@ -283,21 +305,20 @@ class FiniteRing:
     # -- units and divisibility -------------------------------------------
 
     def units(self) -> FrozenSet:
+        """The elements whose principal ideal contains one."""
         try:
             return self._units
         except AttributeError:
             one = self.one
-            us = frozenset(
-                x for x in self.elements if any(self.mul(x, y) == one for y in self.elements)
-            )
-            self._units = us
-            return us
+            self._units = frozenset(x for x, ideal in self.principal_ideals().items()
+                                    if one in ideal)
+            return self._units
 
     def is_unit(self, x) -> bool:
         return x in self.units()
 
     def divides(self, x, y) -> bool:
-        """True iff y = qx for some q (exhaustive over the carrier)."""
+        """True iff y = qx for some q."""
         return y in self.principal_ideal(x)
 
     def strictly_divides(self, x, y) -> bool:
@@ -305,33 +326,65 @@ class FiniteRing:
 
     # -- ideals ------------------------------------------------------------
 
+    def ideal_class(self, x):
+        """Hashable key of the principal ideal (x); elements with equal keys
+        generate the same ideal.  This default scans the carrier, so the key
+        is the ideal itself; the concrete rings use a canonical generator."""
+        mul = self.mul
+        return frozenset(mul(q, x) for q in self.elements)
+
+    def ideal_members(self, key) -> Iterable:
+        """The elements of the principal ideal whose class key is ``key``."""
+        return key
+
     def principal_ideal(self, x) -> FrozenSet:
         return self.principal_ideals()[x]
 
     def principal_ideals(self) -> Dict[object, FrozenSet]:
-        """The map x -> (x), computed once for the whole carrier."""
+        """The map x -> (x), computed once for the whole carrier.
+
+        Members are built once per class key, and every distinct ideal is
+        one shared frozenset, also where two keys name the same ideal (a
+        quotient ring uses the keys of its base ring).
+        """
         try:
             return self._pids
         except AttributeError:
-            mul = self.mul
-            elems = self.elements
+            key_of, members = self.ideal_class, self.ideal_members
+            by_key: Dict[object, FrozenSet] = {}
             seen: Dict[FrozenSet, FrozenSet] = {}
             pids = {}
-            for x in elems:
-                ideal = frozenset(mul(q, x) for q in elems)
-                pids[x] = seen.setdefault(ideal, ideal)
+            for x in self.elements:
+                key = key_of(x)
+                ideal = by_key.get(key)
+                if ideal is None:
+                    ideal = frozenset(members(key))
+                    ideal = by_key[key] = seen.setdefault(ideal, ideal)
+                pids[x] = ideal
             self._pids = pids
             return pids
 
     def all_ideals(self, max_size: int = IDEAL_ENUMERATION_BOUND) -> List[FrozenSet]:
-        """Every ideal, by closing generated subsets one generator at a time."""
+        """Every ideal, smallest first.
+
+        In a ring known to be principal these are the distinct principal
+        ideals; otherwise generated subsets are closed one generator at a
+        time.
+        """
         if len(self.elements) > max_size:
             raise ResourceError(
                 f"{self.name} has {len(self.elements)} elements; "
                 f"ideal enumeration is bounded at {max_size}"
             )
-        add = self.add
         pids = self.principal_ideals()
+        if self._known_principal:
+            found = set(pids.values())
+        else:
+            found = self._closed_ideals(pids)
+        return sorted(found, key=lambda s: (len(s), sorted(self.index(e) for e in s)))
+
+    def _closed_ideals(self, pids) -> set:
+        add = self.add
         found = {frozenset([self.zero])}
         work = [frozenset([self.zero])]
         while work:
@@ -344,7 +397,7 @@ class FiniteRing:
                 if bigger not in found:
                     found.add(bigger)
                     work.append(bigger)
-        return sorted(found, key=lambda s: (len(s), sorted(self.index(e) for e in s)))
+        return found
 
     def is_principal(self, max_size: int = IDEAL_ENUMERATION_BOUND) -> bool:
         if self._known_principal is not None:
@@ -397,11 +450,15 @@ class Zmod(FiniteRing):
     def neg(self, x):
         return (-x) % self.n
 
+    def ideal_class(self, x):
+        return math.gcd(x, self.n)  # n for x = 0
+
+    def ideal_members(self, d):
+        return range(0, self.n, d)
+
 
 class PolyQuotient(FiniteRing):
     """GF(q)[t]/(f): coefficient tuples of fixed length deg(f), constant first."""
-
-    _TABLE_LIMIT = 128
 
     def __init__(self, field: GaloisField, modulus: Sequence[int]):
         modulus = poly_trim(modulus)
@@ -418,12 +475,9 @@ class PolyQuotient(FiniteRing):
         self.one = (1,) + (0,) * (self.deg - 1)
         self.name = f"{field.name}[t]/({format_poly(modulus)})"
         self._known_principal = True
-        if len(self.elements) <= self._TABLE_LIMIT:
-            self._table = {
-                (x, y): self._mul_slow(x, y) for x in self.elements for y in self.elements
-            }
-        else:
-            self._table = None
+        # f = t^e * f' with f' prime to t, for the ideal-class keys
+        self._t_exp = next(i for i, c in enumerate(modulus) if c)
+        self._cofactor = modulus[self._t_exp:]
 
     def _pad(self, coeffs) -> Tuple[int, ...]:
         coeffs = tuple(coeffs)
@@ -437,13 +491,22 @@ class PolyQuotient(FiniteRing):
         F = self.field
         return tuple(F.neg(a) for a in x)
 
-    def _mul_slow(self, x, y):
-        return self._pad(poly_mod(self.field, poly_mul(self.field, x, y), self.modulus))
-
     def mul(self, x, y):
-        if self._table is not None:
-            return self._table[(x, y)]
-        return self._mul_slow(x, y)
+        return self.reduce(poly_mul(self.field, x, y))
+
+    def ideal_class(self, x):
+        """The monic gcd(x, f) = t^min(v, e) * gcd(x, f'), where v counts the
+        leading zero coefficients of x; the power of t needs no division."""
+        v = next((i for i, c in enumerate(x) if c), self.deg)
+        rest = poly_gcd(self.field, x, self._cofactor) if len(self._cofactor) > 1 else (1,)
+        return (0,) * min(v, self._t_exp) + rest
+
+    def ideal_members(self, g):
+        # g divides f, so the multiples g*h with deg h < deg f - deg g are
+        # already reduced and are exactly the ideal
+        F = self.field
+        for h in itertools.product(range(F.size), repeat=self.deg + 1 - len(g)):
+            yield self._pad(poly_mul(F, g, h))
 
     def reduce(self, coeffs) -> Tuple[int, ...]:
         """Canonical representative of an arbitrary coefficient tuple."""
@@ -478,7 +541,12 @@ class ProductRing(FiniteRing):
         self.elements = tuple(itertools.product(*(f.elements for f in factors)))
         self.zero = tuple(f.zero for f in factors)
         self.one = tuple(f.one for f in factors)
-        self.name = " x ".join(f.name for f in factors)
+        # a factor that is itself a product or a quotient is parenthesized,
+        # so that the name parses back to the same nesting
+        self.name = " x ".join(
+            f"({f.name})" if isinstance(f, (ProductRing, QuotientRing)) else f.name
+            for f in factors
+        )
         kp = [f._known_principal for f in factors]
         self._known_principal = True if all(v is True for v in kp) else None
 
@@ -490,6 +558,12 @@ class ProductRing(FiniteRing):
 
     def neg(self, x):
         return tuple(f.neg(a) for f, a in zip(self.factors, x))
+
+    def ideal_class(self, x):
+        return tuple(f.ideal_class(a) for f, a in zip(self.factors, x))
+
+    def ideal_members(self, key):
+        return itertools.product(*(f.ideal_members(k) for f, k in zip(self.factors, key)))
 
     def format_element(self, x) -> str:
         return "(" + ", ".join(f.format_element(a) for f, a in zip(self.factors, x)) + ")"
@@ -548,6 +622,13 @@ class QuotientRing(FiniteRing):
 
     def neg(self, x):
         return self._proj[self.base.neg(x)]
+
+    def ideal_class(self, x):
+        return self.base.ideal_class(x)
+
+    def ideal_members(self, key):
+        proj = self._proj
+        return {proj[m] for m in self.base.ideal_members(key)}
 
     def format_element(self, x) -> str:
         return self.base.format_element(x)
@@ -657,5 +738,16 @@ def crt_decompose(ring: FiniteRing):
                 coords += iso[coord]
             combined[x] = coords
         return locals_, combined
+    if isinstance(ring, QuotientRing):
+        # R/(b) splits as the product of the R_i/(b_i) where b_i is no unit
+        locs, iso = crt_decompose(ring.base)
+        b = iso[ring.modulus_element]
+        kept = [i for i, loc in enumerate(locs) if not loc.is_unit(b[i])]
+        if len(kept) == 1:
+            return [ring], {x: (x,) for x in ring.elements}
+        parts = [locs[i].quotient_ring(b[i]) for i in kept]
+        iso = {x: tuple(part.projection(iso[x][i]) for i, part in zip(kept, parts))
+               for x in ring.elements}
+        return parts, iso
     ring._require_principal()
     raise DomainError(f"CRT decomposition is not supported for {type(ring).__name__}")

@@ -134,3 +134,65 @@ class TestRoundTrips:
         code, analyzed, _ = run(["ring-analyze", out.strip()])
         assert code == 0
         assert "order type: w*2 + 3" in analyzed
+
+    def _round_trip(self, tmp_path, argv, key):
+        code, out, _ = run(argv + ["--json"])
+        assert code == 0
+        table = json.loads(out)[key]
+        path = tmp_path / "emitted.json"
+        path.write_text(json.dumps(table))
+        code, out, err = run(["euclid-verify", str(path), "--json"])
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["ring"] == table["ring"]
+        assert report["euclidean"] is True
+        return table
+
+    def test_quotient_table_reverifies(self, tmp_path):
+        table = self._round_trip(tmp_path, ["euclid-quotient", "Z/8", "2"], "table")
+        assert table["ring"] == "Z/8/(2)"
+
+    def test_nested_product_table_reverifies(self, tmp_path):
+        table = self._round_trip(tmp_path, ["euclid-product", "Z/2 x Z/3", "Z/4"],
+                                 "collapsed_table")
+        assert table["ring"] == "(Z/2 x Z/3) x Z/4"
+        assert "((1, 2), 3)" in table["values"]
+
+
+class TestInputErrors:
+    def test_missing_table_file(self, tmp_path):
+        code, out, err = run(["euclid-verify", str(tmp_path / "absent.json")])
+        assert code == 2 and err.startswith("error:") and out == ""
+
+    def test_unreadable_table_file(self, tmp_path):
+        code, _, err = run(["euclid-verify", str(tmp_path)])  # a directory
+        assert code == 2 and err.startswith("error:")
+
+    def test_bad_json(self, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text('{"ring": "Z/4", ')
+        code, _, err = run(["euclid-verify", str(path)])
+        assert code == 2 and err.startswith("error:")
+
+    def test_partial_table(self, tmp_path):
+        d = table_to_dict(bottom_euclidean(Zmod(4)))
+        del d["values"]["3"]
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(d))
+        code, _, err = run(["euclid-verify", str(path)])
+        assert code == 2 and "no value for '3'" in err
+
+    def test_model_z_window_zero(self):
+        code, out, err = run(["model-z", "--window", "0", "--json"])
+        assert code == 2 and err.startswith("error:") and out == ""
+
+    def test_model_poly_negative_window(self):
+        code, _, err = run(["model-poly", "2", "--window", "-1"])
+        assert code == 2 and err.startswith("error:")
+
+    def test_model_poly_window_zero_is_degree_zero(self):
+        code, out, _ = run(["model-poly", "2", "--window", "0", "--json"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["input"]["report_degree"] == 0
+        assert report["values_by_degree"] == {"0": [0]}

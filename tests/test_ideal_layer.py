@@ -1,0 +1,222 @@
+"""The ideal-class layer of the rings against the exhaustive carrier scan.
+
+``FiniteRing.ideal_class`` without an override scans the carrier, so
+calling it on a keyed ring gives the oracle for that ring's principal
+ideals.  The units oracle searches for an inverse.
+"""
+
+import contextlib
+import io
+import itertools
+import json
+import random
+
+import pytest
+
+from euctype.cli import main
+from euctype.euclidean import _ranks, bottom_euclidean, division_counterexample
+from euctype.ordinal import Ordinal
+from euctype.rings import (
+    FiniteRing,
+    GaloisField,
+    PolyQuotient,
+    ProductRing,
+    QuotientRing,
+    TableRing,
+    Zmod,
+    truncated_bivariate_fixture,
+)
+
+
+def scanned_ideals(ring):
+    return {x: FiniteRing.ideal_class(ring, x) for x in ring.elements}
+
+
+def scanned_units(ring):
+    return frozenset(x for x in ring.elements
+                     if any(ring.mul(x, y) == ring.one for y in ring.elements))
+
+
+def assert_matches_scan(ring):
+    pids = ring.principal_ideals()
+    assert pids == scanned_ideals(ring), ring.name
+    # one shared object per distinct ideal
+    assert len({id(v) for v in pids.values()}) == len(set(pids.values())), ring.name
+    assert ring.units() == scanned_units(ring), ring.name
+
+
+def poly_rings():
+    """Every monic modulus of small degree over GF(2), GF(3), GF(4) and
+    GF(5): chains, products of distinct factors and irreducibles alike."""
+    for q, top in ((2, 5), (3, 3), (4, 2), (5, 2)):
+        F = GaloisField(q)
+        for d in range(1, top + 1):
+            for lower in itertools.product(range(q), repeat=d):
+                yield PolyQuotient(F, lower + (1,))
+
+
+def poly(q, *coeffs):
+    return PolyQuotient(GaloisField(q), coeffs)
+
+
+def product_rings():
+    return [
+        ProductRing([Zmod(4), Zmod(6)]),
+        ProductRing([Zmod(3), Zmod(5), Zmod(4)]),
+        ProductRing([Zmod(8), poly(2, 0, 1, 1)]),            # t^2 + t
+        ProductRing([poly(3, 1, 0, 1), Zmod(9)]),            # t^2 + 1
+        ProductRing([ProductRing([Zmod(2), Zmod(3)]), Zmod(4)]),
+        ProductRing([Zmod(3), ProductRing([Zmod(4), poly(3, 0, 0, 1)])]),
+        ProductRing([truncated_bivariate_fixture(), Zmod(3)]),
+    ]
+
+
+class TestAgainstCarrierScan:
+    def test_zmod_below_200(self):
+        for n in range(2, 200):
+            assert_matches_scan(Zmod(n))
+
+    def test_polynomial_moduli(self):
+        for ring in poly_rings():
+            assert_matches_scan(ring)
+
+    def test_products(self):
+        for ring in product_rings():
+            assert_matches_scan(ring)
+
+    def test_quotients(self):
+        rng = random.Random(3)
+        bases = ([Zmod(n) for n in (12, 36, 60, 64, 90)]
+                 + [poly(2, 0, 1, 0, 1), poly(3, 2, 0, 1), poly(4, 0, 0, 1), poly(5, 4, 0, 1)]
+                 + product_rings())
+        for base in bases:
+            non_units = [b for b in base.elements if not base.is_unit(b)]
+            for b in rng.sample(non_units, min(3, len(non_units))):
+                quot = base.quotient_ring(b)
+                assert_matches_scan(quot)
+                # and a quotient of the quotient
+                inner = [c for c in quot.elements
+                         if c != quot.zero and not quot.is_unit(c)]
+                if inner:
+                    assert_matches_scan(quot.quotient_ring(rng.choice(inner)))
+
+    def test_table_ring_keeps_the_scan(self):
+        ring = truncated_bivariate_fixture()
+        assert TableRing.ideal_class is FiniteRing.ideal_class
+        assert_matches_scan(ring)
+
+    def test_principal_ideals_is_not_overridden(self):
+        # the one entry point and the one cache for every ring type
+        for cls in (Zmod, PolyQuotient, ProductRing, QuotientRing, TableRing):
+            assert cls.principal_ideals is FiniteRing.principal_ideals
+
+    def test_all_ideals_of_principal_rings(self):
+        for ring in (Zmod(60), poly(2, 0, 1, 0, 1), ProductRing([Zmod(4), Zmod(9)]),
+                     Zmod(36).quotient_ring(6)):
+            closed = ring._closed_ideals(ring.principal_ideals())
+            assert ring.all_ideals() == sorted(
+                closed, key=lambda s: (len(s), sorted(ring.index(e) for e in s)))
+
+
+class TestNoMultiplication:
+    @pytest.fixture
+    def rings(self):
+        two = GaloisField(2)
+        return [
+            Zmod(2048),
+            PolyQuotient(two, (0,) * 11 + (1,)),
+            ProductRing([Zmod(8), PolyQuotient(two, (0, 1, 1)), Zmod(27)]),
+            ProductRing([Zmod(8), Zmod(27)]).quotient_ring((2, 3)),
+        ]
+
+    def test_principal_ideals_and_units_never_multiply(self, rings, monkeypatch):
+        def forbidden(self, x, y):
+            raise AssertionError(f"mul called on {self.name}")
+
+        for cls in (Zmod, PolyQuotient, ProductRing, QuotientRing):
+            monkeypatch.setattr(cls, "mul", forbidden)
+        for ring in rings:
+            pids = ring.principal_ideals()
+            assert len(pids) == len(ring.elements)
+            assert ring.one in ring.units()
+
+
+def old_division_counterexample(ring, values):
+    """The quadratic scan the class sweep replaced: every divisor against
+    every ranked element."""
+    zero = ring.zero
+    pids = ring.principal_ideals()
+    rank = _ranks(values)
+    index = ring.index
+    best = None
+    for b in ring.elements:
+        if b == zero:
+            continue
+        ideal = pids[b]
+        cid = {}
+        k = 0
+        for x in ring.elements:
+            if x not in cid:
+                for i in ideal:
+                    cid[ring.add(x, i)] = k
+                k += 1
+        hit = [False] * k
+        hit[cid[zero]] = True
+        for r, rr in rank.items():
+            if rr < rank[b]:
+                hit[cid[r]] = True
+        if all(hit):
+            continue
+        bad = min((x for x in ring.elements if not hit[cid[x]]), key=index)
+        if best is None or (index(bad), index(b)) < (index(best[0]), index(best[1])):
+            best = (bad, b)
+    return best
+
+
+class TestClassSweep:
+    RINGS = [Zmod(12), Zmod(16), Zmod(30), Zmod(36), Zmod(49), poly(2, 0, 0, 0, 1),
+             poly(3, 2, 0, 1), poly(4, 0, 1, 1), ProductRing([Zmod(4), Zmod(9)]),
+             ProductRing([ProductRing([Zmod(2), Zmod(3)]), Zmod(4)]),
+             Zmod(60).quotient_ring(4)]
+
+    def test_perturbed_tables(self):
+        rng = random.Random(11)
+        failing = 0
+        for ring in self.RINGS:
+            bottom = bottom_euclidean(ring).values
+            nonzero = list(bottom)
+            for _ in range(8):
+                values = dict(bottom)
+                for x in rng.sample(nonzero, rng.randint(1, 3)):
+                    values[x] = Ordinal(max(0, values[x].to_int() + rng.choice((-2, -1, 1, 2))))
+                cex = division_counterexample(ring, values)
+                assert cex == old_division_counterexample(ring, values), ring.name
+                failing += cex is not None
+        assert failing > 20  # most perturbations break the division property
+
+    def test_random_tables(self):
+        rng = random.Random(12)
+        rings = self.RINGS + [truncated_bivariate_fixture()]
+        for ring in rings:
+            nonzero = [x for x in ring.elements if x != ring.zero]
+            for _ in range(8):
+                top = rng.randint(1, 5)
+                values = {x: Ordinal(rng.randrange(top)) for x in nonzero}
+                assert (division_counterexample(ring, values)
+                        == old_division_counterexample(ring, values)), ring.name
+
+    def test_bottom_tables_pass(self):
+        for ring in self.RINGS:
+            assert division_counterexample(ring, bottom_euclidean(ring).values) is None
+
+
+def test_symbolic_spec_with_a_large_factor():
+    # the length of Z/2048 comes from its 12 ideal classes, not 2048^2 products
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["ring-analyze", "Z x Z/2048", "--json"])
+    assert code == 0
+    report = json.loads(out.getvalue())
+    assert report["artinian_lengths"] == [11]
+    assert report["spec"] == "Z x Z/2048"
+    assert report["order_type"] == "w + 11"

@@ -16,6 +16,7 @@ from euctype.rings import (
     GaloisField,
     PolyQuotient,
     ProductRing,
+    QuotientRing,
     Zmod,
     truncated_bivariate_fixture,
 )
@@ -115,6 +116,28 @@ class TestRingSpecParsing:
             ring = parse_ring_spec(text)
             assert parse_ring_spec(ring.name).name == ring.name
 
+    def test_quotient_names(self):
+        # the suffix binds to the whole concrete spec before it
+        for text, size in (("Z/8/(2)", 2), ("Z/8 x Z/27/((2, 3))", 6),
+                           ("GF(2)[t]/(t^3)/(t)", 2), ("Z/8/(4)/(2)", 2)):
+            ring = parse_ring_spec(text)
+            assert isinstance(ring, QuotientRing)
+            assert ring.name == text and len(ring) == size
+        # a polynomial modulus is no quotient suffix: GF(2)[t] is symbolic
+        assert isinstance(parse_ring_spec("GF(2)[t]/(t^3)"), PolyQuotient)
+        assert parse_ring_spec("GF(2)[t] x Z/8/(4)") == RingSpec(("GF(2)[t]",), (2,))
+
+    def test_nested_product_names(self):
+        inner = ProductRing([Zmod(2), Zmod(3)])
+        for ring in (ProductRing([inner, Zmod(4)]), ProductRing([Zmod(4), inner]),
+                     ProductRing([Zmod(3), Zmod(8).quotient_ring(2)]),
+                     ProductRing([Zmod(8).quotient_ring(2), Zmod(3)])):
+            back = parse_ring_spec(ring.name)
+            assert back.name == ring.name
+            assert back.elements == ring.elements
+        assert ProductRing([inner, Zmod(4)]).name == "(Z/2 x Z/3) x Z/4"
+        assert ProductRing([Zmod(2), Zmod(3), Zmod(4)]).name == "Z/2 x Z/3 x Z/4"
+
     def test_errors(self):
         with pytest.raises(ParseError):
             parse_ring_spec("")
@@ -207,6 +230,39 @@ class TestTableRoundTrip:
             ok, _ = is_euclidean_function(back)
             assert ok
 
+    def _z4(self):
+        return table_to_dict(bottom_euclidean(Zmod(4)))
+
+    def test_partial_table_rejected(self):
+        d = self._z4()
+        del d["values"]["3"]
+        with pytest.raises(DomainError, match="no value for '3'"):
+            table_from_dict(d)
+
+    def test_non_canonical_or_duplicate_key_rejected(self):
+        d = self._z4()
+        d["values"]["7"] = d["values"].pop("3")
+        with pytest.raises(DomainError, match="not canonical"):
+            table_from_dict(d)
+        d = self._z4()
+        d["values"][" 3"] = "0"
+        with pytest.raises(DomainError, match="name the element '3'"):
+            table_from_dict(d)
+
+    def test_value_at_zero_below_the_values_rejected(self):
+        d = self._z4()
+        d["value_at_zero"] = "1"  # the value of 2 is 1 already
+        with pytest.raises(DomainError, match="value_at_zero"):
+            table_from_dict(d)
+
     def test_symbolic_spec_rejected(self):
         with pytest.raises(DomainError):
             table_from_dict({"ring": "Z", "values": {}, "value_at_zero": "w"})
+
+    def test_malformed_fields_rejected(self):
+        for broken in ([], {"ring": "Z/4"}, {"ring": 4, "values": {}, "value_at_zero": "1"},
+                       {"ring": "Z/4", "values": [], "value_at_zero": "1"},
+                       {"ring": "Z/4", "values": {"1": 0, "2": 1, "3": 0},
+                        "value_at_zero": "2"}):
+            with pytest.raises(DomainError):
+                table_from_dict(broken)

@@ -280,6 +280,14 @@ class TestCRT:
     def test_product(self):
         self._check_iso(ProductRing([Zmod(6), Zmod(10)]))
 
+    def test_quotient(self):
+        self._check_iso(Zmod(360).quotient_ring(12))
+        self._check_iso(ProductRing([Zmod(8), Zmod(27)]).quotient_ring((2, 3)))
+        assert [r.name for r in crt_decompose(Zmod(360).quotient_ring(12))[0]] == [
+            "Z/8/(4)", "Z/9/(3)"]
+        # a quotient of a local ring stays local
+        assert crt_decompose(Zmod(12).quotient_ring(4))[0][0].name == "Z/12/(4)"
+
     def test_non_principal_rejected(self):
         with pytest.raises(DomainError):
             crt_decompose(truncated_bivariate_fixture())
