@@ -1,8 +1,9 @@
 """Windowed evidence about the classical infinite Euclidean domains.
 
-The integers and GF(q)[t] are explored through growing finite windows of
-the level fixed point; agreement between two consecutive windows is
-reported as a stabilization certificate.  The semilocal localizations of
+The integers and GF(q)[t] are explored by one pass of the level fixed
+point over the report range: the value of b reads only values below b,
+so every larger window gives the same report, and the certificate names
+two windows of a fixed schedule.  The semilocal localizations of
 the integers get a randomized division check, and small ring
 descriptions realize every ordinal below omega squared as an order type.
 """

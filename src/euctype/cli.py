@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import List, Optional
 
@@ -113,8 +114,7 @@ def _cmd_ring_analyze(args):
     if principal:
         report["length"] = ring.element_length(ring.zero)
         lines.append(f"length of the zero ideal chain: {report['length']}")
-    locals_, _ = crt_decompose(ring) if principal else ([], None)
-    if principal:
+        locals_, _ = crt_decompose(ring)
         report["local_factors"] = [loc.name for loc in locals_]
         lines.append("local factors: " + " x ".join(loc.name for loc in locals_))
     _emit(args, report, lines)
@@ -148,6 +148,14 @@ def _cmd_euclid_bottom(args):
     return 0
 
 
+def _counterexample(ring, cex, report: dict, lines: List[str]) -> None:
+    """Adds the least failing pair (a, b), if any, to both reports."""
+    if cex is not None:
+        a, b = (ring.format_element(x) for x in cex)
+        report["counterexample"] = {"a": a, "b": b}
+        lines.append(f"counterexample: a={a}, b={b}")
+
+
 def _cmd_euclid_verify(args):
     try:
         with open(args.file) as fh:
@@ -159,15 +167,7 @@ def _cmd_euclid_verify(args):
     ring = table.ring
     report = {"input": args.file, "ring": ring.name, "euclidean": ok}
     lines = [f"ring: {ring.name}", f"euclidean: {ok}"]
-    if not ok:
-        a, b = cex
-        report["counterexample"] = {
-            "a": ring.format_element(a),
-            "b": ring.format_element(b),
-        }
-        lines.append(
-            f"counterexample: a={ring.format_element(a)}, b={ring.format_element(b)}"
-        )
+    _counterexample(ring, cex, report, lines)
     _emit(args, report, lines)
     return 0
 
@@ -262,7 +262,8 @@ def _cmd_model_z(args):
         f"values reported for 1 <= n <= {bound} (symmetric in sign)",
     ]
     for n in (1, 2, 3, 4, min(bound, 1000), bound):
-        lines.append(f"  value({n}) = {model.values[n]}")
+        if n <= bound:
+            lines.append(f"  value({n}) = {model.values[n]}")
     _emit(args, report, lines)
     return 0
 
@@ -322,9 +323,7 @@ def _cmd_l_euclidean(args):
         lines = [f"Z is not length-Euclidean: {w.description}"]
         _emit(args, report, lines)
         return 0
-    import re as _re
-
-    m = _re.match(r"^GF\((\d+)\)\[t\]$", target)
+    m = re.match(r"^GF\((\d+)\)\[t\]$", target)
     if m:
         q = int(m.group(1))
         w = check_not_l_euclidean_polys(q)
@@ -345,15 +344,7 @@ def _cmd_l_euclidean(args):
     ok, cex = check_l_euclidean(ring)
     report = {"input": target, "ring": ring.name, "l_euclidean": ok}
     lines = [f"ring: {ring.name}", f"length function is Euclidean: {ok}"]
-    if not ok:
-        a, b = cex
-        report["counterexample"] = {
-            "a": ring.format_element(a),
-            "b": ring.format_element(b),
-        }
-        lines.append(
-            f"counterexample: a={ring.format_element(a)}, b={ring.format_element(b)}"
-        )
+    _counterexample(ring, cex, report, lines)
     _emit(args, report, lines)
     return 0
 

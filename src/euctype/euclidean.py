@@ -234,35 +234,30 @@ def isotone_minimization(table: EuclideanTable) -> EuclideanTable:
     ring = table.ring
     zero = ring.zero
     pids = ring.principal_ideals()
-    new_values = {
-        x: min(table.values[y] for y in pids[x] if y != zero)
-        for x in table.values
+    least = {  # one minimum per ideal class
+        ideal: min(table.values[y] for y in ideal if y != zero)
+        for ideal in {pids[x] for x in table.values}
     }
+    new_values = {x: least[pids[x]] for x in table.values}
     out = make_table(ring, new_values, validate=True)
     out.is_bottom = table.is_bottom and new_values == table.values
     return out
 
 
 def _divisibility_monotone(table: EuclideanTable, strict: bool) -> bool:
-    # strict mode checks isotonicity on the ordered quotient by association:
-    # associates share a value and strict divisibility strictly increases it.
-    # This is the reading under which a Euclidean table is isotone iff it is
-    # weakly isotone.
-    ring = table.ring
-    pids = ring.principal_ideals()
-    for x, vx in table.values.items():
-        ix = pids[x]
-        for y, vy in table.values.items():
-            if y == x or y not in ix:
-                continue
-            # x divides y here
-            if strict:
-                if x in pids[y]:
-                    if vx != vy:
-                        return False
-                elif not vx < vy:
-                    return False
-            elif not vx <= vy:
+    # Isotonicity on the ordered quotient by association, in both modes:
+    # associates must share a value (weakly, each divides the other), and
+    # a proper inclusion (y) < (x) of ideal classes needs value(x) < value(y)
+    # in strict mode, <= in weak mode.  This is the reading under which a
+    # Euclidean table is isotone iff it is weakly isotone.
+    pids = table.ring.principal_ideals()
+    value: Dict[frozenset, Ordinal] = {}
+    for x, v in table.values.items():
+        if value.setdefault(pids[x], v) != v:
+            return False
+    for big, vb in value.items():
+        for small, vs in value.items():
+            if small < big and not (vb < vs if strict else vb <= vs):
                 return False
     return True
 
@@ -383,24 +378,22 @@ def residual_euclidean(table: EuclideanTable, factor: int = 1) -> EuclideanTable
     return make_table(fac, values, validate=True)
 
 
+def _length_values(ring: FiniteRing) -> Dict[object, Ordinal]:
+    """x -> ideal-chain length on the nonzero elements of a principal ring."""
+    ring._require_principal()
+    return {x: Ordinal(ring.element_length(x)) for x in ring.elements if x != ring.zero}
+
+
 def check_l_euclidean(ring: FiniteRing):
     """(ok, counterexample) for x -> ideal-chain length as a candidate
     Euclidean function."""
-    ring._require_principal()
-    values = {
-        x: Ordinal(ring.element_length(x)) for x in ring.elements if x != ring.zero
-    }
-    cex = division_counterexample(ring, values)
+    cex = division_counterexample(ring, _length_values(ring))
     return cex is None, cex
 
 
 def length_table(ring: FiniteRing) -> EuclideanTable:
     """The x -> ideal-chain-length table, validated; fails if not Euclidean."""
-    ring._require_principal()
-    values = {
-        x: Ordinal(ring.element_length(x)) for x in ring.elements if x != ring.zero
-    }
-    return make_table(ring, values, validate=True)
+    return make_table(ring, _length_values(ring), validate=True)
 
 
 # ---------------------------------------------------------------------------

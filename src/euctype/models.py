@@ -1,10 +1,12 @@
 """Bounded computational models of the classical infinite examples.
 
 The integers and the polynomial rings over a finite field are explored
-through growing finite windows: the least-Euclidean-value fixed point is
-rerun on ever larger windows until the reported range stops changing, and
-the pair of agreeing windows is returned as a stabilization certificate.
-The certificate is honest evidence, not a proof.
+on finite windows by the least-Euclidean-value level construction.  The
+value of b reads only values below b (or of lower degree), so the report
+is the same on every window at or above the report range, and one pass
+over that range computes it.  The certificate names two such windows of
+a fixed schedule; the cost of the pass is bounded and stated, and larger
+requests stop with :class:`ResourceError`.
 
 The module also houses the symbolic side: order types of ring
 descriptions with PID factors and an Artinian part, the additive bounds
@@ -18,11 +20,11 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, ResourceError
 from .ordinal import Ordinal, natural_sum, omega, omega_power
-from .rings import GaloisField, poly_trim
+from .rings import GaloisField, poly_add, poly_is_irreducible, poly_mod, poly_neg, poly_trim
 
 
 # ---------------------------------------------------------------------------
@@ -65,32 +67,37 @@ def _integer_window_table(window: int) -> Dict[int, int]:
 
 
 def windowed_bottom_integers(report_bound: int = 1024, start_window: int = 64,
-                             growth_factor: int = 2, max_window: int = 1 << 20) -> WindowedBottom:
-    """Stabilized least Euclidean values on |n| <= report_bound.
+                             growth_factor: int = 2, max_window: int = 1 << 14) -> WindowedBottom:
+    """Least Euclidean values on 1 <= n <= report_bound, in one pass.
 
     Units get value 0; the count of binary digits of |n| is this value
-    plus one.
+    plus one.  The value of b reads only values below b, so every window
+    of the schedule start_window * growth_factor^k at or above the bound
+    gives this report; the certificate names the first such window and
+    the next.  The pass costs O(report_bound^2); the default max_window
+    caps the bound at 8192.
     """
     if report_bound < 1:
         raise DomainError("reporting bound must be positive")
+    if growth_factor < 2:
+        raise DomainError("window growth factor must be at least 2")
     window = max(start_window, 2)
-    previous: Optional[Tuple[int, Dict[int, int]]] = None
-    while window <= max_window:
-        if window >= report_bound:
-            table = _integer_window_table(window)
-            report = {n: table[n] for n in range(1, report_bound + 1)}
-            if previous is not None and previous[1] == report:
-                cert = StabilizationCertificate(previous[0], window)
-                return WindowedBottom(report, cert)
-            previous = (window, report)
+    while window < report_bound:
         window *= growth_factor
-    raise ResourceError(
-        f"no stabilization below window {max_window} for reporting bound {report_bound}"
-    )
+    if window * growth_factor > max_window:
+        raise ResourceError(
+            f"reporting bound {report_bound} needs windows up to "
+            f"{window * growth_factor}, above {max_window}"
+        )
+    cert = StabilizationCertificate(window, window * growth_factor)
+    return WindowedBottom(_integer_window_table(report_bound), cert)
 
 
 # ---------------------------------------------------------------------------
 # windowed bottom function on GF(q)[t]
+
+
+MAX_POLY_CARRIER = 1 << 18
 
 
 def _poly_window_table(F: GaloisField, max_degree: int) -> Dict[Tuple[int, ...], int]:
@@ -101,42 +108,46 @@ def _poly_window_table(F: GaloisField, max_degree: int) -> Dict[Tuple[int, ...],
     than the largest value at lower degree (and 0 for units).
     """
     phi: Dict[Tuple[int, ...], int] = {}
-    max_below = -1  # max value among strictly lower degrees; -1 before degree 0
-    for d in range(0, max_degree + 1):
-        level = []
+    value = 0  # one more than the largest value at lower degree
+    for d in range(max_degree + 1):
         for lower in itertools.product(range(F.size), repeat=d):
             for lead in range(1, F.size):
-                p = lower + (lead,)
-                level.append(p)
-        value = max_below + 1
-        for p in level:
-            phi[p] = value
-        max_below = max(max_below, value)
+                phi[lower + (lead,)] = value
+        value += 1
     return phi
 
 
 def windowed_bottom_polynomials(q: int, report_degree: int = 10, start_window: int = 8,
                                 growth_step: int = 4, max_window: int = 64) -> WindowedBottom:
-    """Stabilized least Euclidean values on polynomials over GF(q).
+    """Least Euclidean values on polynomials over GF(q) of degree at most
+    report_degree, in one pass.
 
-    Degree windows grow additively: a doubling schedule squares the work
-    at every step because the carrier is exponential in the degree.
+    The value of b reads only values at lower degree, so every degree
+    window of the schedule start_window + k * growth_step at or above the
+    report degree gives this report; the certificate names the first such
+    window and the next.  The pass lists q^(report_degree+1) polynomials
+    and stops with :class:`ResourceError` before any work above
+    MAX_POLY_CARRIER = 2^18 of them.
     """
     if report_degree < 0:
         raise DomainError("reporting degree must be nonnegative")
+    if growth_step < 1:
+        raise DomainError("degree window step must be positive")
+    # q >= 2 gives q^19 > 2^18, so the capped exponent decides exactly
+    if q >= 2 and q ** min(report_degree + 1, 19) > MAX_POLY_CARRIER:
+        raise ResourceError(
+            f"GF({q})[t] up to degree {report_degree} has more than "
+            f"{MAX_POLY_CARRIER} polynomials"
+        )
     F = GaloisField(q)
     window = max(start_window, 1)
-    previous = None
-    while window <= max_window:
-        if window >= report_degree:
-            table = _poly_window_table(F, window)
-            report = {p: v for p, v in table.items() if len(p) - 1 <= report_degree}
-            if previous is not None and previous[1] == report:
-                cert = StabilizationCertificate(previous[0], window)
-                return WindowedBottom(report, cert)
-            previous = (window, report)
+    while window < report_degree:
         window += growth_step
-    raise ResourceError(f"no stabilization below degree window {max_window}")
+    if window + growth_step > max_window:
+        raise ResourceError(f"reporting degree {report_degree} needs degree windows up to "
+                            f"{window + growth_step}, above {max_window}")
+    cert = StabilizationCertificate(window, window + growth_step)
+    return WindowedBottom(_poly_window_table(F, report_degree), cert)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +287,6 @@ def check_not_l_euclidean_polys(q: int) -> LengthWitness:
     congruent to t modulo an irreducible quadratic.
     """
     F = GaloisField(q)
-    from .rings import poly_is_irreducible, poly_mod
-
     quad = None
     for c0 in range(F.size):
         for c1 in range(F.size):
@@ -291,24 +300,15 @@ def check_not_l_euclidean_polys(q: int) -> LengthWitness:
     t = (0, 1)
     allowed = tuple([()] + [(c,) for c in range(1, F.size)])
     for r in allowed:
-        diff = poly_mod(F, _poly_sub(F, t, r), quad)
+        diff = poly_mod(F, poly_add(F, t, poly_neg(F, r)), quad)
         assert poly_trim(diff)  # t - r is never divisible by the quadratic
     return LengthWitness(quad, t, allowed,
                          "no constant or zero remainder for t modulo an "
                          "irreducible quadratic")
 
 
-def _poly_sub(F, a, b):
-    from .rings import poly_add, poly_neg
-
-    return poly_add(F, a, poly_neg(F, b))
-
-
 # ---------------------------------------------------------------------------
 # symbolic order types
-
-
-PID_TAGS = ("Z",)  # plus any "GF(q)[t]" tag
 
 
 def _valid_pid_tag(tag: str) -> bool:

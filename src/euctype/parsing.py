@@ -28,11 +28,10 @@ elements are printed.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Dict, List, Tuple, Union
 
 from .errors import DomainError, ParseError
-from .euclidean import EuclideanTable
+from .euclidean import EuclideanTable, bottom_euclidean, division_counterexample
 from .models import RingSpec
 from .ordinal import Ordinal, left_subtract, natural_sum, omega_power, product_left
 from .rings import (
@@ -94,10 +93,6 @@ def parse_ordinal(src: str) -> Ordinal:
     if sc.pos != len(src):
         raise ParseError(f"unexpected {src[sc.pos]!r}", sc.pos)
     return value
-
-
-# alias matching the naming style of the other parse_* entry points
-parse_ordinal_expr = parse_ordinal
 
 
 def _expr(sc: _Scanner, depth: int) -> Ordinal:
@@ -379,13 +374,6 @@ def _split_top_level(src: str) -> List[str]:
     return pieces
 
 
-def parse_fraction(src: str) -> Fraction:
-    try:
-        return Fraction(src.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad fraction {src!r}: {exc}")
-
-
 # ---------------------------------------------------------------------------
 # posets as edge lists
 
@@ -437,6 +425,9 @@ def table_from_dict(data: dict) -> EuclideanTable:
     must lie above every value: at least their supremum plus one, which
     is what a written table holds.  A larger one is kept, since a table
     edited to fail the division property may keep its old value at zero.
+    The ``validated`` and ``bottom`` flags are claims, checked before they
+    are kept: validated needs the division property, bottom also needs the
+    supremum plus one at zero and the values of the bottom table.
     """
     fields = {"ring": str, "values": dict, "value_at_zero": str}
     if not isinstance(data, dict) or not all(
@@ -467,14 +458,16 @@ def table_from_dict(data: dict) -> EuclideanTable:
         missing = next(x for x in ring.elements if x != ring.zero and x not in values)
         raise DomainError(f"the table has no value for {ring.format_element(missing)!r}")
     value_at_zero = parse_ordinal(data["value_at_zero"])
-    if value_at_zero < max(parsed.values()).successor():
+    sup_plus_one = max(parsed.values()).successor()
+    if value_at_zero < sup_plus_one:
         raise DomainError(
             f"value_at_zero {data['value_at_zero']!r} is below the supremum of the values plus one"
         )
-    return EuclideanTable(
-        ring,
-        values,
-        value_at_zero,
-        validated=bool(data.get("validated", False)),
-        is_bottom=bool(data.get("bottom", False)),
-    )
+    validated = bool(data.get("validated", False))
+    is_bottom = bool(data.get("bottom", False))
+    if validated or is_bottom:
+        euclidean = division_counterexample(ring, values) is None
+        validated = validated and euclidean
+        is_bottom = (is_bottom and euclidean and value_at_zero == sup_plus_one
+                     and values == bottom_euclidean(ring).values)
+    return EuclideanTable(ring, values, value_at_zero, validated, is_bottom)

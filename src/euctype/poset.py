@@ -27,6 +27,8 @@ class FinitePoset:
             if lo not in self._elemset or hi not in self._elemset:
                 raise DomainError(f"pair ({lo!r}, {hi!r}) mentions unknown labels")
         self._below = None  # element -> set of strictly smaller elements
+        self._order = None  # Kahn order over the generating pairs, for length_function
+        self._preds = None  # element -> generating predecessors
 
     def _strictly_below(self) -> Dict[Hashable, set]:
         """Transitive closure as a strictly-below map; rejects cycles."""
@@ -56,7 +58,7 @@ class FinitePoset:
             for p in preds[x]:
                 acc.add(p)
                 acc |= below[p]
-        self._below = below
+        self._below, self._order, self._preds = below, order, preds
         return below
 
     def less(self, a: Hashable, b: Hashable) -> bool:
@@ -104,24 +106,12 @@ def length_function(p: FinitePoset) -> IsotoneMap:
     """The pointwise-least isotone map: longest-chain depth below each element."""
     if not p.elements:
         raise DomainError("length function of the empty poset is undefined")
-    p._strictly_below()  # validates acyclicity
-    preds: Dict[Hashable, set] = {x: set() for x in p.elements}
-    succs: Dict[Hashable, set] = {x: set() for x in p.elements}
-    for lo, hi in p.pairs:
-        preds[hi].add(lo)
-        succs[lo].add(hi)
-    indeg = {x: len(preds[x]) for x in p.elements}
-    queue = [x for x in p.elements if indeg[x] == 0]
+    p._strictly_below()  # validates acyclicity and orders the elements
+    preds = p._preds
     lam: IsotoneMap = {}
-    while queue:
-        x = queue.pop()
-        lam[x] = max((lam[y] + 1 for y in preds[x]), default=0)
-        for y in succs[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                queue.append(y)
     # longest path over generating pairs equals longest chain in the closure
-    assert len(lam) == len(p.elements)
+    for x in p._order:
+        lam[x] = max((lam[y] + 1 for y in preds[x]), default=0)
     return lam
 
 

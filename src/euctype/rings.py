@@ -43,10 +43,6 @@ def poly_trim(a: Sequence[int]) -> Tuple[int, ...]:
     return a[:n]
 
 
-def poly_deg(a: Sequence[int]) -> int:
-    return len(poly_trim(a)) - 1  # -1 for the zero polynomial
-
-
 def poly_add(F, a, b) -> Tuple[int, ...]:
     n = max(len(a), len(b))
     a = tuple(a) + (0,) * (n - len(a))
@@ -574,7 +570,7 @@ class ProductRing(FiniteRing):
 
 
 class QuotientRing(FiniteRing):
-    """R/(b) on canonical coset representatives, with projection and section."""
+    """R/(b) on canonical coset representatives, with their projection and cosets."""
 
     def __init__(self, base: FiniteRing, b):
         ideal = base.principal_ideal(b)
@@ -607,9 +603,6 @@ class QuotientRing(FiniteRing):
 
     def projection(self, x):
         return self._proj[x]
-
-    def section(self, xbar):
-        return xbar
 
     def coset(self, xbar) -> Tuple:
         return self._cosets[xbar]

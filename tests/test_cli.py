@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -196,3 +197,41 @@ class TestInputErrors:
         report = json.loads(out)
         assert report["input"]["report_degree"] == 0
         assert report["values_by_degree"] == {"0": [0]}
+
+    def test_model_z_bounds_below_the_samples(self):
+        for bound in (1, 2, 3):
+            code, out, err = run(["model-z", "--window", str(bound)])
+            assert code == 0 and err == ""
+            assert f"  value({bound}) = {bound.bit_length() - 1}" in out
+            assert f"value({bound + 1})" not in out
+            code, out, _ = run(["model-z", "--window", str(bound), "--json"])
+            assert code == 0
+            assert json.loads(out)["values"] == {
+                str(n): n.bit_length() - 1 for n in range(1, bound + 1)}
+
+
+class TestModelCostBounds:
+    def _timed(self, argv):
+        t0 = time.perf_counter()
+        result = run(argv)
+        return result, time.perf_counter() - t0
+
+    def test_model_poly_over_the_carrier_bound(self):
+        for argv in (["model-poly", "4"], ["model-poly", "4", "--window", "9"],
+                     ["model-poly", "2", "--window", "18"]):
+            (code, out, err), elapsed = self._timed(argv)
+            assert code == 4 and out == "" and err.startswith("error:")
+            assert elapsed < 1.0
+
+    def test_model_z_over_the_window_bound(self):
+        (code, out, err), elapsed = self._timed(["model-z", "--window", "9000"])
+        assert code == 4 and out == "" and err.startswith("error:")
+        assert elapsed < 1.0
+
+    def test_model_poly_gf3_default_degree(self):
+        code, out, _ = run(["model-poly", "3", "--json"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["input"] == {"q": 3, "report_degree": 10}
+        assert report["values_by_degree"] == {str(d): [d] for d in range(11)}
+        assert report["stabilization_windows"] == [12, 16]

@@ -4,6 +4,7 @@ import pytest
 
 from euctype.errors import DomainError, NotEuclideanRing
 from euctype.euclidean import (
+    EuclideanTable,
     bottom_euclidean,
     check_l_euclidean,
     collapse_pair_table,
@@ -199,6 +200,80 @@ class TestMinimization:
         t.validated = False
         with pytest.raises(DomainError):
             isotone_minimization(t)
+
+
+def _monotone_oracle(table, strict):
+    """The double loop over every pair of carrier elements: x dividing y."""
+    ring = table.ring
+    for x, vx in table.values.items():
+        for y, vy in table.values.items():
+            if y == x or not ring.divides(x, y):
+                continue
+            if strict:
+                if ring.divides(y, x):
+                    if vx != vy:
+                        return False
+                elif not vx < vy:
+                    return False
+            elif not vx <= vy:
+                return False
+    return True
+
+
+def _minimization_oracle(table):
+    """Each x sent to the least value on the nonzero multiples of x."""
+    ring = table.ring
+    return {x: min(table.values[y] for y in ring.principal_ideal(x) if y != ring.zero)
+            for x in table.values}
+
+
+class TestIsotoneOnIdealClasses:
+    RINGS = [Zmod(n) for n in range(2, 41)] + [
+        gf2t2(), PolyQuotient(GaloisField(2), (0, 0, 0, 1)),
+        PolyQuotient(GaloisField(3), (0, 0, 1)), PolyQuotient(GaloisField(2), (1, 1, 0, 1)),
+        ProductRing([Zmod(2), Zmod(4)]), ProductRing([Zmod(4), Zmod(9)]),
+        ProductRing([Zmod(3), Zmod(3)]), ProductRing([Zmod(2), gf2t2()]),
+        truncated_bivariate_fixture(),
+    ]
+
+    def _tables(self, ring, rng):
+        """Random, class-constant and length-shaped value maps, marked
+        validated so the predicates read them; plus perturbed Euclidean ones."""
+        nonzero = [x for x in ring.elements if x != ring.zero]
+        pids = ring.principal_ideals()
+        out = []
+        for _ in range(3):
+            out.append({x: Ordinal(rng.randint(0, 3)) for x in nonzero})
+            by_class = {}
+            out.append({x: by_class.setdefault(pids[x], Ordinal(rng.randint(0, 4)))
+                        for x in nonzero})
+            depth = {x: sum(1 for y in nonzero if pids[y] > pids[x]) for x in nonzero}
+            shaped = {x: Ordinal(d + rng.randint(0, 1)) for x, d in depth.items()}
+            out.append(shaped)
+            out.append({x: Ordinal(d) for x, d in depth.items()})
+        tables = [EuclideanTable(ring, v, max(v.values()).successor(), True) for v in out]
+        if ring.is_principal():
+            tables += _perturbed_tables(ring, rng, 3)
+        return tables
+
+    def test_predicates_match_the_double_loop(self):
+        rng = random.Random(11)
+        seen = {True: 0, False: 0}
+        count = 0
+        for ring in self.RINGS:
+            for t in self._tables(ring, rng):
+                strict = is_isotone_euclidean(t)
+                assert strict == _monotone_oracle(t, True)
+                assert is_weakly_isotone_euclidean(t) == _monotone_oracle(t, False)
+                seen[strict] += 1
+                count += 1
+        assert count > 500 and min(seen.values()) > 50
+
+    def test_minimization_matches_the_double_loop(self):
+        rng = random.Random(12)
+        for ring in self.RINGS[:-1]:
+            for t in [bottom_euclidean(ring)] + _perturbed_tables(ring, rng, 3):
+                assert isotone_minimization(t).values == _minimization_oracle(t)
 
 
 class TestMonotoneComposition:

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from euctype.errors import DomainError
+from euctype.errors import DomainError, ResourceError
 from euctype.models import (
     RingSpec,
+    _integer_window_table,
     check_localization_euclidean,
     check_not_l_euclidean_integers,
     check_not_l_euclidean_polys,
@@ -45,6 +46,28 @@ class TestWindowedIntegers:
     def test_bad_bound(self):
         with pytest.raises(DomainError):
             windowed_bottom_integers(report_bound=0)
+        with pytest.raises(DomainError):
+            windowed_bottom_integers(report_bound=100, growth_factor=1)
+
+    def test_report_is_the_same_on_every_window(self):
+        # the value of b reads only values below b
+        big = _integer_window_table(512)
+        for bound in (1, 7, 64, 100, 300):
+            m = windowed_bottom_integers(report_bound=bound)
+            assert m.values == {n: big[n] for n in range(1, bound + 1)}
+
+    def test_certificate_names_the_schedule(self):
+        for args, windows in [((1,), (64, 128)), ((64,), (64, 128)), ((65,), (128, 256)),
+                              ((100, 100), (100, 200)), ((10, 3, 3), (27, 81)),
+                              ((100, 64, 2, 256), (128, 256))]:
+            cert = windowed_bottom_integers(*args).certificate
+            assert (cert.window_a, cert.window_b) == windows
+
+    def test_resource_bound(self):
+        with pytest.raises(ResourceError):
+            windowed_bottom_integers(report_bound=100, max_window=255)
+        with pytest.raises(ResourceError):
+            windowed_bottom_integers(report_bound=8193)  # default cap: 8192
 
 
 class TestWindowedPolynomials:
@@ -64,6 +87,25 @@ class TestWindowedPolynomials:
     def test_units_at_zero(self):
         m = windowed_bottom_polynomials(2, report_degree=3)
         assert m.values[(1,)] == 0
+
+    def test_certificate_names_the_schedule(self):
+        for args, windows in [((2, 0), (8, 12)), ((2, 8), (8, 12)), ((2, 9), (12, 16)),
+                              ((3, 10), (12, 16)), ((2, 5, 1, 2), (5, 7))]:
+            cert = windowed_bottom_polynomials(*args).certificate
+            assert (cert.window_a, cert.window_b) == windows
+        with pytest.raises(ResourceError):
+            windowed_bottom_polynomials(2, report_degree=9, max_window=15)
+
+    def test_carrier_bound(self):
+        # q^(d+1) polynomials at most: 2^18
+        for q, d in ((4, 10), (4, 9), (2, 18), (3, 12), (1 << 20, 0), (2, 10 ** 9)):
+            with pytest.raises(ResourceError):
+                windowed_bottom_polynomials(q, report_degree=d)
+        with pytest.raises(DomainError):
+            windowed_bottom_polynomials(6, report_degree=2)
+        with pytest.raises(DomainError):
+            windowed_bottom_polynomials(2, report_degree=2, growth_step=0)
+        assert len(windowed_bottom_polynomials(4, report_degree=8).values) == 4 ** 9 - 1
 
 
 class TestLocalization:

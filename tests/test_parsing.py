@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from euctype.errors import DomainError, ParseError, ResourceError
-from euctype.euclidean import bottom_euclidean, is_euclidean_function, table_to_dict
+from euctype.euclidean import (
+    bottom_euclidean,
+    is_euclidean_function,
+    make_table,
+    order_type,
+    table_to_dict,
+)
 from euctype.models import RingSpec
 from euctype.ordinal import Ordinal, format_ordinal, omega, omega_power
 from euctype.parsing import (
@@ -254,6 +260,27 @@ class TestTableRoundTrip:
         d["value_at_zero"] = "1"  # the value of 2 is 1 already
         with pytest.raises(DomainError, match="value_at_zero"):
             table_from_dict(d)
+
+    def test_flags_are_checked_not_trusted(self):
+        d = self._z4()
+        d["value_at_zero"] = "9"  # above the supremum plus one, so not the bottom
+        back = table_from_dict(d)
+        assert back.validated and not back.is_bottom
+        with pytest.raises(DomainError):
+            order_type(back)
+        d = self._z4()
+        d["values"]["2"] = "0"  # no quotient for 1 modulo 2 any more
+        back = table_from_dict(d)
+        assert not back.validated and not back.is_bottom
+        d = table_to_dict(make_table(Zmod(4), {1: Ordinal(0), 3: Ordinal(0),
+                                               2: Ordinal(2)}))
+        d["bottom"] = True  # Euclidean, but above the bottom table at 2
+        back = table_from_dict(d)
+        assert back.validated and not back.is_bottom
+        d = self._z4()
+        d["validated"] = d["bottom"] = False
+        back = table_from_dict(d)
+        assert not back.validated and not back.is_bottom
 
     def test_symbolic_spec_rejected(self):
         with pytest.raises(DomainError):
