@@ -15,6 +15,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -308,37 +309,23 @@ def _cmd_model_localize(args):
 
 def _cmd_l_euclidean(args):
     target = args.target.strip()
-    if target == "Z":
-        w = check_not_l_euclidean_integers()
-        report = {
-            "input": target,
-            "l_euclidean": False,
-            "witness": {
-                "divisor": str(w.divisor),
-                "target": str(w.target),
-                "allowed_remainders": [str(r) for r in w.allowed_remainders],
-            },
-            "description": w.description,
-        }
-        lines = [f"Z is not length-Euclidean: {w.description}"]
-        _emit(args, report, lines)
-        return 0
     m = re.match(r"^GF\((\d+)\)\[t\]$", target)
-    if m:
-        q = int(m.group(1))
-        w = check_not_l_euclidean_polys(q)
+    if target == "Z" or m:
+        if m:
+            w, fmt = check_not_l_euclidean_polys(int(m.group(1))), format_poly
+        else:
+            w, fmt = check_not_l_euclidean_integers(), str
         report = {
             "input": target,
             "l_euclidean": False,
             "witness": {
-                "divisor": format_poly(w.divisor),
-                "target": format_poly(w.target),
-                "allowed_remainders": [format_poly(r) for r in w.allowed_remainders],
+                "divisor": fmt(w.divisor),
+                "target": fmt(w.target),
+                "allowed_remainders": [fmt(r) for r in w.allowed_remainders],
             },
             "description": w.description,
         }
-        lines = [f"{target} is not length-Euclidean: {w.description}"]
-        _emit(args, report, lines)
+        _emit(args, report, [f"{target} is not length-Euclidean: {w.description}"])
         return 0
     ring = _require_finite(parse_ring_spec(target))
     ok, cex = check_l_euclidean(ring)
@@ -353,7 +340,9 @@ def _cmd_l_euclidean(args):
 # argument plumbing
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="euctype",
         description="Euclidean-function tables, ordinal arithmetic, and "

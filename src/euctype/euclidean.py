@@ -62,27 +62,6 @@ def _ranks(table_values: Dict[object, Ordinal]) -> Dict[object, int]:
     return {x: order[v] for x, v in table_values.items()}
 
 
-def _coset_partition(ring: FiniteRing, ideal: frozenset):
-    """Map element -> coset id for the given ideal, plus the least element
-    of each coset.  Ids follow the carrier order of those least elements."""
-    cache = getattr(ring, "_coset_cache", None)
-    if cache is None:
-        cache = ring._coset_cache = {}
-    if ideal in cache:
-        return cache[ideal]
-    add = ring.add
-    cid: Dict[object, int] = {}
-    reps = []
-    for x in ring.elements:
-        if x in cid:
-            continue
-        for i in ideal:
-            cid[add(x, i)] = len(reps)
-        reps.append(x)
-    cache[ideal] = (cid, reps)
-    return cid, reps
-
-
 def division_counterexample(ring: FiniteRing, values: Dict[object, Ordinal]):
     """Least (a, b) with no valid quotient, or None if the table is Euclidean.
 
@@ -105,7 +84,7 @@ def division_counterexample(ring: FiniteRing, values: Dict[object, Ordinal]):
             classes.setdefault(pids[b], {}).setdefault(rank[b], b)
     best = None
     for ideal, divisors in classes.items():
-        cid, reps = _coset_partition(ring, ideal)
+        cid, reps = ring.coset_partition(ideal)
         hit = [False] * len(reps)
         hit[cid[zero]] = True
         met = first_unmet = 0
@@ -181,7 +160,7 @@ def bottom_euclidean(ring: FiniteRing) -> EuclideanTable:
         if x != zero:
             classes.setdefault(pids[x], []).append(x)
 
-    partitions = {ideal: _coset_partition(ring, ideal) for ideal in classes}
+    partitions = {ideal: ring.coset_partition(ideal) for ideal in classes}
     unsat: Dict[frozenset, set] = {}
     for ideal, (cid, reps) in partitions.items():
         unsat[ideal] = set(range(len(reps))) - {cid[zero]}

@@ -24,7 +24,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, ResourceError
 from .ordinal import Ordinal, natural_sum, omega, omega_power
-from .rings import GaloisField, poly_add, poly_is_irreducible, poly_mod, poly_neg, poly_trim
+from .rings import (GaloisField, _monic_polys, _prime_power, poly_add, poly_is_irreducible,
+                    poly_mod, poly_neg, poly_trim)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +101,7 @@ def windowed_bottom_integers(report_bound: int = 1024, start_window: int = 64,
 MAX_POLY_CARRIER = 1 << 18
 
 
-def _poly_window_table(F: GaloisField, max_degree: int) -> Dict[Tuple[int, ...], int]:
+def _poly_window_table(q: int, max_degree: int) -> Dict[Tuple[int, ...], int]:
     """Least-value assignment on nonzero polynomials of degree <= max_degree.
 
     A nonzero multiple of b has degree at least deg b, so the only coset
@@ -110,8 +111,8 @@ def _poly_window_table(F: GaloisField, max_degree: int) -> Dict[Tuple[int, ...],
     phi: Dict[Tuple[int, ...], int] = {}
     value = 0  # one more than the largest value at lower degree
     for d in range(max_degree + 1):
-        for lower in itertools.product(range(F.size), repeat=d):
-            for lead in range(1, F.size):
+        for lower in itertools.product(range(q), repeat=d):
+            for lead in range(1, q):
                 phi[lower + (lead,)] = value
         value += 1
     return phi
@@ -139,7 +140,7 @@ def windowed_bottom_polynomials(q: int, report_degree: int = 10, start_window: i
             f"GF({q})[t] up to degree {report_degree} has more than "
             f"{MAX_POLY_CARRIER} polynomials"
         )
-    F = GaloisField(q)
+    _prime_power(q)  # GF(q) exists; only its size is needed
     window = max(start_window, 1)
     while window < report_degree:
         window += growth_step
@@ -147,7 +148,7 @@ def windowed_bottom_polynomials(q: int, report_degree: int = 10, start_window: i
         raise ResourceError(f"reporting degree {report_degree} needs degree windows up to "
                             f"{window + growth_step}, above {max_window}")
     cert = StabilizationCertificate(window, window + growth_step)
-    return WindowedBottom(_poly_window_table(F, report_degree), cert)
+    return WindowedBottom(_poly_window_table(q, report_degree), cert)
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +288,7 @@ def check_not_l_euclidean_polys(q: int) -> LengthWitness:
     congruent to t modulo an irreducible quadratic.
     """
     F = GaloisField(q)
-    quad = None
-    for c0 in range(F.size):
-        for c1 in range(F.size):
-            cand = poly_trim((c0, c1, 1))
-            if poly_is_irreducible(F, cand):
-                quad = cand
-                break
-        if quad:
-            break
-    assert quad is not None
+    quad = next(g for g in _monic_polys(F, 2) if poly_is_irreducible(F, g))
     t = (0, 1)
     allowed = tuple([()] + [(c,) for c in range(1, F.size)])
     for r in allowed:

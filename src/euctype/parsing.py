@@ -20,9 +20,11 @@ A spec with a symbolic factor parses to a
 :class:`~euctype.models.RingSpec`; otherwise to a concrete ring.
 
 Polynomial coefficients in a ring spec are integers reduced into the
-prime subfield.  When parsing ring *elements* over a non-prime field the
-integers are read as field-element encodings instead, matching how
-elements are printed.
+prime subfield.  Ring *elements* are read by the ring itself, in the
+syntax it prints them in.  Over a prime field a polynomial coefficient
+is an integer reduced modulo p; over a non-prime field GF(q) it is a
+field-element encoding, so it must lie below q, and a larger integer is
+a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .rings import (
     PolyQuotient,
     ProductRing,
     QuotientRing,
-    TableRing,
     Zmod,
+    _prime_power,
     poly_trim,
 )
 
@@ -255,7 +257,7 @@ def _parse_factors(src: str) -> Tuple[List[FiniteRing], List[str]]:
         if not symbolic:
             base = _join(concrete)
             return [QuotientRing(base, parse_element(base, src[group + 1:-1]))], []
-    parts = _split_product(src)
+    parts = split_top_level(src, r"\s+x\s+")
     if len(parts) > 1:
         concrete, symbolic = [], []
         for part in parts:
@@ -286,10 +288,10 @@ def _last_group(src: str) -> int:
     return -1
 
 
-def _split_product(src: str) -> List[str]:
-    """Split at the `` x `` separators outside parentheses."""
+def split_top_level(src: str, separator: str) -> List[str]:
+    """Split at the matches of the ``separator`` pattern outside parentheses."""
     pieces, depth, start = [], 0, 0
-    for m in re.finditer(r"[()]|\s+x\s+", src):
+    for m in re.finditer(r"[()]|" + separator, src):
         token = m.group()
         if token == "(":
             depth += 1
@@ -316,7 +318,7 @@ def _parse_factor(part: str):
     m = _GF_PID.match(part)
     if m:
         q = int(m.group(1))
-        GaloisField(q)  # existence check
+        _prime_power(q)  # GF(q) exists; its tables are not needed
         return "pid", f"GF({q})[t]"
     m = _GF_QUOT.match(part)
     if m:
@@ -332,46 +334,9 @@ def _parse_factor(part: str):
 
 
 def parse_element(ring: FiniteRing, src: str):
-    src = src.strip()
-    if isinstance(ring, Zmod):
-        try:
-            return int(src) % ring.n
-        except ValueError:
-            raise ParseError(f"expected an integer element, got {src!r}")
-    if isinstance(ring, PolyQuotient):
-        q = ring.field.size
-        coeffs = parse_poly(src, ring.field, lambda c: c % q)
-        return ring.reduce(coeffs)
-    if isinstance(ring, ProductRing):
-        if not (src.startswith("(") and src.endswith(")")):
-            raise ParseError(f"expected a tuple element, got {src!r}")
-        pieces = _split_top_level(src[1:-1])
-        if len(pieces) != len(ring.factors):
-            raise ParseError(
-                f"expected {len(ring.factors)} coordinates, got {len(pieces)}"
-            )
-        return tuple(parse_element(f, piece) for f, piece in zip(ring.factors, pieces))
-    if isinstance(ring, QuotientRing):
-        return ring.projection(parse_element(ring.base, src))
-    if isinstance(ring, TableRing):
-        if src in ring.elements:
-            return src
-        raise ParseError(f"unknown element label {src!r}")
-    raise ParseError(f"cannot parse elements of {type(ring).__name__}")
-
-
-def _split_top_level(src: str) -> List[str]:
-    pieces, depth, start = [], 0, 0
-    for i, ch in enumerate(src):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            pieces.append(src[start:i])
-            start = i + 1
-    pieces.append(src[start:])
-    return pieces
+    """The element of ``ring`` that ``src`` names, in the syntax the ring
+    prints: see the ``parse_element`` method of each ring class."""
+    return ring.parse_element(src.strip())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Finite strict orders, their least isotone map, and finite Brookfield sums.
 
-A poset is given by an element set plus any generating set of strict pairs;
-the full order is the transitive closure, computed once and cached.  The
-least isotone map assigns each element the length of the longest strict
-chain strictly below it, which on a finite poset coincides with the staged
+A poset is given by an element set plus any generating set of strict pairs.
+Comparisons and isotonicity checks read the transitive closure, built once;
+the length function and the top element read only the pairs.  The least
+isotone map assigns each element the length of the longest strict chain
+strictly below it, which on a finite poset coincides with the staged
 least-value construction.
 """
 
@@ -27,19 +28,18 @@ class FinitePoset:
             if lo not in self._elemset or hi not in self._elemset:
                 raise DomainError(f"pair ({lo!r}, {hi!r}) mentions unknown labels")
         self._below = None  # element -> set of strictly smaller elements
-        self._order = None  # Kahn order over the generating pairs, for length_function
-        self._preds = None  # element -> generating predecessors
+        self._walked = None  # Kahn order over the generating pairs, predecessors
 
-    def _strictly_below(self) -> Dict[Hashable, set]:
-        """Transitive closure as a strictly-below map; rejects cycles."""
-        if self._below is not None:
-            return self._below
+    def _walk(self):
+        """Kahn order over the generating pairs, and each element's
+        generating predecessors; rejects cycles."""
+        if self._walked is not None:
+            return self._walked
         preds: Dict[Hashable, set] = {x: set() for x in self.elements}
         succs: Dict[Hashable, set] = {x: set() for x in self.elements}
         for lo, hi in self.pairs:
             preds[hi].add(lo)
             succs[lo].add(hi)
-        # Kahn order over the generating pairs, then accumulate closures
         indeg = {x: len(preds[x]) for x in self.elements}
         queue = [x for x in self.elements if indeg[x] == 0]
         order = []
@@ -52,24 +52,31 @@ class FinitePoset:
                     queue.append(y)
         if len(order) != len(self.elements):
             raise DomainError("relation has a cycle; not a strict order")
-        below: Dict[Hashable, set] = {x: set() for x in self.elements}
-        for x in order:
-            acc = below[x]
-            for p in preds[x]:
-                acc.add(p)
-                acc |= below[p]
-        self._below, self._order, self._preds = below, order, preds
-        return below
+        self._walked = order, preds
+        return self._walked
+
+    def _strictly_below(self) -> Dict[Hashable, set]:
+        """Transitive closure as a strictly-below map, built on first use."""
+        if self._below is None:
+            order, preds = self._walk()
+            below: Dict[Hashable, set] = {}
+            for x in order:
+                acc = below[x] = set()
+                for p in preds[x]:
+                    acc.add(p)
+                    acc |= below[p]
+            self._below = below
+        return self._below
 
     def less(self, a: Hashable, b: Hashable) -> bool:
         return a in self._strictly_below()[b]
 
     def maximal_elements(self) -> Tuple[Hashable, ...]:
-        below = self._strictly_below()
-        dominated = set()
-        for x in self.elements:
-            dominated |= below[x]
-        return tuple(x for x in self.elements if x not in dominated)
+        # in a strict order, x lies below something iff it is the lower end
+        # of a generating pair
+        self._walk()  # rejects cycles
+        lower = {lo for lo, _ in self.pairs}
+        return tuple(x for x in self.elements if x not in lower)
 
     def top(self) -> Hashable:
         maxes = self.maximal_elements()
@@ -106,11 +113,10 @@ def length_function(p: FinitePoset) -> IsotoneMap:
     """The pointwise-least isotone map: longest-chain depth below each element."""
     if not p.elements:
         raise DomainError("length function of the empty poset is undefined")
-    p._strictly_below()  # validates acyclicity and orders the elements
-    preds = p._preds
+    order, preds = p._walk()
     lam: IsotoneMap = {}
     # longest path over generating pairs equals longest chain in the closure
-    for x in p._order:
+    for x in order:
         lam[x] = max((lam[y] + 1 for y in preds[x]), default=0)
     return lam
 

@@ -18,6 +18,14 @@ map.  Table-presented rings fall back to scanning the carrier, which also
 serves as the test oracle for the keyed rings.  Enumerating the ideals
 of a ring not known to be principal still closes sums of ideals and is
 meant for desk scale; the enumeration bound is explicit.
+
+A coset layer sits on the ideals: ``coset_partition(I)`` splits the
+carrier into the cosets x + I once per ideal.  The bottom-table fixed
+point and the division check read it, and a quotient R/(b) takes its
+elements (the least member of each coset), projection and cosets from
+the partition of R by (b).  Each ring class owns the rest of what is
+ring-specific: its element syntax (``format_element`` and its inverse
+``parse_element``) and its CRT split into local rings (``local_factors``).
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import itertools
 import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ParseError, ResourceError
 
 IDEAL_ENUMERATION_BOUND = 512
 
@@ -152,18 +160,10 @@ def poly_factor(F, f) -> Dict[Tuple[int, ...], int]:
 def _prime_power(q: int) -> Tuple[int, int]:
     if q < 2:
         raise DomainError(f"GF({q}) does not exist")
-    p = 2
-    n = q
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
-    k = 0
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)  # least prime factor
+    n, k = q, 0
     while n % p == 0:
-        n //= p
-        k += 1
+        n, k = n // p, k + 1
     if n != 1:
         raise DomainError(f"GF({q}) does not exist: {q} is not a prime power")
     return p, k
@@ -298,6 +298,13 @@ class FiniteRing:
     def format_element(self, x) -> str:
         return str(x)
 
+    def parse_element(self, src: str):
+        """The element that ``src`` (stripped) names, in the syntax of
+        :meth:`format_element`; here a carrier label."""
+        if src in self.elements:
+            return src
+        raise ParseError(f"unknown element label {src!r}")
+
     # -- units and divisibility -------------------------------------------
 
     def units(self) -> FrozenSet:
@@ -359,6 +366,27 @@ class FiniteRing:
                 pids[x] = ideal
             self._pids = pids
             return pids
+
+    def coset_partition(self, ideal: FrozenSet) -> Tuple[Dict[object, int], List]:
+        """The cosets x + I of an ideal I, built once per ideal: a map from
+        each element to the id of its coset, and the least element of each
+        coset, with ids in the carrier order of those least elements."""
+        try:
+            return self._cosets[ideal]
+        except AttributeError:
+            self._cosets = {}
+        except KeyError:
+            pass
+        add = self.add
+        cid: Dict[object, int] = {}
+        reps = []
+        for x in self.elements:
+            if x not in cid:
+                for i in ideal:
+                    cid[add(x, i)] = len(reps)
+                reps.append(x)
+        self._cosets[ideal] = cid, reps
+        return cid, reps
 
     def all_ideals(self, max_size: int = IDEAL_ENUMERATION_BOUND) -> List[FrozenSet]:
         """Every ideal, smallest first.
@@ -426,6 +454,21 @@ class FiniteRing:
     def quotient_ring(self, b) -> "QuotientRing":
         return QuotientRing(self, b)
 
+    # -- CRT decomposition -------------------------------------------------
+
+    def local_factors(self):
+        """Split into local factors; returns (locals, iso) with iso: x -> coords.
+
+        Multiplying the local factors back together gives a ring isomorphic
+        to this one, the isomorphism being exactly ``iso``.
+        """
+        self._require_principal()
+        raise DomainError(f"CRT decomposition is not supported for {type(self).__name__}")
+
+    def _local(self):
+        """This ring as its own single local factor."""
+        return [self], {x: (x,) for x in self.elements}
+
 
 class Zmod(FiniteRing):
     def __init__(self, n: int):
@@ -451,6 +494,19 @@ class Zmod(FiniteRing):
 
     def ideal_members(self, d):
         return range(0, self.n, d)
+
+    def parse_element(self, src: str):
+        try:
+            return int(src) % self.n
+        except ValueError:
+            raise ParseError(f"expected an integer element, got {src!r}")
+
+    def local_factors(self):
+        moduli = [p ** k for p, k in sorted(_int_factor(self.n).items())]
+        if len(moduli) == 1:
+            return self._local()
+        iso = {x: tuple(x % m for m in moduli) for x in self.elements}
+        return [Zmod(m) for m in moduli], iso
 
 
 class PolyQuotient(FiniteRing):
@@ -511,6 +567,33 @@ class PolyQuotient(FiniteRing):
     def format_element(self, x) -> str:
         return format_poly(x)
 
+    def parse_element(self, src: str):
+        """A polynomial in t whose integer coefficients are field-element
+        encodings, as printed; over a prime field any integer is reduced."""
+        from .parsing import parse_poly
+
+        F = self.field
+
+        def encode(c: int) -> int:
+            if F.k > 1 and c >= F.size:
+                raise ParseError(f"coefficient {c} encodes no element of {F.name}")
+            return c % F.size
+
+        return self.reduce(parse_poly(src, F, encode))
+
+    def local_factors(self):
+        F = self.field
+        fac = poly_factor(F, self.modulus)
+        if len(fac) == 1:
+            return self._local()
+        parts = []
+        for g in sorted(fac):
+            ge = (1,)
+            for _ in range(fac[g]):
+                ge = poly_mul(F, ge, g)
+            parts.append(PolyQuotient(F, ge))
+        return parts, {x: tuple(part.reduce(x) for part in parts) for x in self.elements}
+
 
 def format_poly(coeffs: Sequence[int]) -> str:
     coeffs = poly_trim(coeffs)
@@ -564,13 +647,39 @@ class ProductRing(FiniteRing):
     def format_element(self, x) -> str:
         return "(" + ", ".join(f.format_element(a) for f, a in zip(self.factors, x)) + ")"
 
+    def parse_element(self, src: str):
+        from .parsing import split_top_level
+
+        if not (src.startswith("(") and src.endswith(")")):
+            raise ParseError(f"expected a tuple element, got {src!r}")
+        pieces = split_top_level(src[1:-1], ",")
+        if len(pieces) != len(self.factors):
+            raise ParseError(f"expected {len(self.factors)} coordinates, got {len(pieces)}")
+        return tuple(f.parse_element(piece.strip()) for f, piece in zip(self.factors, pieces))
+
+    def local_factors(self):
+        locals_: List[FiniteRing] = []
+        factor_isos = []
+        for f in self.factors:
+            locs, iso = f.local_factors()
+            locals_.extend(locs)
+            factor_isos.append(iso)
+        combined = {}
+        for x in self.elements:
+            coords: Tuple = ()
+            for coord, iso in zip(x, factor_isos):
+                coords += iso[coord]
+            combined[x] = coords
+        return locals_, combined
+
     def inject(self, i: int, value) -> Tuple:
         """The element with ``value`` in factor i and 0 elsewhere."""
         return tuple(value if j == i else f.zero for j, f in enumerate(self.factors))
 
 
 class QuotientRing(FiniteRing):
-    """R/(b) on canonical coset representatives, with their projection and cosets."""
+    """R/(b) on the least elements of the cosets of (b), read from the coset
+    partition of the base ring."""
 
     def __init__(self, base: FiniteRing, b):
         ideal = base.principal_ideal(b)
@@ -581,50 +690,59 @@ class QuotientRing(FiniteRing):
             )
         self.base = base
         self.modulus_element = b
-        proj: Dict[object, object] = {}
-        reps = []
-        cosets: Dict[object, Tuple] = {}
-        for x in base.elements:
-            if x in proj:
-                continue
-            members = tuple(sorted((base.add(x, i) for i in ideal), key=base.index))
-            rep = members[0]
-            reps.append(rep)
-            cosets[rep] = members
-            for m in members:
-                proj[m] = rep
-        self._proj = proj
-        self._cosets = cosets
+        self._cid, reps = base.coset_partition(ideal)
         self.elements = tuple(reps)
-        self.zero = proj[base.zero]
-        self.one = proj[base.one]
+        self.zero = self.projection(base.zero)
+        self.one = self.projection(base.one)
         self.name = f"{base.name}/({base.format_element(b)})"
         self._known_principal = True if base._known_principal else None
 
     def projection(self, x):
-        return self._proj[x]
+        return self.elements[self._cid[x]]
 
     def coset(self, xbar) -> Tuple:
-        return self._cosets[xbar]
+        """The members of the coset of xbar, in carrier order."""
+        try:
+            members = self._members
+        except AttributeError:
+            members = self._members = [[] for _ in self.elements]
+            cid = self._cid
+            for x in self.base.elements:
+                members[cid[x]].append(x)
+        return tuple(members[self._cid[xbar]])
 
     def add(self, x, y):
-        return self._proj[self.base.add(x, y)]
+        return self.elements[self._cid[self.base.add(x, y)]]
 
     def mul(self, x, y):
-        return self._proj[self.base.mul(x, y)]
+        return self.elements[self._cid[self.base.mul(x, y)]]
 
     def neg(self, x):
-        return self._proj[self.base.neg(x)]
+        return self.elements[self._cid[self.base.neg(x)]]
 
     def ideal_class(self, x):
         return self.base.ideal_class(x)
 
     def ideal_members(self, key):
-        proj = self._proj
-        return {proj[m] for m in self.base.ideal_members(key)}
+        return {self.projection(m) for m in self.base.ideal_members(key)}
 
     def format_element(self, x) -> str:
         return self.base.format_element(x)
+
+    def parse_element(self, src: str):
+        return self.projection(self.base.parse_element(src))
+
+    def local_factors(self):
+        # R/(b) splits as the product of the R_i/(b_i) where b_i is no unit
+        locs, iso = self.base.local_factors()
+        b = iso[self.modulus_element]
+        kept = [i for i, loc in enumerate(locs) if not loc.is_unit(b[i])]
+        if len(kept) == 1:
+            return self._local()
+        parts = [locs[i].quotient_ring(b[i]) for i in kept]
+        iso = {x: tuple(part.projection(iso[x][i]) for i, part in zip(kept, parts))
+               for x in self.elements}
+        return parts, iso
 
 
 class TableRing(FiniteRing):
@@ -692,55 +810,5 @@ def _int_factor(n: int) -> Dict[int, int]:
 
 
 def crt_decompose(ring: FiniteRing):
-    """Split into local factors; returns (locals, iso) with iso: x -> coords.
-
-    Multiplying the local factors back together gives a ring isomorphic to
-    the input, the isomorphism being exactly ``iso``.
-    """
-    if isinstance(ring, Zmod):
-        fac = _int_factor(ring.n)
-        if len(fac) == 1:
-            return [ring], {x: (x,) for x in ring.elements}
-        moduli = [p ** k for p, k in sorted(fac.items())]
-        locals_ = [Zmod(m) for m in moduli]
-        iso = {x: tuple(x % m for m in moduli) for x in ring.elements}
-        return locals_, iso
-    if isinstance(ring, PolyQuotient):
-        fac = poly_factor(ring.field, ring.modulus)
-        if len(fac) == 1:
-            return [ring], {x: (x,) for x in ring.elements}
-        parts = []
-        for g in sorted(fac):
-            ge = (1,)
-            for _ in range(fac[g]):
-                ge = poly_mul(ring.field, ge, g)
-            parts.append(PolyQuotient(ring.field, ge))
-        iso = {x: tuple(part.reduce(x) for part in parts) for x in ring.elements}
-        return parts, iso
-    if isinstance(ring, ProductRing):
-        locals_: List[FiniteRing] = []
-        factor_isos = []
-        for f in ring.factors:
-            locs, iso = crt_decompose(f)
-            locals_.extend(locs)
-            factor_isos.append(iso)
-        combined = {}
-        for x in ring.elements:
-            coords: Tuple = ()
-            for coord, iso in zip(x, factor_isos):
-                coords += iso[coord]
-            combined[x] = coords
-        return locals_, combined
-    if isinstance(ring, QuotientRing):
-        # R/(b) splits as the product of the R_i/(b_i) where b_i is no unit
-        locs, iso = crt_decompose(ring.base)
-        b = iso[ring.modulus_element]
-        kept = [i for i, loc in enumerate(locs) if not loc.is_unit(b[i])]
-        if len(kept) == 1:
-            return [ring], {x: (x,) for x in ring.elements}
-        parts = [locs[i].quotient_ring(b[i]) for i in kept]
-        iso = {x: tuple(part.projection(iso[x][i]) for i, part in zip(kept, parts))
-               for x in ring.elements}
-        return parts, iso
-    ring._require_principal()
-    raise DomainError(f"CRT decomposition is not supported for {type(ring).__name__}")
+    """The split of ``ring`` into local factors: see :meth:`FiniteRing.local_factors`."""
+    return ring.local_factors()

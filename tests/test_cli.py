@@ -43,6 +43,7 @@ class TestExitCodes:
     def test_parse_error(self):
         assert run(["ordinal-eval", "w^"])[0] == 5
         assert run(["euclid-bottom", "Q/12"])[0] == 5
+        assert run(["euclid-quotient", "GF(4)[t]/(t^2)", "6"])[0] == 5
 
 
 class TestTextOutput:
@@ -227,6 +228,28 @@ class TestModelCostBounds:
         (code, out, err), elapsed = self._timed(["model-z", "--window", "9000"])
         assert code == 4 and out == "" and err.startswith("error:")
         assert elapsed < 1.0
+
+    def test_large_field_needs_no_field_tables(self):
+        # GF(512) is known to exist from 512 = 2^9 alone; building its
+        # 512 x 512 multiplication table took seconds
+        cases = [
+            (["ring-analyze", "GF(512)[t]", "--json"],
+             {"input": "GF(512)[t]", "symbolic": True, "spec": "GF(512)[t]",
+              "pid_factors": ["GF(512)[t]"], "artinian_lengths": [], "order_type": "w"}),
+            (["model-poly", "512", "--window", "0", "--json"],
+             {"input": {"q": 512, "report_degree": 0}, "values_by_degree": {"0": [0]},
+              "stabilization_windows": [8, 12],
+              "note": "units map to 0; the value of a nonzero polynomial is its degree"}),
+        ]
+        for argv, report in cases:
+            (code, out, _), elapsed = self._timed(argv)
+            assert code == 0
+            assert json.loads(out) == {"schema_version": 1, "command": argv[0], **report}
+            assert elapsed < 1.0
+        for argv in (["ring-analyze", "GF(6)[t]"], ["model-poly", "6", "--window", "0"]):
+            code, _, err = run(argv)
+            assert code == 2
+            assert err == "error: GF(6) does not exist: 6 is not a prime power\n"
 
     def test_model_poly_gf3_default_degree(self):
         code, out, _ = run(["model-poly", "3", "--json"])

@@ -9,13 +9,16 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from euctype.cli import main
 from euctype.euclidean import _ranks, bottom_euclidean, division_counterexample
 from euctype.ordinal import Ordinal
+from euctype.parsing import parse_element
 from euctype.rings import (
     FiniteRing,
     GaloisField,
@@ -220,3 +223,87 @@ def test_symbolic_spec_with_a_large_factor():
     assert report["artinian_lengths"] == [11]
     assert report["spec"] == "Z x Z/2048"
     assert report["order_type"] == "w + 11"
+
+
+def brute_cosets(base, b):
+    """R/(b) by definition: the ideal from all multiples of b, each coset
+    from adding the ideal to an element, named by its least member."""
+    ideal = {base.mul(q, b) for q in base.elements}
+    cosets = {}
+    for x in base.elements:
+        members = sorted({base.add(x, i) for i in ideal}, key=base.index)
+        cosets[x] = tuple(members)
+    reps = sorted({members[0] for members in cosets.values()}, key=base.index)
+    return reps, {x: members[0] for x, members in cosets.items()}, cosets
+
+
+def quotient_corpus():
+    """(base, divisor) pairs: Z/n, GF(q)[t]/(f), flat and nested products,
+    quotients of products and the non-principal specimen."""
+    rng = random.Random(5)
+    bases = ([Zmod(n) for n in (2, 12, 16, 30, 36)]
+             + [poly(2, 0, 1, 0, 1), poly(3, 2, 0, 1), poly(4, 0, 0, 1), poly(5, 4, 0, 1)]
+             + product_rings()
+             + [ProductRing([Zmod(8), Zmod(27)]).quotient_ring((2, 3)),
+                ProductRing([Zmod(4), poly(2, 0, 0, 1)]).quotient_ring((2, (0, 1))),
+                truncated_bivariate_fixture()])
+    for base in bases:
+        divisors = [b for b in base.elements if not base.is_unit(b)]
+        for b in [base.zero] + rng.sample(divisors, min(4, len(divisors))):
+            yield base, b
+
+
+class TestCosetLayer:
+    def test_quotient_rings_against_brute_force(self):
+        pairs = 0
+        for base, b in quotient_corpus():
+            quot = base.quotient_ring(b)
+            reps, proj, cosets = brute_cosets(base, b)
+            assert list(quot.elements) == reps, quot.name
+            for x in base.elements:
+                assert quot.projection(x) == proj[x], quot.name
+            for xbar in quot.elements:
+                assert quot.coset(xbar) == cosets[xbar], quot.name
+            pairs += 1
+        assert pairs > 60
+
+    def test_partition_ids_follow_the_carrier_order(self):
+        for base, b in quotient_corpus():
+            cid, reps = base.coset_partition(base.principal_ideal(b))
+            assert [cid[r] for r in reps] == list(range(len(reps)))
+            assert all(base.index(reps[cid[x]]) <= base.index(x) for x in base.elements)
+
+    def test_quotient_reuses_the_partition_of_the_bottom_table(self):
+        ring = Zmod(36)
+        bottom_euclidean(ring)
+        cid, _ = ring.coset_partition(ring.principal_ideal(6))
+        assert ring.quotient_ring(6)._cid is cid
+
+
+def _random_quotient(ring, rng):
+    divisors = [b for b in ring.elements if not ring.is_unit(b)]
+    return ring.quotient_ring(rng.choice(divisors))
+
+
+def _rings(children):
+    products = st.lists(children, min_size=2, max_size=3).filter(
+        lambda fs: math.prod(len(f) for f in fs) <= 400).map(ProductRing)
+    quotients = st.builds(_random_quotient, children, st.randoms(use_true_random=False))
+    return st.one_of(products, quotients)
+
+
+RINGS = st.recursive(
+    st.one_of(
+        st.integers(2, 24).map(Zmod),
+        st.sampled_from([poly(2, 1, 1), poly(2, 0, 0, 1), poly(2, 1, 1, 0, 1), poly(3, 0, 0, 1),
+                         poly(3, 1, 0, 1), poly(4, 0, 0, 1), poly(4, 2, 3), poly(5, 1, 0, 1)]),
+        st.just(truncated_bivariate_fixture()),
+    ),
+    _rings, max_leaves=4)
+
+
+@given(RINGS, st.data())
+@settings(max_examples=150, deadline=None)
+def test_element_syntax_round_trips(ring, data):
+    x = data.draw(st.sampled_from(ring.elements))
+    assert parse_element(ring, ring.format_element(x)) == x

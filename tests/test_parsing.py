@@ -176,6 +176,15 @@ class TestElementParsing:
         # coefficient 2 is the field element with encoding 2, not 2 mod 2
         assert parse_element(R, "2*t") == (0, 2)
         assert parse_element(R, "3") == (3, 0)
+        # an integer at or above q encodes no element of GF(4)
+        for src in ("4", "6", "t+9"):
+            with pytest.raises(ParseError, match="encodes no element of GF\\(4\\)"):
+                parse_element(R, src)
+
+    def test_poly_prime_field_reduces_integers(self):
+        R = PolyQuotient(GaloisField(3), (0, 0, 1))
+        assert parse_element(R, "5") == (2, 0)
+        assert parse_element(R, "4*t+7") == (1, 1)
 
     def test_product(self):
         P = ProductRing([Zmod(4), PolyQuotient(GaloisField(2), (0, 0, 1))])

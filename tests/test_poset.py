@@ -63,6 +63,26 @@ class TestLength:
         with pytest.raises(DomainError):
             length_function(FinitePoset([], []))
 
+    def test_top_and_length_skip_the_closure(self):
+        g = product_poset(chain(4), chain(5))
+        assert length(g) == 7
+        assert g.top() == (3, 4)
+        assert g._below is None
+        with pytest.raises(DomainError):
+            FinitePoset([1, 2, 3], [(1, 2), (2, 3), (3, 1)]).top()
+
+    def test_maximal_elements_match_the_closure(self):
+        # generated by the covers only, so the pairs are not the whole order
+        for n in range(1, 5):
+            labels = tuple(range(n))
+            for rel in _all_posets(labels):
+                covers = [(a, b) for a, b in sorted(rel)
+                          if not any((a, c) in rel and (c, b) in rel for c in labels)]
+                closed = FinitePoset(labels, covers)
+                expected = tuple(x for x in labels
+                                 if not any(closed.less(x, y) for y in labels))
+                assert FinitePoset(labels, covers).maximal_elements() == expected
+
 
 class TestProductPoset:
     def test_componentwise_order(self):
