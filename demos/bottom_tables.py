@@ -1,10 +1,12 @@
 """The pointwise-least Euclidean function on small finite rings.
 
-The bottom table is computed level by level: level 0 is the units, and
-an element joins a level once every coset of its ideal meets zero or the
-already-valued elements.  When that process stalls, the ring admits no
-Euclidean function at all; the non-principal specimen below demonstrates
-the finding.
+The bottom table is a table of levels: level 0 is the units, and an
+element joins a level once every coset of its ideal meets zero or the
+already-valued elements.  On the principal rings below the level of x is
+the sum of its local valuations, and is read off directly.  On other
+rings the levels are built one at a time; when that process stalls, the
+ring admits no Euclidean function at all, and the non-principal specimen
+below demonstrates the finding.
 """
 
 from euctype import (

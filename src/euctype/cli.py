@@ -143,8 +143,7 @@ def _cmd_euclid_bottom(args):
         "table": table_to_dict(table),
         "order_type": format_ordinal(e),
     }
-    lines = _table_lines(ring, table)
-    lines.append(f"order type: {format_ordinal(e)}")
+    lines = [] if args.json else _table_lines(ring, table) + [f"order type: {format_ordinal(e)}"]
     _emit(args, report, lines)
     return 0
 
@@ -183,11 +182,10 @@ def _cmd_euclid_quotient(args):
         "value_of_divisor": format_ordinal(table.value(b)),
         "table": table_to_dict(quot),
     }
-    lines = _table_lines(quot.ring, quot)
-    lines.append(
+    lines = [] if args.json else _table_lines(quot.ring, quot) + [
         f"value of {ring.format_element(b)} in the base ring: "
         f"{format_ordinal(table.value(b))}"
-    )
+    ]
     _emit(args, report, lines)
     return 0
 

@@ -7,7 +7,14 @@ explicitly carry ``validated=False``; all transforms insist on validated
 inputs.
 
 The centerpiece is the bottom table: the pointwise-least Euclidean
-function, computed as a breadth-first fixed point that assigns whole
+function.  A ring that is principal by construction is a product of
+chain rings R_i of lengths k_i, and there the bottom value of x is the
+sum of its local valuations v_i(x) (k_i for a zero coordinate): the sum
+is Euclidean by the coordinate shift of :func:`pair_divide`, and the
+bottom table lies above it since it lies above the ideal-chain length
+(Motzkin 1949; Samuel 1971).  Each value is then read from the ideal
+class of x alone.  On other rings (table rings, and what is built on
+them) the bottom table is a breadth-first fixed point that assigns whole
 levels at a time.  Level 0 is exactly the units, and the nonzero values
 always form an initial segment of the naturals.  If a round assigns
 nothing while nonzero elements remain, the ring admits no Euclidean
@@ -146,6 +153,32 @@ def divide(table: EuclideanTable, a, b) -> DivisionWitness:
 
 
 def bottom_euclidean(ring: FiniteRing) -> EuclideanTable:
+    """Least Euclidean table of the ring.
+
+    On a ring that is principal by construction the value of x is the sum
+    of its local valuations, and the value at zero the sum of the local
+    lengths: one ideal-class key per element and one valuation tuple per
+    key, with no ring operation.  Other rings go through
+    :func:`_bottom_fixed_point`, which raises :class:`NotEuclideanRing`
+    when the ring admits no Euclidean function.
+    """
+    if not ring._known_principal:
+        return _bottom_fixed_point(ring)
+    zero, key_of, valuations = ring.zero, ring.ideal_class, ring.valuations
+    by_key: Dict[object, Ordinal] = {}
+    values = {}
+    for x in ring.elements:
+        if x != zero:
+            key = key_of(x)
+            value = by_key.get(key)
+            if value is None:
+                value = by_key[key] = Ordinal(sum(valuations(key)))
+            values[x] = value
+    top = Ordinal(sum(valuations(key_of(zero))))
+    return EuclideanTable(ring, values, top, validated=True, is_bottom=True)
+
+
+def _bottom_fixed_point(ring: FiniteRing) -> EuclideanTable:
     """Least Euclidean table by the level-at-a-time fixed point.
 
     An element b enters the current level when every coset of (b) already

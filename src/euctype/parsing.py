@@ -234,12 +234,10 @@ def parse_ring_spec(src: str) -> Union[FiniteRing, RingSpec]:
         raise ParseError("empty ring spec")
     concrete, symbolic = _parse_factors(src)
     if symbolic:
-        lengths: List[int] = []
-        for ring in concrete:
-            from .rings import crt_decompose
-
-            locals_, _ = crt_decompose(ring)
-            lengths.extend(loc.element_length(loc.zero) for loc in locals_)
+        # the local lengths k_i, in CRT order: the valuations of zero; a
+        # quotient lists the local factors it collapses at 0
+        lengths = [k for ring in concrete
+                   for k in ring.valuations(ring.ideal_class(ring.zero)) if k]
         return RingSpec(tuple(symbolic), tuple(lengths))
     return _join(concrete)
 

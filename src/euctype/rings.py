@@ -13,19 +13,25 @@ names the principal ideal (x) by a cheap hashable key -- gcd(x, n) in
 Z/n, the monic gcd with the modulus in GF(q)[t]/(f), the tuple of factor
 keys in a product, the base ring's key in a quotient -- and builds the
 members of each ideal once per key, without multiplying.  Units,
-divisibility, lengths and the ideals of a principal ring all read this
-map.  Table-presented rings fall back to scanning the carrier, which also
-serves as the test oracle for the keyed rings.  Enumerating the ideals
-of a ring not known to be principal still closes sums of ideals and is
-meant for desk scale; the enumeration bound is explicit.
+divisibility and the ideals of a principal ring read this map.  The
+keyed rings are principal, hence products of chain rings R_i of lengths
+k_i, and ``valuations(key)`` maps a key to the valuation v_i of the
+ideal in each R_i (k_i for the zero ideal) without touching the carrier:
+element lengths and the bottom tables of these rings are the sums of
+those valuations.  Table-presented rings fall back to scanning the
+carrier, which also serves as the test oracle for the keyed rings.
+Enumerating the ideals of a ring not known to be principal still closes
+sums of ideals and is meant for desk scale; the enumeration bound is
+explicit.
 
 A coset layer sits on the ideals: ``coset_partition(I)`` splits the
-carrier into the cosets x + I once per ideal.  The bottom-table fixed
-point and the division check read it, and a quotient R/(b) takes its
-elements (the least member of each coset), projection and cosets from
-the partition of R by (b).  Each ring class owns the rest of what is
-ring-specific: its element syntax (``format_element`` and its inverse
-``parse_element``) and its CRT split into local rings (``local_factors``).
+carrier into the cosets x + I once per ideal.  The division check and
+the bottom-table fixed point of table rings read it, and a quotient
+R/(b) takes its elements (the least member of each coset), projection
+and cosets from the partition of R by (b).  Each ring class owns the
+rest of what is ring-specific: its element syntax (``format_element``
+and its inverse ``parse_element``) and its CRT split into local rings
+(``local_factors``).
 """
 
 from __future__ import annotations
@@ -161,10 +167,8 @@ def _prime_power(q: int) -> Tuple[int, int]:
     if q < 2:
         raise DomainError(f"GF({q}) does not exist")
     p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)  # least prime factor
-    n, k = q, 0
-    while n % p == 0:
-        n, k = n // p, k + 1
-    if n != 1:
+    k = _multiplicity(q, p)
+    if p ** k != q:
         raise DomainError(f"GF({q}) does not exist: {q} is not a prime power")
     return p, k
 
@@ -282,7 +286,9 @@ class FiniteRing:
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
-    # subclasses that are principal by construction set this True
+    # subclasses that are principal by construction set this True; they are
+    # the rings with local valuations.  is_principal() keeps what it finds
+    # for other rings apart, in _principal.
     _known_principal: Optional[bool] = None
 
     def __len__(self):
@@ -409,37 +415,59 @@ class FiniteRing:
 
     def _closed_ideals(self, pids) -> set:
         add = self.add
+        # (I, x) = I + (x) for x outside I: sum I with each distinct
+        # principal ideal it does not contain
+        distinct = list(dict.fromkeys(pids.values()))
         found = {frozenset([self.zero])}
         work = [frozenset([self.zero])]
         while work:
             ideal = work.pop()
-            for x in self.elements:
-                if x in ideal:
+            for p in distinct:
+                if p <= ideal:
                     continue
-                # (I, x) = I + (x): the sum of two additively closed ideals
-                bigger = frozenset(add(a, b) for a in ideal for b in pids[x])
+                bigger = frozenset(add(a, b) for a in ideal for b in p)
                 if bigger not in found:
                     found.add(bigger)
                     work.append(bigger)
         return found
 
     def is_principal(self, max_size: int = IDEAL_ENUMERATION_BOUND) -> bool:
-        if self._known_principal is not None:
-            return self._known_principal
-        principal = set(self.principal_ideals().values())
-        ok = all(ideal in principal for ideal in self.all_ideals(max_size))
-        self._known_principal = ok
-        return ok
+        if self._known_principal:
+            return True
+        try:
+            return self._principal
+        except AttributeError:
+            principal = set(self.principal_ideals().values())
+            self._principal = all(ideal in principal for ideal in self.all_ideals(max_size))
+            return self._principal
 
     def _require_principal(self):
         if not self.is_principal():
             raise DomainError(f"{self.name} is not a principal ring")
 
-    def element_length(self, x) -> int:
-        """Longest strictly increasing chain of ideals from (x) up to R."""
+    def valuations(self, key) -> Tuple[int, ...]:
+        """The valuations v_i of the principal ideal with class key ``key``
+        in the local factors R_i of the ring, in the order of
+        :meth:`local_factors`, with the length k_i of R_i for the key of
+        zero.  A quotient keeps the local factors it collapses, at 0.  Only
+        the rings that are principal by construction have them."""
         self._require_principal()
+        raise DomainError(f"local valuations are not supported for {type(self).__name__}")
+
+    def element_length(self, x) -> int:
+        """Longest strictly increasing chain of ideals from (x) up to R: the
+        sum of the local valuations of x where the ring has them, else a
+        walk up the principal ideals."""
+        if self._known_principal:
+            return sum(self.valuations(self.ideal_class(x)))
+        self._require_principal()
+        return self._chain_up()[self.principal_ideal(x)]
+
+    def _chain_up(self) -> Dict[FrozenSet, int]:
+        """Principal ideal -> longest chain of principal ideals up to R, in
+        O(classes^2) subset tests."""
         try:
-            up = self._chain_up
+            return self._chains
         except AttributeError:
             distinct = sorted(set(self.principal_ideals().values()), key=len, reverse=True)
             up = {}
@@ -448,8 +476,8 @@ class FiniteRing:
                     (up[other] + 1 for other in distinct if len(other) > len(ideal) and ideal < other),
                     default=0,
                 )
-            self._chain_up = up
-        return up[self.principal_ideal(x)]
+            self._chains = up
+            return up
 
     def quotient_ring(self, b) -> "QuotientRing":
         return QuotientRing(self, b)
@@ -494,6 +522,15 @@ class Zmod(FiniteRing):
 
     def ideal_members(self, d):
         return range(0, self.n, d)
+
+    def valuations(self, d):
+        """The multiplicity in d = gcd(x, n) of each prime of n, smallest
+        prime first."""
+        try:
+            primes = self._primes
+        except AttributeError:
+            primes = self._primes = sorted(_int_factor(self.n))
+        return tuple(_multiplicity(d, p) for p in primes)
 
     def parse_element(self, src: str):
         try:
@@ -559,6 +596,25 @@ class PolyQuotient(FiniteRing):
         F = self.field
         for h in itertools.product(range(F.size), repeat=self.deg + 1 - len(g)):
             yield self._pad(poly_mul(F, g, h))
+
+    def valuations(self, g):
+        """The multiplicity in the monic gcd g of each irreducible factor
+        of f, in sorted order."""
+        F = self.field
+        try:
+            irreducibles = self._irreducibles
+        except AttributeError:
+            irreducibles = self._irreducibles = sorted(poly_factor(F, self.modulus))
+        out = []
+        for p in irreducibles:
+            k = 0
+            while True:
+                q, r = poly_divmod(F, g, p)
+                if r:
+                    break
+                g, k = q, k + 1
+            out.append(k)
+        return tuple(out)
 
     def reduce(self, coeffs) -> Tuple[int, ...]:
         """Canonical representative of an arbitrary coefficient tuple."""
@@ -644,6 +700,9 @@ class ProductRing(FiniteRing):
     def ideal_members(self, key):
         return itertools.product(*(f.ideal_members(k) for f, k in zip(self.factors, key)))
 
+    def valuations(self, key):
+        return sum((f.valuations(k) for f, k in zip(self.factors, key)), ())
+
     def format_element(self, x) -> str:
         return "(" + ", ".join(f.format_element(a) for f, a in zip(self.factors, x)) + ")"
 
@@ -682,7 +741,7 @@ class QuotientRing(FiniteRing):
     partition of the base ring."""
 
     def __init__(self, base: FiniteRing, b):
-        ideal = base.principal_ideal(b)
+        ideal = frozenset(base.ideal_members(base.ideal_class(b)))  # (b) alone
         if len(ideal) == len(base.elements):
             raise DomainError(
                 f"quotient of {base.name} by the unit ideal ({base.format_element(b)}) "
@@ -725,6 +784,15 @@ class QuotientRing(FiniteRing):
 
     def ideal_members(self, key):
         return {self.projection(m) for m in self.base.ideal_members(key)}
+
+    def valuations(self, key):
+        """min(v_i(x), v_i(b)): the ideal (x) + (b) of the base ring."""
+        base = self.base
+        try:
+            cap = self._cap
+        except AttributeError:
+            cap = self._cap = base.valuations(base.ideal_class(self.modulus_element))
+        return tuple(map(min, base.valuations(key), cap))
 
     def format_element(self, x) -> str:
         return self.base.format_element(x)
@@ -807,6 +875,14 @@ def _int_factor(n: int) -> Dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _multiplicity(n: int, p: int) -> int:
+    """The exponent of the prime p in the positive integer n."""
+    k = 0
+    while n % p == 0:
+        n, k = n // p, k + 1
+    return k
 
 
 def crt_decompose(ring: FiniteRing):

@@ -11,6 +11,7 @@ import pytest
 
 from euctype.errors import NotEuclideanRing
 from euctype.euclidean import (
+    _bottom_fixed_point,
     bottom_euclidean,
     collapse_pair_table,
     division_counterexample,
@@ -268,6 +269,16 @@ def test_criterion_10_length_bounds_and_residuals():
             assert res.validated
             residuals += 1
     _report(10, f"length below bottom everywhere; {residuals} residual tables validated")
+
+
+def test_criterion_10_bottom_equals_length():
+    # the lower bound above is attained: the fixed point is the length
+    for ring in corpus_rings():
+        t = _bottom_fixed_point(ring)
+        for x, v in t.values.items():
+            assert ring.element_length(x) == v.to_int(), ring.name
+        assert ring.element_length(ring.zero) == t.value_at_zero.to_int(), ring.name
+    _report(10, "the level-at-a-time fixed point equals the ideal-chain length everywhere")
 
 
 def test_criterion_11_realization_below_omega_squared():

@@ -16,7 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from euctype.cli import main
-from euctype.euclidean import _ranks, bottom_euclidean, division_counterexample
+from euctype.errors import DomainError
+from euctype.euclidean import (
+    _bottom_fixed_point,
+    _ranks,
+    bottom_euclidean,
+    division_counterexample,
+)
 from euctype.ordinal import Ordinal
 from euctype.parsing import parse_element
 from euctype.rings import (
@@ -142,6 +148,22 @@ class TestNoMultiplication:
             pids = ring.principal_ideals()
             assert len(pids) == len(ring.elements)
             assert ring.one in ring.units()
+
+    def test_bottom_table_reads_only_the_valuations(self, rings, monkeypatch):
+        def forbidden(name):
+            def call(self, *args):
+                raise AssertionError(f"{name} called on {self.name}")
+            return call
+
+        for cls in (Zmod, PolyQuotient, ProductRing, QuotientRing):
+            for name in ("add", "mul"):
+                monkeypatch.setattr(cls, name, forbidden(name))
+        for name in ("principal_ideals", "coset_partition"):
+            monkeypatch.setattr(FiniteRing, name, forbidden(name))
+        for ring in rings:
+            table = bottom_euclidean(ring)
+            assert len(table.values) == len(ring.elements) - 1
+            assert table.value(ring.one) == Ordinal(0)
 
 
 def old_division_counterexample(ring, values):
@@ -275,7 +297,7 @@ class TestCosetLayer:
 
     def test_quotient_reuses_the_partition_of_the_bottom_table(self):
         ring = Zmod(36)
-        bottom_euclidean(ring)
+        _bottom_fixed_point(ring)
         cid, _ = ring.coset_partition(ring.principal_ideal(6))
         assert ring.quotient_ring(6)._cid is cid
 
@@ -307,3 +329,77 @@ RINGS = st.recursive(
 def test_element_syntax_round_trips(ring, data):
     x = data.draw(st.sampled_from(ring.elements))
     assert parse_element(ring, ring.format_element(x)) == x
+
+
+# ---------------------------------------------------------------------------
+# local valuations against the fixed point and the chain walk
+
+
+def valuation_corpus():
+    """Every Z/n with n < 300, every Z/a x Z/b with a, b < 16, polynomial
+    quotients and mixed products (501 rings), then quotients of some of
+    them and quotients of those."""
+    rings = [Zmod(n) for n in range(2, 300)]
+    rings += [ProductRing([Zmod(a), Zmod(b)]) for a in range(2, 16) for b in range(2, 16)]
+    rings += [poly(2, 0, 0, 0, 0, 0, 1), poly(2, 1, 1, 1), poly(3, 1, 0, 2, 0, 1), poly(4, 0, 0, 1),
+              ProductRing([Zmod(4), poly(2, 0, 0, 1)]), ProductRing([poly(3, 1, 0, 1), Zmod(9)]),
+              ProductRing([Zmod(3), ProductRing([Zmod(4), poly(3, 0, 0, 1)])])]
+    rng = random.Random(6)
+    quotients = []
+    for base in rng.sample(rings, 40) + [poly(2, 0, 1, 0, 1), poly(5, 4, 0, 1)]:
+        divisors = [b for b in base.elements if not base.is_unit(b)]
+        for b in rng.sample(divisors, min(2, len(divisors))):
+            quot = base.quotient_ring(b)
+            quotients.append(quot)
+            inner = [c for c in quot.elements if c != quot.zero and not quot.is_unit(c)]
+            if inner:
+                quotients.append(quot.quotient_ring(rng.choice(inner)))
+    return rings + quotients
+
+
+def assert_bottom_matches_fixed_point(ring):
+    closed, fixed = bottom_euclidean(ring), _bottom_fixed_point(ring)
+    assert closed.values == fixed.values, ring.name
+    assert closed.value_at_zero == fixed.value_at_zero, ring.name
+    assert closed.validated and closed.is_bottom
+
+
+class TestValuations:
+    def test_bottom_table_equals_the_fixed_point(self):
+        rings = valuation_corpus()
+        assert len(rings) > 560
+        for ring in rings:
+            assert_bottom_matches_fixed_point(ring)
+
+    def test_element_length_equals_the_chain_walk(self):
+        for ring in valuation_corpus():
+            chain = ring._chain_up()
+            for x in ring.elements:
+                assert ring.element_length(x) == chain[ring.principal_ideal(x)], ring.name
+
+    def test_lengths_of_zero_follow_the_crt_split(self):
+        for ring in valuation_corpus()[::2]:
+            locals_, _ = ring.local_factors()
+            lengths = [k for k in ring.valuations(ring.ideal_class(ring.zero)) if k]
+            assert lengths == [loc.element_length(loc.zero) for loc in locals_], ring.name
+
+    def test_rings_without_valuations(self):
+        fixture = truncated_bivariate_fixture()
+        for ring in (fixture, ProductRing([Zmod(3), fixture]), fixture.quotient_ring("x")):
+            with pytest.raises(DomainError, match=r"GF\(2\)\[x,y\]/\(x,y\)\^2 is not a principal"):
+                ring.valuations(ring.ideal_class(ring.zero))
+
+
+KEYED_RINGS = st.recursive(
+    st.one_of(
+        st.integers(2, 40).map(Zmod),
+        st.sampled_from([poly(2, 1, 1), poly(2, 0, 0, 1), poly(2, 1, 1, 0, 1), poly(3, 0, 0, 1),
+                         poly(3, 1, 0, 1), poly(4, 0, 0, 1), poly(4, 2, 3), poly(5, 1, 0, 1)]),
+    ),
+    _rings, max_leaves=4)
+
+
+@given(KEYED_RINGS)
+@settings(max_examples=150, deadline=None)
+def test_bottom_table_equals_the_fixed_point_on_generated_rings(ring):
+    assert_bottom_matches_fixed_point(ring)
