@@ -288,7 +288,7 @@ def _cmd_model_poly(args):
 
 
 def _cmd_model_localize(args):
-    primes = [int(p) for p in args.primes]
+    primes = args.primes
     result = check_localization_euclidean(primes, samples=args.samples, seed=args.seed)
     report = {
         "input": {"primes": primes, "samples": args.samples, "seed": args.seed},
@@ -396,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("model-localize", _cmd_model_localize,
             "sampled division checks for a semilocal localization of Z")
-    p.add_argument("primes", nargs="+")
+    p.add_argument("primes", nargs="+", type=int)
     p.add_argument("--samples", type=int, default=10_000, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="S")
 

@@ -17,6 +17,7 @@ omega^2 by a concrete small ring description.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,8 +25,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, ResourceError
 from .ordinal import Ordinal, natural_sum, omega, omega_power
-from .rings import (GaloisField, _monic_polys, _prime_power, poly_add, poly_is_irreducible,
-                    poly_mod, poly_neg, poly_trim)
+from .rings import (GaloisField, _monic_polys, _multiplicity, _prime_power, poly_add,
+                    poly_is_irreducible, poly_mod, poly_neg, poly_trim)
 
 
 # ---------------------------------------------------------------------------
@@ -51,19 +52,24 @@ def _integer_window_table(window: int) -> Dict[int, int]:
     below b: within that range the coset of r modulo b is {r, r-b}, and
     the value of b is one more than the best value available in its worst
     coset (0 counting as instantly available).  Values are symmetric in
-    the sign, so only positive representatives are stored.
+    the sign, so only positive representatives are stored.  Level v is a
+    pair of bitsets, ``up`` with bit r set when phi(r) >= v and ``down``
+    the same set mirrored about the window: phi(b) > v exactly when
+    ``up & (down >> (window - b))`` is nonzero.  phi(b) <= b - 1, so
+    window + 1 levels suffice, the top ones empty.
     """
     phi: Dict[int, int] = {}
+    up = [0] * (window + 1)
+    down = [0] * (window + 1)
     for b in range(1, window + 1):
-        worst = 0
-        for r in range(1, b):
-            best = phi[r]
-            other = b - r  # magnitude of r - b, also below b
-            if phi[other] < best:
-                best = phi[other]
-            if best + 1 > worst:
-                worst = best + 1
-        phi[b] = worst
+        shift = window - b
+        v = 0
+        while up[v] & (down[v] >> shift):
+            v += 1
+        phi[b] = v
+        for level in range(v + 1):
+            up[level] |= 1 << b
+            down[level] |= 1 << shift
     return phi
 
 
@@ -75,8 +81,8 @@ def windowed_bottom_integers(report_bound: int = 1024, start_window: int = 64,
     plus one.  The value of b reads only values below b, so every window
     of the schedule start_window * growth_factor^k at or above the bound
     gives this report; the certificate names the first such window and
-    the next.  The pass costs O(report_bound^2); the default max_window
-    caps the bound at 8192.
+    the next.  The pass costs O(report_bound^2 * log report_bound / 64)
+    word steps on bitsets; the default max_window caps the bound at 8192.
     """
     if report_bound < 1:
         raise DomainError("reporting bound must be positive")
@@ -155,26 +161,14 @@ def windowed_bottom_polynomials(q: int, report_degree: int = 10, start_window: i
 # semilocal localizations of Z
 
 
-def _prime_exponent(n: int, p: int) -> int:
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
 def _check_primes(primes: Sequence[int]) -> Tuple[int, ...]:
     primes = tuple(sorted(set(primes)))
     if not primes:
         raise DomainError("the prime set must be nonempty")
     for p in primes:
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise DomainError(f"{p} is not prime")
     return primes
-
-
-def _in_localization(x: Fraction, primes: Sequence[int]) -> bool:
-    return all(x.denominator % p for p in primes)
 
 
 def localization_function(primes: Sequence[int], x: Fraction) -> int:
@@ -187,9 +181,9 @@ def localization_function(primes: Sequence[int], x: Fraction) -> int:
     x = Fraction(x)
     if x == 0:
         raise DomainError("value at zero is not finite")
-    if not _in_localization(x, primes):
+    if any(x.denominator % p == 0 for p in primes):
         raise DomainError(f"{x} is not in the localization away from {primes}")
-    return sum(_prime_exponent(abs(x.numerator), p) for p in primes)
+    return sum(_multiplicity(x.numerator, p) for p in primes)
 
 
 @dataclass
@@ -200,29 +194,25 @@ class SampledCheck:
     failures: List[Tuple[Fraction, Fraction]] = field(default_factory=list)
 
 
-def _localized_divide(primes, a: Fraction, b: Fraction, search: int = 64):
-    """Find q in the localization with a = q b + r and r = 0 or smaller value."""
-    vb = localization_function(primes, b)
-    m = 1
+def _localized_divide(primes: Sequence[int], a_num: int, a_den: int, b_num: int,
+                      search: int = 64):
+    """The remainder r of a = q b + r in the localization, with r = 0 or of
+    smaller value than b, for a = a_num / a_den and b = b_num / unit; None
+    if no r = abar + k m with |k| <= search serves.  Here b = m * unit with
+    m the product of the p^v_p(b), so (b) = (m) and abar is a modulo m."""
+    vb, m = 0, 1
     for p in primes:
-        m *= p ** _prime_exponent(abs(b.numerator), p)
-    # b = m * unit, so (b) = (m); reduce a modulo m with the denominator
-    # inverted mod m
-    if m == 1:
-        return a / b, Fraction(0)
-    num = a.numerator % m
-    den_inv = pow(a.denominator, -1, m)
-    abar = (num * den_inv) % m
+        while b_num % p == 0:
+            b_num //= p
+            vb += 1
+            m *= p
+    abar = a_num * pow(a_den, -1, m) % m
     if abar == 0:
-        return a / b, Fraction(0)
+        return 0
     for k in range(-search, search + 1):
-        r = Fraction(abar + k * m)
-        if r == 0:
-            continue
-        if localization_function(primes, r) < vb:
-            q = (a - r) / b
-            if _in_localization(q, primes):
-                return q, r
+        r = abar + k * m
+        if r and sum(_multiplicity(r, p) for p in primes) < vb and (a_num - r * a_den) % m == 0:
+            return r
     return None
 
 
@@ -231,26 +221,30 @@ def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
     """Randomized division check for the exponent-sum function.
 
     Never a proof: reports the sampled coverage, and every returned
-    witness can be reverified independently.
+    witness can be reverified independently.  Samples are integer pairs
+    (numerator, denominator) and each division scans at most 129 integers.
     """
     primes = _check_primes(primes)
-    rng = random.Random(seed)
+    if samples < 0:
+        raise DomainError("the sample count must be nonnegative")
+    randint = random.Random(seed).randint
+    radical = math.prod(primes)
 
-    def sample_element() -> Fraction:
-        num = rng.randint(-height, height)
+    def sample_element() -> Tuple[int, int]:
+        num = randint(-height, height)
         while True:
-            den = rng.randint(1, height)
-            if all(den % p for p in primes):
-                return Fraction(num, den)
+            den = randint(1, height)
+            if math.gcd(den, radical) == 1:
+                return num, den
 
     failures = []
     for _ in range(samples):
-        a = sample_element()
-        b = sample_element()
-        while b == 0:
-            b = sample_element()
-        if _localized_divide(primes, a, b) is None:
-            failures.append((a, b))
+        a_num, a_den = sample_element()
+        b_num, b_den = sample_element()
+        while b_num == 0:
+            b_num, b_den = sample_element()
+        if _localized_divide(primes, a_num, a_den, b_num) is None:
+            failures.append((Fraction(a_num, a_den), Fraction(b_num, b_den)))
     return SampledCheck(not failures, samples, seed, failures)
 
 

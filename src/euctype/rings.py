@@ -395,7 +395,7 @@ class FiniteRing:
         return cid, reps
 
     def all_ideals(self, max_size: int = IDEAL_ENUMERATION_BOUND) -> List[FrozenSet]:
-        """Every ideal, smallest first.
+        """Every ideal, smallest first, as one list built once per ring.
 
         In a ring known to be principal these are the distinct principal
         ideals; otherwise generated subsets are closed one generator at a
@@ -406,12 +406,13 @@ class FiniteRing:
                 f"{self.name} has {len(self.elements)} elements; "
                 f"ideal enumeration is bounded at {max_size}"
             )
-        pids = self.principal_ideals()
-        if self._known_principal:
-            found = set(pids.values())
-        else:
-            found = self._closed_ideals(pids)
-        return sorted(found, key=lambda s: (len(s), sorted(self.index(e) for e in s)))
+        try:
+            return self._ideals
+        except AttributeError:
+            pids = self.principal_ideals()
+            found = set(pids.values()) if self._known_principal else self._closed_ideals(pids)
+            self._ideals = sorted(found, key=lambda s: (len(s), sorted(self.index(e) for e in s)))
+            return self._ideals
 
     def _closed_ideals(self, pids) -> set:
         add = self.add
@@ -878,7 +879,7 @@ def _int_factor(n: int) -> Dict[int, int]:
 
 
 def _multiplicity(n: int, p: int) -> int:
-    """The exponent of the prime p in the positive integer n."""
+    """The exponent of the prime p in the nonzero integer n."""
     k = 0
     while n % p == 0:
         n, k = n // p, k + 1

@@ -9,7 +9,7 @@ import pytest
 from euctype.cli import main
 from euctype.euclidean import bottom_euclidean, table_to_dict
 from euctype.ordinal import Ordinal
-from euctype.rings import Zmod
+from euctype.rings import FiniteRing, Zmod
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -209,6 +209,40 @@ class TestInputErrors:
             assert code == 0
             assert json.loads(out)["values"] == {
                 str(n): n.bit_length() - 1 for n in range(1, bound + 1)}
+
+    def test_model_localize_large_non_prime(self):
+        code, out, err = run(["model-localize", "1" + "0" * 400])
+        assert code == 2 and out == ""
+        assert err == f"error: {10 ** 400} is not prime\n"
+
+    def test_model_localize_bad_prime_text(self):
+        for text in ("abc", "1" + "0" * 5000):
+            with pytest.raises(SystemExit) as exc:
+                run(["model-localize", text])
+            assert exc.value.code == 2
+
+    def test_model_localize_sample_count(self):
+        code, out, err = run(["model-localize", "2", "--samples", "-5"])
+        assert code == 2 and out == "" and err.startswith("error:")
+        code, out, _ = run(["model-localize", "2", "--samples", "0", "--json"])
+        assert code == 0
+        report = json.loads(out)
+        assert (report["ok"], report["samples"], report["failures"]) == (True, 0, [])
+
+
+def test_ring_analyze_closes_the_ideals_once(monkeypatch):
+    calls = []
+    closed = FiniteRing._closed_ideals
+
+    def counted(self, pids):
+        calls.append(self.name)
+        return closed(self, pids)
+
+    monkeypatch.setattr(FiniteRing, "_closed_ideals", counted)
+    code, out, _ = run(["ring-analyze", "GF(2)[x,y]/(x,y)^2", "--json"])
+    report = json.loads(out)
+    assert code == 0 and (report["principal"], report["ideals"]) == (False, 6)
+    assert calls == ["GF(2)[x,y]/(x,y)^2"]
 
 
 class TestModelCostBounds:

@@ -1,12 +1,16 @@
+import functools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from euctype import models
 from euctype.errors import DomainError, ResourceError
 from euctype.models import (
     RingSpec,
     _integer_window_table,
+    _localized_divide,
     check_localization_euclidean,
     check_not_l_euclidean_integers,
     check_not_l_euclidean_polys,
@@ -18,6 +22,91 @@ from euctype.models import (
     windowed_bottom_polynomials,
 )
 from euctype.ordinal import Ordinal, natural_sum, omega, omega_power
+
+
+# ---------------------------------------------------------------------------
+# the former implementations, kept as oracles for the integer kernels
+
+
+def _double_loop_window_table(window):
+    """The level construction on 1..window, one coset at a time."""
+    phi = {}
+    for b in range(1, window + 1):
+        worst = 0
+        for r in range(1, b):
+            best = phi[r]
+            other = b - r  # magnitude of r - b, also below b
+            if phi[other] < best:
+                best = phi[other]
+            if best + 1 > worst:
+                worst = best + 1
+        phi[b] = worst
+    return phi
+
+
+def _fraction_exponent(n, p):
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+def _fraction_in_localization(x, primes):
+    return all(x.denominator % p for p in primes)
+
+
+def _fraction_value(primes, x):
+    return sum(_fraction_exponent(abs(x.numerator), p) for p in primes)
+
+
+def _fraction_divide(primes, a, b, search=64):
+    """(q, r) with a = q b + r in the localization and r = 0 or of smaller
+    value than b, on Fractions; None if the scan finds none."""
+    vb = _fraction_value(primes, b)
+    m = 1
+    for p in primes:
+        m *= p ** _fraction_exponent(abs(b.numerator), p)
+    if m == 1:
+        return a / b, Fraction(0)
+    num = a.numerator % m
+    den_inv = pow(a.denominator, -1, m)
+    abar = (num * den_inv) % m
+    if abar == 0:
+        return a / b, Fraction(0)
+    for k in range(-search, search + 1):
+        r = Fraction(abar + k * m)
+        if r == 0:
+            continue
+        if _fraction_value(primes, r) < vb:
+            q = (a - r) / b
+            if _fraction_in_localization(q, primes):
+                return q, r
+    return None
+
+
+def _fraction_samples(primes, samples, seed, height):
+    rng = random.Random(seed)
+
+    def sample_element():
+        num = rng.randint(-height, height)
+        while True:
+            den = rng.randint(1, height)
+            if all(den % p for p in primes):
+                return Fraction(num, den)
+
+    for _ in range(samples):
+        a = sample_element()
+        b = sample_element()
+        while b == 0:
+            b = sample_element()
+        yield a, b
+
+
+def _fraction_failures(primes, samples, seed, height=50, search=64):
+    primes = tuple(sorted(set(primes)))
+    return [(a, b) for a, b in _fraction_samples(primes, samples, seed, height)
+            if _fraction_divide(primes, a, b, search) is None]
 
 
 class TestWindowedIntegers:
@@ -68,6 +157,20 @@ class TestWindowedIntegers:
             windowed_bottom_integers(report_bound=100, max_window=255)
         with pytest.raises(ResourceError):
             windowed_bottom_integers(report_bound=8193)  # default cap: 8192
+
+
+    def test_bitset_levels_match_the_double_loop(self):
+        # the value of b reads only values below b, so the double loop on
+        # 1..1024 holds the oracle for every smaller bound
+        oracle = _double_loop_window_table(1024)
+        for bound in list(range(1, 601)) + [1024]:
+            assert _integer_window_table(bound) == {n: oracle[n] for n in range(1, bound + 1)}
+
+    def test_value_plus_one_is_the_bit_length(self):
+        # the claim in the model-z note, up to the largest bound it accepts
+        table = _integer_window_table(8192)
+        assert all(v + 1 == n.bit_length() for n, v in table.items())
+        assert len(table) == 8192
 
 
 class TestWindowedPolynomials:
@@ -138,6 +241,36 @@ class TestLocalization:
     def test_other_prime_sets(self):
         assert check_localization_euclidean([5], samples=500, seed=3).ok
         assert check_localization_euclidean([2, 3, 5], samples=500, seed=4).ok
+
+    def test_integer_kernel_matches_the_fraction_code(self):
+        prime_sets = [(2,), (3,), (97,), (2, 3), (5, 7, 11), (2, 3, 5, 7, 11, 13)]
+        for seed in range(6):
+            for primes in prime_sets:
+                for height in (5, 50, 500, 5000):
+                    result = check_localization_euclidean(primes, samples=60, seed=seed,
+                                                          height=height)
+                    assert result.failures == _fraction_failures(primes, 60, seed, height)
+
+    def test_failures_match_the_fraction_code_on_a_short_scan(self, monkeypatch):
+        # a scan of 2 * search + 1 remainders fails now and then: both sides
+        # find the same remainder or both fail, on short scans and on the
+        # full one, and the check reports the same failures
+        failed = 0
+        for primes in [(2,), (2, 3), (3, 5, 7), (2, 3, 5, 7, 11, 13)]:
+            for search in (0, 1, 2, 64):
+                for a, b in _fraction_samples(primes, 300, search, 200):
+                    old = _fraction_divide(primes, a, b, search)
+                    new = _localized_divide(primes, a.numerator, a.denominator, b.numerator,
+                                            search)
+                    assert new == (None if old is None else old[1])
+                    failed += new is None
+        assert failed > 100
+        monkeypatch.setattr(models, "_localized_divide",
+                            functools.partial(_localized_divide, search=0))
+        for primes in [(2, 3), (3, 5, 7), (2, 3, 5, 7, 11, 13)]:
+            result = check_localization_euclidean(primes, samples=300, seed=5, height=200)
+            assert result.failures == _fraction_failures(primes, 300, 5, 200, search=0)
+            assert result.failures and not result.ok
 
 
 class TestNotLengthEuclidean:

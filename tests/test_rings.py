@@ -298,6 +298,13 @@ class TestBounds:
         with pytest.raises(ResourceError):
             Zmod(600).all_ideals(max_size=512)
 
+    def test_ideal_list_is_built_once_and_still_bounded(self):
+        R = truncated_bivariate_fixture()
+        ideals = R.all_ideals()
+        assert R.all_ideals() is ideals and len(ideals) == 6
+        with pytest.raises(ResourceError):
+            R.all_ideals(max_size=4)
+
     def test_element_length_needs_principal(self):
         with pytest.raises(DomainError):
             truncated_bivariate_fixture().element_length("x")
