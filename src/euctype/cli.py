@@ -45,7 +45,7 @@ from .models import (
 )
 from .ordinal import format_ordinal
 from .parsing import parse_element, parse_ordinal, parse_ring_spec, table_from_dict
-from .rings import FiniteRing, crt_decompose, format_poly
+from .rings import IDEAL_ENUMERATION_BOUND, FiniteRing, crt_decompose, format_poly
 
 SCHEMA_VERSION = 1
 
@@ -163,7 +163,8 @@ def _cmd_euclid_verify(args):
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise DomainError(f"cannot read table file {args.file!r}: {exc}")
     table = table_from_dict(data)
-    ok, cex = is_euclidean_function(table)
+    # table_from_dict keeps a validated claim only after checking it
+    ok, cex = (True, None) if table.validated else is_euclidean_function(table)
     ring = table.ring
     report = {"input": args.file, "ring": ring.name, "euclidean": ok}
     lines = [f"ring: {ring.name}", f"euclidean: {ok}"]
@@ -247,7 +248,7 @@ def _cmd_realize(args):
 
 
 def _cmd_model_z(args):
-    bound = 1024 if args.window is None else args.window
+    bound = args.window
     model = windowed_bottom_integers(report_bound=bound)
     cert = model.certificate
     report = {
@@ -268,7 +269,7 @@ def _cmd_model_z(args):
 
 
 def _cmd_model_poly(args):
-    degree = 10 if args.window is None else args.window
+    degree = args.window
     model = windowed_bottom_polynomials(args.q, report_degree=degree)
     cert = model.certificate
     by_degree = {}
@@ -359,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("ring-analyze", _cmd_ring_analyze, "size, units, ideals, principality")
     p.add_argument("spec")
-    p.add_argument("--max-size", type=int, default=512, metavar="N",
+    p.add_argument("--max-size", type=int, default=IDEAL_ENUMERATION_BOUND, metavar="N",
                    help="carrier bound for ideal enumeration")
 
     p = add("euclid-bottom", _cmd_euclid_bottom, "least Euclidean table and order type")
@@ -386,13 +387,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
 
     p = add("model-z", _cmd_model_z, "windowed least values on the integers")
-    p.add_argument("--window", type=int, default=None, metavar="N",
-                   help="reporting bound on |n| (default 1024)")
+    p.add_argument("--window", type=int, default=1024, metavar="N",
+                   help="reporting bound on |n| (default %(default)s)")
 
     p = add("model-poly", _cmd_model_poly, "windowed least values on GF(q)[t]")
     p.add_argument("q", type=int)
-    p.add_argument("--window", type=int, default=None, metavar="D",
-                   help="reporting degree bound (default 10)")
+    p.add_argument("--window", type=int, default=10, metavar="D",
+                   help="reporting degree bound (default %(default)s)")
 
     p = add("model-localize", _cmd_model_localize,
             "sampled division checks for a semilocal localization of Z")

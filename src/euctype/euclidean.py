@@ -117,20 +117,19 @@ def is_euclidean_function(table: EuclideanTable):
     return cex is None, cex
 
 
-def make_table(ring: FiniteRing, values: Dict[object, Ordinal], validate: bool = True,
-               is_bottom: bool = False) -> EuclideanTable:
+def make_table(ring: FiniteRing, values: Dict[object, Ordinal]) -> EuclideanTable:
+    """The table of ``values``, validated exhaustively."""
     nonzero = {x for x in ring.elements if x != ring.zero}
     if set(values) != nonzero:
         raise DomainError("table must assign exactly the nonzero elements")
-    if validate:
-        cex = division_counterexample(ring, values)
-        if cex is not None:
-            a, b = cex
-            raise DomainError(
-                f"not a Euclidean function on {ring.name}: no quotient for "
-                f"a={ring.format_element(a)}, b={ring.format_element(b)}"
-            )
-    return EuclideanTable(ring, dict(values), _sup_plus_one(values), validate, is_bottom)
+    cex = division_counterexample(ring, values)
+    if cex is not None:
+        a, b = cex
+        raise DomainError(
+            f"not a Euclidean function on {ring.name}: no quotient for "
+            f"a={ring.format_element(a)}, b={ring.format_element(b)}"
+        )
+    return EuclideanTable(ring, dict(values), _sup_plus_one(values), validated=True)
 
 
 def divide(table: EuclideanTable, a, b) -> DivisionWitness:
@@ -251,7 +250,7 @@ def isotone_minimization(table: EuclideanTable) -> EuclideanTable:
         for ideal in {pids[x] for x in table.values}
     }
     new_values = {x: least[pids[x]] for x in table.values}
-    out = make_table(ring, new_values, validate=True)
+    out = make_table(ring, new_values)
     out.is_bottom = table.is_bottom and new_values == table.values
     return out
 
@@ -294,7 +293,7 @@ def quotient_euclidean(table: EuclideanTable, b) -> EuclideanTable:
         if xbar == quot.zero:
             continue
         values[xbar] = min(table.values[m] for m in quot.coset(xbar))
-    return make_table(quot, values, validate=True)
+    return make_table(quot, values)
 
 
 def nagata_product(t1: EuclideanTable, t2: EuclideanTable) -> PairTable:
@@ -362,7 +361,7 @@ def collapse_pair_table(pt: PairTable) -> EuclideanTable:
     """Ordinal-valued table obtained by composing with the length function
     of the product value poset, i.e. the natural sum of the components."""
     values = {x: natural_sum(v1, v2) for x, (v1, v2) in pt.values.items()}
-    return make_table(pt.ring, values, validate=True)
+    return make_table(pt.ring, values)
 
 
 def residual_euclidean(table: EuclideanTable, factor: int = 1) -> EuclideanTable:
@@ -387,7 +386,7 @@ def residual_euclidean(table: EuclideanTable, factor: int = 1) -> EuclideanTable
         if y == fac.zero:
             continue
         values[y] = left_subtract(base, table.values[ring.inject(factor, y)])
-    return make_table(fac, values, validate=True)
+    return make_table(fac, values)
 
 
 def _length_values(ring: FiniteRing) -> Dict[object, Ordinal]:
@@ -405,7 +404,7 @@ def check_l_euclidean(ring: FiniteRing):
 
 def length_table(ring: FiniteRing) -> EuclideanTable:
     """The x -> ideal-chain-length table, validated; fails if not Euclidean."""
-    return make_table(ring, _length_values(ring), validate=True)
+    return make_table(ring, _length_values(ring))
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, ResourceError
 from .ordinal import Ordinal, natural_sum, omega, omega_power
-from .rings import (GaloisField, _monic_polys, _multiplicity, _prime_power, poly_add,
-                    poly_is_irreducible, poly_mod, poly_neg, poly_trim)
+from .rings import (GaloisField, _least_prime_factor, _monic_polys, _multiplicity,
+                    _prime_power, poly_add, poly_is_irreducible, poly_mod, poly_neg, poly_trim)
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +160,15 @@ def windowed_bottom_polynomials(q: int, report_degree: int = 10, start_window: i
 # ---------------------------------------------------------------------------
 # semilocal localizations of Z
 
+MAX_SAMPLES = 10 ** 6
+
 
 def _check_primes(primes: Sequence[int]) -> Tuple[int, ...]:
     primes = tuple(sorted(set(primes)))
     if not primes:
         raise DomainError("the prime set must be nonempty")
     for p in primes:
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if p < 2 or _least_prime_factor(p) != p:
             raise DomainError(f"{p} is not prime")
     return primes
 
@@ -222,11 +224,14 @@ def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
 
     Never a proof: reports the sampled coverage, and every returned
     witness can be reverified independently.  Samples are integer pairs
-    (numerator, denominator) and each division scans at most 129 integers.
+    (numerator, denominator) and each division scans at most 129 integers;
+    more than MAX_SAMPLES of them stop with :class:`ResourceError`.
     """
     primes = _check_primes(primes)
     if samples < 0:
         raise DomainError("the sample count must be nonnegative")
+    if samples > MAX_SAMPLES:
+        raise ResourceError(f"{samples} samples requested; the check is bounded at {MAX_SAMPLES}")
     randint = random.Random(seed).randint
     radical = math.prod(primes)
 

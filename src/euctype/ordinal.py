@@ -2,8 +2,10 @@
 
 An ordinal is stored as a tuple of ``(exponent, coefficient)`` terms with
 the exponents (themselves ordinals) strictly decreasing and every
-coefficient a positive integer; the empty tuple is 0.  All operations are
-pure and return new values, so ordinals can be shared freely.
+coefficient a positive integer; the empty tuple is 0.  The order of
+ordinals is the tuple order of these normal forms: terms compare exponent
+first, then coefficient, and a proper prefix is smaller.  All operations
+are pure and return new values, so ordinals can be shared freely.
 
 Product conventions.  ``a * b`` is the standard ordinal product, the order
 type of b copies of a, so ``omega * 2 == omega + omega`` while
@@ -34,10 +36,7 @@ class Ordinal:
     def __init__(self, value: int = 0):
         if value < 0:
             raise DomainError("ordinals are non-negative")
-        if value == 0:
-            object.__setattr__(self, "terms", ())
-        else:
-            object.__setattr__(self, "terms", ((_ZERO_SENTINEL, value),))
+        self.terms = ((_ZERO, value),) if value else ()
 
     @classmethod
     def from_terms(cls, terms: Iterable[Tuple["Ordinal", int]]) -> "Ordinal":
@@ -50,7 +49,7 @@ class Ordinal:
             if not e2 < e1:
                 raise DomainError("CNF exponents must be strictly decreasing")
         out = object.__new__(cls)
-        object.__setattr__(out, "terms", terms)
+        out.terms = terms
         return out
 
     # -- structure ---------------------------------------------------------
@@ -80,23 +79,16 @@ class Ordinal:
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Ordinal(other)
+        other = _ordinal(other)
         if not isinstance(other, Ordinal):
             return NotImplemented
         return self.terms == other.terms
 
     def __lt__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Ordinal(other)
+        other = _ordinal(other)
         if not isinstance(other, Ordinal):
             return NotImplemented
-        for (e1, c1), (e2, c2) in zip(self.terms, other.terms):
-            if e1 != e2:
-                return e1 < e2
-            if c1 != c2:
-                return c1 < c2
-        return len(self.terms) < len(other.terms)
+        return self.terms < other.terms
 
     def __hash__(self) -> int:
         return hash(self.terms)
@@ -104,8 +96,7 @@ class Ordinal:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: OrdinalLike) -> "Ordinal":
-        if isinstance(other, int):
-            other = Ordinal(other)
+        other = _ordinal(other)
         if other.is_zero:
             return self
         if self.is_zero:
@@ -120,8 +111,7 @@ class Ordinal:
 
     def __mul__(self, other: OrdinalLike) -> "Ordinal":
         """Standard product: the order type of ``other`` copies of ``self``."""
-        if isinstance(other, int):
-            other = Ordinal(other)
+        other = _ordinal(other)
         if self.is_zero or other.is_zero:
             return Ordinal(0)
         lead_exp, lead_coeff = self.terms[0]
@@ -142,29 +132,25 @@ class Ordinal:
         return f"Ordinal[{format_ordinal(self)}]"
 
 
-# The zero exponent used inside finite terms; created once, bypassing
-# __init__ to avoid bootstrap recursion.
-_ZERO_SENTINEL = object.__new__(Ordinal)
-object.__setattr__(_ZERO_SENTINEL, "terms", ())
+def _ordinal(x):
+    """An int as the finite ordinal it names; anything else unchanged."""
+    return Ordinal(x) if isinstance(x, int) else x
+
+
+_ZERO = Ordinal()  # the exponent of finite terms
 
 omega = Ordinal.from_terms(((Ordinal(1), 1),))
 
 
 def omega_power(exponent: OrdinalLike, coefficient: int = 1) -> Ordinal:
-    if isinstance(exponent, int):
-        exponent = Ordinal(exponent)
     if coefficient == 0:
         return Ordinal(0)
-    return Ordinal.from_terms(((exponent, coefficient),))
+    return Ordinal.from_terms(((_ordinal(exponent), coefficient),))
 
 
 def product_left(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
     """The product reading ``a . b`` as a copies of b (2 . w == w + w)."""
-    if isinstance(a, int):
-        a = Ordinal(a)
-    if isinstance(b, int):
-        b = Ordinal(b)
-    return b * a
+    return _ordinal(b) * a
 
 
 def natural_sum(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
@@ -173,10 +159,7 @@ def natural_sum(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
     Commutative, associative, cancellative and strictly monotone in each
     argument, unlike the ordinary ordinal sum.
     """
-    if isinstance(a, int):
-        a = Ordinal(a)
-    if isinstance(b, int):
-        b = Ordinal(b)
+    a, b = _ordinal(a), _ordinal(b)
     coeffs: dict = {}
     for (e, c) in a.terms + b.terms:
         coeffs[e] = coeffs.get(e, 0) + c
@@ -186,10 +169,7 @@ def natural_sum(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
 
 def left_subtract(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
     """The unique g with a + g == b; defined only for a <= b."""
-    if isinstance(a, int):
-        a = Ordinal(a)
-    if isinstance(b, int):
-        b = Ordinal(b)
+    a, b = _ordinal(a), _ordinal(b)
     if not a <= b:
         raise DomainError(f"left subtraction undefined: {a} > {b}")
     i = 0
@@ -215,10 +195,9 @@ def format_ordinal(a: Ordinal) -> str:
         if e.is_zero:
             parts.append(str(c))
             continue
-        if e == Ordinal(1):
-            s = "w"
-        elif e.is_finite:
-            s = f"w^{e.to_int()}"
+        if e.is_finite:
+            n = e.to_int()
+            s = "w" if n == 1 else f"w^{n}"
         elif e == omega:
             s = "w^w"
         else:

@@ -43,6 +43,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from .errors import DomainError, ParseError, ResourceError
 
 IDEAL_ENUMERATION_BOUND = 512
+TRIAL_DIVISION_BOUND = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +136,21 @@ def poly_is_irreducible(F, f) -> bool:
     return True
 
 
+def _poly_multiplicity(F, f, g) -> Tuple[int, Tuple[int, ...]]:
+    """The exponent k of the non-constant g in the nonzero polynomial f,
+    and the cofactor f / g^k."""
+    k = 0
+    while True:
+        q, r = poly_divmod(F, f, g)
+        if r:
+            return k, f
+        f, k = q, k + 1
+
+
 def poly_factor(F, f) -> Dict[Tuple[int, ...], int]:
-    """Factor a nonzero polynomial into monic irreducibles with multiplicity."""
+    """Factor a nonzero polynomial into monic irreducibles with multiplicity.
+    The monic g of degree 1, 2, ... are divided out in turn, so each g that
+    divides is irreducible, and so is the rest of f once 2 deg g > deg f."""
     f = poly_trim(f)
     if not f:
         raise DomainError("cannot factor the zero polynomial")
@@ -144,18 +158,14 @@ def poly_factor(F, f) -> Dict[Tuple[int, ...], int]:
     # normalize to monic; the unit factor does not matter for ideals
     f = poly_mul(F, f, (F.inv(f[-1]),))
     d = 1
-    while len(f) - 1 >= 1:
-        hit = False
+    while 2 * d <= len(f) - 1:
         for g in _monic_polys(F, d):
-            if len(g) - 1 > len(f) - 1:
-                break
-            if poly_is_irreducible(F, g) and not poly_mod(F, f, g):
-                factors[g] = factors.get(g, 0) + 1
-                f = poly_divmod(F, f, g)[0]
-                hit = True
-                break
-        if not hit:
-            d += 1
+            k, f = _poly_multiplicity(F, f, g)
+            if k:
+                factors[g] = k
+        d += 1
+    if len(f) > 1:
+        factors[f] = 1
     return factors
 
 
@@ -166,7 +176,7 @@ def poly_factor(F, f) -> Dict[Tuple[int, ...], int]:
 def _prime_power(q: int) -> Tuple[int, int]:
     if q < 2:
         raise DomainError(f"GF({q}) does not exist")
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)  # least prime factor
+    p = _least_prime_factor(q)
     k = _multiplicity(q, p)
     if p ** k != q:
         raise DomainError(f"GF({q}) does not exist: {q} is not a prime power")
@@ -489,9 +499,12 @@ class FiniteRing:
         """Split into local factors; returns (locals, iso) with iso: x -> coords.
 
         Multiplying the local factors back together gives a ring isomorphic
-        to this one, the isomorphism being exactly ``iso``.
+        to this one, the isomorphism being exactly ``iso``.  This default
+        knows only the local case: the non-units form a principal ideal.
         """
         self._require_principal()
+        if frozenset(self.elements) - self.units() in set(self.principal_ideals().values()):
+            return self._local()
         raise DomainError(f"CRT decomposition is not supported for {type(self).__name__}")
 
     def _local(self):
@@ -606,16 +619,7 @@ class PolyQuotient(FiniteRing):
             irreducibles = self._irreducibles
         except AttributeError:
             irreducibles = self._irreducibles = sorted(poly_factor(F, self.modulus))
-        out = []
-        for p in irreducibles:
-            k = 0
-            while True:
-                q, r = poly_divmod(F, g, p)
-                if r:
-                    break
-                g, k = q, k + 1
-            out.append(k)
-        return tuple(out)
+        return tuple(_poly_multiplicity(F, g, p)[0] for p in irreducibles)
 
     def reduce(self, coeffs) -> Tuple[int, ...]:
         """Canonical representative of an arbitrary coefficient tuple."""
@@ -802,6 +806,8 @@ class QuotientRing(FiniteRing):
         return self.projection(self.base.parse_element(src))
 
     def local_factors(self):
+        if not self.base._known_principal:
+            return super().local_factors()
         # R/(b) splits as the product of the R_i/(b_i) where b_i is no unit
         locs, iso = self.base.local_factors()
         b = iso[self.modulus_element]
@@ -865,16 +871,23 @@ def truncated_bivariate_fixture() -> TableRing:
 # CRT decomposition
 
 
+def _least_prime_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division up to
+    TRIAL_DIVISION_BOUND; a larger n with no factor up to it is refused."""
+    root = math.isqrt(n)
+    p = next((d for d in range(2, min(root, TRIAL_DIVISION_BOUND) + 1) if n % d == 0), n)
+    if p == n and root > TRIAL_DIVISION_BOUND:
+        raise ResourceError(f"{n} has no prime factor up to {TRIAL_DIVISION_BOUND}, "
+                            "where trial division stops")
+    return p
+
+
 def _int_factor(n: int) -> Dict[int, int]:
     out: Dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    while n > 1:
+        p = _least_prime_factor(n)
+        out[p] = _multiplicity(n, p)
+        n //= p ** out[p]
     return out
 
 

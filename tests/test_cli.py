@@ -285,6 +285,28 @@ class TestModelCostBounds:
             assert code == 2
             assert err == "error: GF(6) does not exist: 6 is not a prime power\n"
 
+    def test_prime_beyond_the_trial_division_bound(self):
+        for argv in (["model-localize", "100000000000000000039", "--samples", "1"],
+                     ["ring-analyze", "GF(100000000000000000039)[t]"]):
+            (code, out, err), elapsed = self._timed(argv)
+            assert (code, out) == (4, "")
+            assert err == ("error: 100000000000000000039 has no prime factor up to "
+                           "10000000, where trial division stops\n")
+            assert elapsed < 5.0
+
+    def test_prime_at_the_trial_division_bound(self):
+        # isqrt(100000000000031) is 10^7 itself, so this prime still factors
+        code, out, _ = run(["ring-analyze", "GF(100000000000031)[t]", "--json"])
+        assert code == 0
+        assert json.loads(out)["order_type"] == "w"
+
+    def test_sample_count_above_the_bound(self):
+        (code, out, err), elapsed = self._timed(["model-localize", "2", "--samples", "1000001"])
+        assert (code, out) == (4, "") and err.startswith("error:")
+        assert elapsed < 1.0
+        code, out, _ = run(["model-localize", "2", "--samples", "10", "--json"])
+        assert code == 0 and json.loads(out)["samples"] == 10
+
     def test_model_poly_gf3_default_degree(self):
         code, out, _ = run(["model-poly", "3", "--json"])
         assert code == 0
@@ -292,3 +314,58 @@ class TestModelCostBounds:
         assert report["input"] == {"q": 3, "report_degree": 10}
         assert report["values_by_degree"] == {str(d): [d] for d in range(11)}
         assert report["stabilization_windows"] == [12, 16]
+
+
+class TestSpecimenQuotient:
+    def test_principal_quotient_analyzes(self):
+        code, out, _ = run(["ring-analyze", "GF(2)[x,y]/(x,y)^2/(x)"])
+        assert code == 0
+        assert out.splitlines()[2:] == ["principal: True   ideals: 3",
+                                        "length of the zero ideal chain: 2",
+                                        "local factors: GF(2)[x,y]/(x,y)^2/(x)"]
+
+    def test_product_with_a_field(self):
+        code, out, _ = run(["ring-analyze", "(GF(2)[x,y]/(x,y)^2/(x)) x Z/3", "--json"])
+        assert code == 0
+        report = json.loads(out)
+        assert (report["principal"], report["ideals"], report["length"]) == (True, 6, 3)
+        assert report["local_factors"] == ["GF(2)[x,y]/(x,y)^2/(x)", "Z/3"]
+        code, out, _ = run(["ring-analyze", "(GF(2)[x,y]/(x,y)^2/(x)) x Z/3"])
+        assert "local factors: GF(2)[x,y]/(x,y)^2/(x) x Z/3" in out.splitlines()
+
+    def test_non_local_quotient_is_not_supported(self):
+        code, out, err = run(["ring-analyze", "(GF(2)[x,y]/(x,y)^2 x Z/3)/((x, 0))"])
+        assert (code, out) == (2, "")
+        assert err == "error: CRT decomposition is not supported for QuotientRing\n"
+
+
+def test_euclid_verify_checks_a_validated_table_once(tmp_path, monkeypatch):
+    from euctype import euclidean, parsing
+
+    calls = []
+    check = euclidean.division_counterexample
+
+    def counted(ring, values):
+        calls.append(ring.name)
+        return check(ring, values)
+
+    monkeypatch.setattr(euclidean, "division_counterexample", counted)
+    monkeypatch.setattr(parsing, "division_counterexample", counted)
+    d = table_to_dict(bottom_euclidean(Zmod(12)))
+    for validated in (True, False):
+        calls.clear()
+        path = tmp_path / f"t{validated}.json"
+        path.write_text(json.dumps({**d, "validated": validated, "bottom": False}))
+        code, out, _ = run(["euclid-verify", str(path)])
+        assert code == 0 and "euclidean: True" in out
+        assert calls == ["Z/12"]
+
+
+def test_cli_defaults_are_stated_once():
+    from euctype.cli import _build_parser
+    from euctype.rings import IDEAL_ENUMERATION_BOUND
+
+    parser = _build_parser()
+    assert parser.parse_args(["ring-analyze", "Z/4"]).max_size == IDEAL_ENUMERATION_BOUND
+    assert parser.parse_args(["model-z"]).window == 1024
+    assert parser.parse_args(["model-poly", "2"]).window == 10

@@ -242,6 +242,12 @@ class TestLocalization:
         assert check_localization_euclidean([5], samples=500, seed=3).ok
         assert check_localization_euclidean([2, 3, 5], samples=500, seed=4).ok
 
+    def test_sample_count_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(models, "MAX_SAMPLES", 5)
+        assert check_localization_euclidean([2], samples=5).samples == 5
+        with pytest.raises(ResourceError, match="bounded at 5"):
+            check_localization_euclidean([2], samples=6)
+
     def test_integer_kernel_matches_the_fraction_code(self):
         prime_sets = [(2,), (3,), (97,), (2, 3), (5, 7, 11), (2, 3, 5, 7, 11, 13)]
         for seed in range(6):

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -212,3 +214,61 @@ class TestFormatting:
     @given(ordinals)
     def test_str_matches(self, a):
         assert str(a) == format_ordinal(a)
+
+
+def _loop_lt(a, b):
+    """The former hand-written comparison of Ordinal, kept as the oracle for
+    the tuple order of the normal forms."""
+    for (e1, c1), (e2, c2) in zip(a.terms, b.terms):
+        if e1 != e2:
+            return _loop_lt(e1, e2)
+        if c1 != c2:
+            return c1 < c2
+    return len(a.terms) < len(b.terms)
+
+
+_loop_key = functools.cmp_to_key(lambda x, y: _loop_lt(y, x) - _loop_lt(x, y))
+
+
+def _from_exponent_pairs(ts):
+    merged = {}
+    for e, c in ts:
+        merged[e] = merged.get(e, 0) + c
+    return Ordinal.from_terms(sorted(merged.items(), key=lambda t: _loop_key(t[0]), reverse=True))
+
+
+# CNF ordinals whose exponents are themselves ordinals up to w^w
+exponents = st.one_of(ordinals, st.just(omega_power(omega)))
+deep_ordinals = st.lists(
+    st.tuples(exponents, st.integers(1, 9)), max_size=4
+).map(_from_exponent_pairs)
+
+
+class TestTupleOrder:
+    @given(deep_ordinals, deep_ordinals)
+    def test_matches_the_former_loop(self, a, b):
+        assert (a < b) == _loop_lt(a, b)
+        assert (a <= b) == (_loop_lt(a, b) or not _loop_lt(b, a))
+        assert (a > b) == _loop_lt(b, a)
+        assert (a == b) == (not _loop_lt(a, b) and not _loop_lt(b, a))
+        if a == b:
+            assert hash(a) == hash(b)
+        else:
+            assert a.terms != b.terms
+
+    @given(deep_ordinals, st.integers(0, 50))
+    def test_ints_on_either_side(self, a, n):
+        assert (a < n) == _loop_lt(a, Ordinal(n))
+        assert (n < a) == _loop_lt(Ordinal(n), a)
+        assert (a <= n) == (n >= a) == (not _loop_lt(Ordinal(n), a))
+        assert (a == n) == (n == a) == (a.terms == Ordinal(n).terms)
+        if a == n:
+            assert hash(a) == hash(Ordinal(n))
+
+    @given(st.lists(st.one_of(deep_ordinals, st.integers(0, 9)), min_size=1, max_size=8))
+    def test_sorted_and_max(self, xs):
+        as_ordinals = [Ordinal(x) if isinstance(x, int) else x for x in xs]
+        by_loop = sorted(as_ordinals, key=_loop_key)
+        assert sorted(as_ordinals) == by_loop
+        assert max(xs) == by_loop[-1]
+        assert min(xs) == by_loop[0]

@@ -3,19 +3,28 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from euctype import rings
 from euctype.errors import DomainError, ResourceError
+from euctype.models import _check_primes
 from euctype.rings import (
     GaloisField,
     PolyQuotient,
     ProductRing,
     QuotientRing,
     Zmod,
+    _int_factor,
+    _least_prime_factor,
+    _monic_polys,
+    _poly_multiplicity,
+    _prime_power,
     crt_decompose,
     format_poly,
     poly_divmod,
     poly_factor,
     poly_is_irreducible,
+    poly_mod,
     poly_mul,
+    poly_trim,
     truncated_bivariate_fixture,
 )
 
@@ -292,6 +301,19 @@ class TestCRT:
         with pytest.raises(DomainError):
             crt_decompose(truncated_bivariate_fixture())
 
+    def test_principal_quotient_of_the_specimen(self):
+        # GF(2)[x,y]/(x,y)^2/(x) is GF(2)[y]/(y^2): principal and local
+        quot = truncated_bivariate_fixture().quotient_ring("x")
+        assert crt_decompose(quot) == quot._local()
+        self._check_iso(ProductRing([quot, Zmod(3)]))
+        assert [r.name for r in crt_decompose(ProductRing([quot, Zmod(3)]))[0]] == [
+            "GF(2)[x,y]/(x,y)^2/(x)", "Z/3"]
+        # principal but not local: no split is known
+        mixed = ProductRing([truncated_bivariate_fixture(), Zmod(3)]).quotient_ring(("x", 0))
+        assert mixed.is_principal()
+        with pytest.raises(DomainError, match="not supported"):
+            crt_decompose(mixed)
+
 
 class TestBounds:
     def test_ideal_enumeration_bound(self):
@@ -308,3 +330,95 @@ class TestBounds:
     def test_element_length_needs_principal(self):
         with pytest.raises(DomainError):
             truncated_bivariate_fixture().element_length("x")
+
+
+# ---------------------------------------------------------------------------
+# the former factoring loops, kept as oracles for the shared ones
+
+
+def _former_poly_factor(F, f):
+    """poly_factor as it was: the least irreducible divisor, one at a time."""
+    f = poly_trim(f)
+    factors = {}
+    f = poly_mul(F, f, (F.inv(f[-1]),))
+    d = 1
+    while len(f) - 1 >= 1:
+        hit = False
+        for g in _monic_polys(F, d):
+            if len(g) - 1 > len(f) - 1:
+                break
+            if poly_is_irreducible(F, g) and not poly_mod(F, f, g):
+                factors[g] = factors.get(g, 0) + 1
+                f = poly_divmod(F, f, g)[0]
+                hit = True
+                break
+        if not hit:
+            d += 1
+    return factors
+
+
+def _sieved_factorizations(limit):
+    """n -> {p: exponent} for 2 <= n < limit, from a sieve of Eratosthenes."""
+    composite = [False] * limit
+    primes = []
+    for n in range(2, limit):
+        if not composite[n]:
+            primes.append(n)
+            for m in range(n * n, limit, n):
+                composite[m] = True
+    out = {}
+    for n in range(2, limit):
+        fac = {}
+        for p in primes:
+            if n % p == 0:
+                fac[p] = max(k for k in range(1, n.bit_length() + 1) if n % p ** k == 0)
+        out[n] = fac
+    return out
+
+
+class TestFactoringOracles:
+    @pytest.mark.parametrize("q, max_degree", [(2, 8), (3, 5), (4, 4), (5, 3)])
+    def test_poly_factor_matches_the_former_loop(self, q, max_degree):
+        F = GaloisField(q)
+        for d in range(max_degree + 1):
+            for f in _monic_polys(F, d):
+                fac = poly_factor(F, f)
+                assert list(fac.items()) == list(_former_poly_factor(F, f).items())
+                for g, k in fac.items():
+                    assert _poly_multiplicity(F, f, g)[0] == k
+
+    def test_poly_multiplicity_cofactor(self):
+        F = GaloisField(3)
+        g, h = (1, 1), (1, 0, 1)  # t+1 and t^2+1, which t+1 does not divide
+        f = h
+        for k in range(5):
+            assert _poly_multiplicity(F, f, g) == (k, h)
+            f = poly_mul(F, f, g)
+
+    def test_integer_factoring_against_a_sieve(self):
+        for n, fac in _sieved_factorizations(5000).items():
+            assert _int_factor(n) == fac
+            assert _least_prime_factor(n) == min(fac)
+            if len(fac) == 1:
+                assert _prime_power(n) == next(iter(fac.items()))
+            else:
+                with pytest.raises(DomainError, match="is not a prime power"):
+                    _prime_power(n)
+            if fac == {n: 1}:
+                assert _check_primes([n]) == (n,)
+            else:
+                with pytest.raises(DomainError, match=f"^{n} is not prime$"):
+                    _check_primes([n])
+
+    def test_trial_division_stops_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(rings, "TRIAL_DIVISION_BOUND", 10)
+        for n, fac in _sieved_factorizations(121).items():  # every n below (10 + 1)^2
+            assert _int_factor(n) == fac
+        for n in (121, 11 * 13, 101 * 103):
+            with pytest.raises(ResourceError, match="no prime factor up to 10"):
+                _least_prime_factor(n)
+        assert _int_factor(2 * 3 * 101) == {2: 1, 3: 1, 101: 1}
+        with pytest.raises(ResourceError):
+            _int_factor(2 * 11 * 11)
+        with pytest.raises(ResourceError):
+            _check_primes([127])
