@@ -256,6 +256,8 @@ def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
 # ---------------------------------------------------------------------------
 # negative length-function findings
 
+MAX_WITNESS_FIELD = 1 << 14
+
 
 @dataclass
 class LengthWitness:
@@ -284,8 +286,12 @@ def check_not_l_euclidean_polys(q: int) -> LengthWitness:
     """Same finding for GF(q)[t]: an irreducible quadratic b and target t.
 
     Allowed remainders are the nonzero constants and 0, and none is
-    congruent to t modulo an irreducible quadratic.
+    congruent to t modulo an irreducible quadratic.  All q remainders are
+    listed, so q above MAX_WITNESS_FIELD stops with ResourceError.
     """
+    _prime_power(q)
+    if q > MAX_WITNESS_FIELD:
+        raise ResourceError(f"GF({q}) has more than {MAX_WITNESS_FIELD} elements, the witness bound")
     F = GaloisField(q)
     quad = next(g for g in _monic_polys(F, 2) if poly_is_irreducible(F, g))
     t = (0, 1)

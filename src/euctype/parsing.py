@@ -390,7 +390,7 @@ def table_from_dict(data: dict) -> EuclideanTable:
     edited to fail the division property may keep its old value at zero.
     The ``validated`` and ``bottom`` flags are claims, checked before they
     are kept: validated needs the division property, bottom also needs the
-    supremum plus one at zero and the values of the bottom table.
+    supremum plus one at zero and the bottom table's values, and keeps validated.
     """
     fields = {"ring": str, "values": dict, "value_at_zero": str}
     if not isinstance(data, dict) or not all(
@@ -430,7 +430,7 @@ def table_from_dict(data: dict) -> EuclideanTable:
     is_bottom = bool(data.get("bottom", False))
     if validated or is_bottom:
         euclidean = division_counterexample(ring, values) is None
-        validated = validated and euclidean
         is_bottom = (is_bottom and euclidean and value_at_zero == sup_plus_one
                      and values == bottom_euclidean(ring).values)
+        validated = (validated and euclidean) or is_bottom
     return EuclideanTable(ring, values, value_at_zero, validated, is_bottom)

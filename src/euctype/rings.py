@@ -189,7 +189,11 @@ class GaloisField:
     For k > 1 arithmetic is modulo a fixed irreducible polynomial over
     GF(p): the monic degree-k irreducible with the smallest base-p
     encoding of its non-leading coefficients.  The choice is recorded in
-    ``modulus`` so runs are reproducible.
+    ``modulus`` so runs are reproducible.  Products and inverses are
+    lookups in two tables of discrete logarithms: ``_exp`` holds the powers
+    g^0..g^(q-2) of the first primitive element g in encoding order, twice
+    over, and ``_log`` inverts it.  Each candidate g costs at most q - 1
+    polynomial products modulo ``modulus``; addition works on the digits.
     """
 
     _cache: Dict[int, "GaloisField"] = {}
@@ -209,20 +213,17 @@ class GaloisField:
         self.name = f"GF({q})"
         if k == 1:
             self.modulus: Tuple[int, ...] = ()
-            self._mul_table = None
         else:
             base = GaloisField(p)
-            for m in range(q):
-                cand = poly_trim(tuple(_digits(m, p, k)) + (1,))
-                if poly_is_irreducible(base, cand):
-                    self.modulus = cand
-                    break
-            self._mul_table = {}
-            for a in range(q):
-                pa = _digits(a, p, k)
-                for b in range(q):
-                    prod = poly_mod(base, poly_mul(base, pa, _digits(b, p, k)), self.modulus)
-                    self._mul_table[(a, b)] = _undigits(prod, p)
+            monic = (poly_trim(_digits(m, p, k) + (1,)) for m in range(q))
+            self.modulus = next(f for f in monic if poly_is_irreducible(base, f))
+            exp, candidates = [], (_digits(g, p, k) for g in range(2, q))
+            while len(exp) < q - 1:  # a candidate is primitive once its powers reach every unit
+                x, power, exp = next(candidates), (1,), [1]
+                while (power := poly_mod(base, poly_mul(base, power, x), self.modulus)) != (1,):
+                    exp.append(_undigits(power, p))
+            self._exp = exp + exp  # a sum of two logarithms needs no reduction
+            self._log = {e: i for i, e in enumerate(exp)}
 
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -240,17 +241,14 @@ class GaloisField:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        return self._mul_table[(a, b)]
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DomainError("zero has no inverse")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        for b in range(1, self.size):
-            if self.mul(a, b) == 1:
-                return b
-        raise AssertionError("unreachable: field element without inverse")
+        return self._exp[self.size - 1 - self._log[a]]
 
     def embed_int(self, c: int) -> int:
         """Integer coefficient reduced into the prime subfield."""

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -20,6 +23,20 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def fresh_run(argv):
+    """(exit status, stdout, stderr) and seconds of the CLI in a new interpreter,
+    so that no field or ring built by another test is cached."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(GOLDEN_DIR.parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    script = "import sys; from euctype.cli import main; sys.exit(main(sys.argv[1:]))"
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    return (proc.returncode, proc.stdout, proc.stderr), time.perf_counter() - t0
 
 
 class TestExitCodes:
@@ -300,6 +317,31 @@ class TestModelCostBounds:
         assert code == 0
         assert json.loads(out)["order_type"] == "w"
 
+    def test_witness_field_above_the_bound(self):
+        for q in (32768, 100003):
+            (code, out, err), elapsed = self._timed(["l-euclidean", f"GF({q})[t]"])
+            assert (code, out) == (4, "")
+            assert err == f"error: GF({q}) has more than 16384 elements, the witness bound\n"
+            assert elapsed < 1.0
+        # the string of a range this large used to end in a MemoryError traceback
+        code, out, err = run(["l-euclidean", "GF(100000000000031)[t]"])
+        assert (code, out) == (4, "") and err.startswith("error: GF(100000000000031) has more")
+
+    def test_large_fields_answer_from_logarithm_tables(self):
+        # the former q x q product table kept these running for over a minute
+        (code, out, _), elapsed = fresh_run(["euclid-bottom", "GF(4096)[t]/(t)", "--json"])
+        table = json.loads(out)["table"]
+        assert code == 0 and (len(table["values"]), table["value_at_zero"]) == (4095, "1")
+        assert elapsed < 5.0
+        (code, out, _), elapsed = fresh_run(["l-euclidean", "GF(4096)[t]", "--json"])
+        report = json.loads(out)
+        assert code == 0 and report["l_euclidean"] is False
+        assert len(report["witness"]["allowed_remainders"]) == 4096
+        assert elapsed < 5.0
+        (code, out, err), elapsed = fresh_run(["ring-analyze", "GF(1024)[t]/(t)"])
+        assert (code, out) == (4, "") and err.startswith("error:")
+        assert elapsed < 5.0
+
     def test_sample_count_above_the_bound(self):
         (code, out, err), elapsed = self._timed(["model-localize", "2", "--samples", "1000001"])
         assert (code, out) == (4, "") and err.startswith("error:")
@@ -359,6 +401,40 @@ def test_euclid_verify_checks_a_validated_table_once(tmp_path, monkeypatch):
         code, out, _ = run(["euclid-verify", str(path)])
         assert code == 0 and "euclidean: True" in out
         assert calls == ["Z/12"]
+
+
+def test_euclid_verify_checks_every_table_once(tmp_path, monkeypatch):
+    from euctype import euclidean, parsing
+
+    calls = []
+    check = euclidean.division_counterexample
+
+    def counted(ring, values):
+        calls.append(ring.name)
+        return check(ring, values)
+
+    monkeypatch.setattr(euclidean, "division_counterexample", counted)
+    monkeypatch.setattr(parsing, "division_counterexample", counted)
+    d = table_to_dict(bottom_euclidean(Zmod(12)))
+    broken = {**d, "values": {**d["values"], "2": "0"}}  # no quotient for 1 modulo 2
+    above = {**d, "value_at_zero": "9"}  # Euclidean, but not the bottom table
+    cases = [
+        ({**d, "validated": False, "bottom": False}, True),
+        ({**d, "validated": True, "bottom": False}, True),
+        ({**broken, "validated": True, "bottom": False}, False),
+        ({**d, "validated": False, "bottom": True}, True),
+        ({**above, "validated": False, "bottom": True}, True),
+        ({**broken, "validated": False, "bottom": True}, False),
+    ]
+    for i, (data, euclidean_) in enumerate(cases):
+        calls.clear()
+        path = tmp_path / f"t{i}.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(["euclid-verify", str(path)])
+        assert code == 0 and f"euclidean: {euclidean_}" in out
+        assert calls == ["Z/12"]
+    path.write_text("[]")
+    assert run(["euclid-verify", str(path)])[0] == 2
 
 
 def test_cli_defaults_are_stated_once():

@@ -298,6 +298,15 @@ class TestNotLengthEuclidean:
         assert w.divisor == (1, 0, 1)  # t^2+1, irreducible over GF(3)
         assert set(w.allowed_remainders) == {(), (1,), (2,)}
 
+    def test_field_size_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(models, "MAX_WITNESS_FIELD", 4)
+        assert len(check_not_l_euclidean_polys(4).allowed_remainders) == 4
+        for q in (5, 8, 100003):
+            with pytest.raises(ResourceError, match="more than 4 elements"):
+                check_not_l_euclidean_polys(q)
+        with pytest.raises(DomainError, match="not a prime power"):  # checked first
+            check_not_l_euclidean_polys(6)
+
 
 class TestRingSpec:
     def test_invariants(self):

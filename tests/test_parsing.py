@@ -291,6 +291,15 @@ class TestTableRoundTrip:
         back = table_from_dict(d)
         assert not back.validated and not back.is_bottom
 
+    def test_a_bottom_claim_that_holds_keeps_validated(self):
+        d = self._z4()
+        d["validated"] = False
+        back = table_from_dict(d)
+        assert back.validated and back.is_bottom
+        d["values"]["2"] = "0"  # no longer Euclidean, so neither claim holds
+        back = table_from_dict(d)
+        assert not back.validated and not back.is_bottom
+
     def test_symbolic_spec_rejected(self):
         with pytest.raises(DomainError):
             table_from_dict({"ring": "Z", "values": {}, "value_at_zero": "w"})

@@ -12,18 +12,22 @@ from euctype.rings import (
     ProductRing,
     QuotientRing,
     Zmod,
+    _digits,
     _int_factor,
     _least_prime_factor,
     _monic_polys,
     _poly_multiplicity,
     _prime_power,
+    _undigits,
     crt_decompose,
     format_poly,
+    poly_add,
     poly_divmod,
     poly_factor,
     poly_is_irreducible,
     poly_mod,
     poly_mul,
+    poly_neg,
     poly_trim,
     truncated_bivariate_fixture,
 )
@@ -422,3 +426,57 @@ class TestFactoringOracles:
             _int_factor(2 * 11 * 11)
         with pytest.raises(ResourceError):
             _check_primes([127])
+
+
+# ---------------------------------------------------------------------------
+# the former field arithmetic, kept as the oracle for the logarithm tables
+
+NON_PRIME_FIELDS = [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 169, 243, 256]
+
+
+def _former_field(q):
+    """The modulus and the q x q product table that GaloisField(q) built, k > 1."""
+    p, k = _prime_power(q)
+    base = GaloisField(p)
+    for m in range(q):
+        modulus = poly_trim(_digits(m, p, k) + (1,))
+        if poly_is_irreducible(base, modulus):
+            break
+    table = {}
+    for a in range(q):
+        pa = _digits(a, p, k)
+        for b in range(q):
+            prod = poly_mod(base, poly_mul(base, pa, _digits(b, p, k)), modulus)
+            table[(a, b)] = _undigits(prod, p)
+    return modulus, table
+
+
+def _former_inverse(q, table, a):
+    for b in range(1, q):
+        if table[(a, b)] == 1:
+            return b
+    raise AssertionError("field element without inverse")
+
+
+class TestFieldOracle:
+    def test_the_oracle_covers_every_non_prime_field_up_to_256(self):
+        expected = [q for q in range(2, 257) if len(_int_factor(q)) == 1
+                    and max(_int_factor(q).values()) > 1]
+        assert NON_PRIME_FIELDS == expected
+
+    @pytest.mark.parametrize("q", NON_PRIME_FIELDS)
+    def test_logarithm_tables_match_the_former_product_table(self, q):
+        F = GaloisField(q)
+        modulus, table = _former_field(q)
+        assert F.modulus == modulus
+        base, p, k = GaloisField(F.p), F.p, F.k
+        for a in range(q):
+            da = _digits(a, p, k)
+            assert F.neg(a) == _undigits(poly_neg(base, da), p)
+            for b in range(q):
+                assert F.add(a, b) == _undigits(poly_add(base, da, _digits(b, p, k)), p)
+                assert F.mul(a, b) == table[(a, b)]
+        for a in range(1, q):
+            assert F.inv(a) == _former_inverse(q, table, a)
+        with pytest.raises(DomainError, match="zero has no inverse"):
+            F.inv(0)
