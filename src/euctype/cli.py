@@ -44,7 +44,7 @@ from .models import (
     windowed_bottom_polynomials,
 )
 from .ordinal import format_ordinal
-from .parsing import parse_element, parse_ordinal, parse_ring_spec, table_from_dict
+from .parsing import _nat, parse_element, parse_ordinal, parse_ring_spec, table_from_dict
 from .rings import IDEAL_ENUMERATION_BOUND, FiniteRing, crt_decompose, format_poly
 
 SCHEMA_VERSION = 1
@@ -311,7 +311,7 @@ def _cmd_l_euclidean(args):
     m = re.match(r"^GF\((\d+)\)\[t\]$", target)
     if target == "Z" or m:
         if m:
-            w, fmt = check_not_l_euclidean_polys(int(m.group(1))), format_poly
+            w, fmt = check_not_l_euclidean_polys(_nat(m.group(1))), format_poly
         else:
             w, fmt = check_not_l_euclidean_integers(), str
         report = {

@@ -28,6 +28,7 @@ from typing import Dict, Optional, Tuple
 
 from .errors import DomainError, NotEuclideanRing
 from .ordinal import Ordinal, left_subtract, natural_sum
+from .poset import is_isotone, is_weakly_isotone
 from .rings import FiniteRing, ProductRing
 
 
@@ -257,20 +258,18 @@ def isotone_minimization(table: EuclideanTable) -> EuclideanTable:
 
 def _divisibility_monotone(table: EuclideanTable, strict: bool) -> bool:
     # Isotonicity on the ordered quotient by association, in both modes:
-    # associates must share a value (weakly, each divides the other), and
-    # a proper inclusion (y) < (x) of ideal classes needs value(x) < value(y)
-    # in strict mode, <= in weak mode.  This is the reading under which a
+    # associates must share a value, and the class values must rise along
+    # the ring's ideal order.  The zero ideal takes the value at zero, which
+    # lies above every other value, so the map is total and the zero ideal
+    # never decides the answer.  This is the reading under which a
     # Euclidean table is isotone iff it is weakly isotone.
-    pids = table.ring.principal_ideals()
-    value: Dict[frozenset, Ordinal] = {}
+    ring = table.ring
+    pids = ring.principal_ideals()
+    value: Dict[frozenset, Ordinal] = {pids[ring.zero]: table.value_at_zero}
     for x, v in table.values.items():
         if value.setdefault(pids[x], v) != v:
             return False
-    for big, vb in value.items():
-        for small, vs in value.items():
-            if small < big and not (vb < vs if strict else vb <= vs):
-                return False
-    return True
+    return (is_isotone if strict else is_weakly_isotone)(value, ring._ideal_order())
 
 
 def is_isotone_euclidean(table: EuclideanTable) -> bool:

@@ -30,12 +30,14 @@ a :class:`ParseError`.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Dict, List, Tuple, Union
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, ResourceError
 from .euclidean import EuclideanTable, bottom_euclidean, division_counterexample
 from .models import RingSpec
 from .ordinal import Ordinal, left_subtract, natural_sum, omega_power, product_left
+from .poset import FinitePoset
 from .rings import (
     FiniteRing,
     GaloisField,
@@ -45,9 +47,19 @@ from .rings import (
     Zmod,
     _prime_power,
     poly_trim,
+    truncated_bivariate_fixture,
 )
 
 MAX_EXPONENT_DEPTH = 32
+
+
+def _nat(digits: str) -> int:
+    """The integer a digit string names; one too long for ``int`` hits a bound."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ResourceError(f"a numeral of {len(digits)} digits is longer than "
+                            f"the limit of {sys.get_int_max_str_digits()} digits")
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +95,7 @@ class _Scanner:
         if not m:
             raise ParseError("expected a number", self.pos)
         self.pos += m.end()
-        return int(m.group())
+        return _nat(m.group())
 
 
 def parse_ordinal(src: str) -> Ordinal:
@@ -98,16 +110,20 @@ def parse_ordinal(src: str) -> Ordinal:
 
 
 def _expr(sc: _Scanner, depth: int) -> Ordinal:
+    if depth > MAX_EXPONENT_DEPTH:
+        raise ResourceError(f"parenthesis nesting deeper than {MAX_EXPONENT_DEPTH}")
+    minuends = []  # a chain (-a) + (-b) + ... + c, read without recursion
     save = sc.pos
-    if sc.take("("):
-        if sc.take("-"):
-            minuend = _expr(sc, depth)
-            sc.expect(")")
-            sc.expect("+")
-            rest = _expr(sc, depth)
-            return left_subtract(minuend, rest)
-        sc.pos = save
-    return _sum(sc, depth)
+    while sc.take("(") and sc.take("-"):
+        minuends.append(_expr(sc, depth + 1))
+        sc.expect(")")
+        sc.expect("+")
+        save = sc.pos
+    sc.pos = save
+    value = _sum(sc, depth)
+    for minuend in reversed(minuends):
+        value = left_subtract(minuend, value)
+    return value
 
 
 def _sum(sc: _Scanner, depth: int) -> Ordinal:
@@ -144,15 +160,13 @@ def _atom(sc: _Scanner, depth: int) -> Ordinal:
     if ch.isdigit():
         return Ordinal(sc.nat())
     if sc.take("("):
-        value = _expr(sc, depth)
+        value = _expr(sc, depth + 1)
         sc.expect(")")
         return value
     raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end of input", sc.pos)
 
 
 def _exponent(sc: _Scanner, depth: int) -> Ordinal:
-    from .errors import ResourceError
-
     if depth > MAX_EXPONENT_DEPTH:
         raise ResourceError(f"exponent nesting deeper than {MAX_EXPONENT_DEPTH}")
     ch = sc.peek()
@@ -246,12 +260,15 @@ def _join(concrete: List[FiniteRing]) -> FiniteRing:
     return concrete[0] if len(concrete) == 1 else ProductRing(concrete)
 
 
-def _parse_factors(src: str) -> Tuple[List[FiniteRing], List[str]]:
-    """The concrete and the symbolic factors of a spec, in order."""
+def _parse_factors(src: str, depth: int = 0) -> Tuple[List[FiniteRing], List[str]]:
+    """The concrete and the symbolic factors of a spec, in order; ``depth``
+    counts the parentheses and quotient suffixes around it."""
+    if depth > MAX_EXPONENT_DEPTH:
+        raise ResourceError(f"ring spec nesting deeper than {MAX_EXPONENT_DEPTH}")
     src = src.strip()
     group = _last_group(src)
     if group > 1 and src[group - 1] == "/":
-        concrete, symbolic = _parse_factors(src[:group - 1])
+        concrete, symbolic = _parse_factors(src[:group - 1], depth + 1)
         if not symbolic:
             base = _join(concrete)
             return [QuotientRing(base, parse_element(base, src[group + 1:-1]))], []
@@ -259,14 +276,14 @@ def _parse_factors(src: str) -> Tuple[List[FiniteRing], List[str]]:
     if len(parts) > 1:
         concrete, symbolic = [], []
         for part in parts:
-            c, s = _parse_factors(part)
+            c, s = _parse_factors(part, depth)
             # a concrete product in parentheses stays one factor; symbolic
             # specs are flat products anyway
             concrete.extend(c if s else [_join(c)])
             symbolic.extend(s)
         return concrete, symbolic
     if group == 0:
-        return _parse_factors(src[1:-1])
+        return _parse_factors(src[1:-1], depth + 1)
     kind, value = _parse_factor(src)
     return ([value], []) if kind == "ring" else ([], [value])
 
@@ -307,20 +324,18 @@ def _parse_factor(part: str):
     if part == "Z":
         return "pid", "Z"
     if part == "GF(2)[x,y]/(x,y)^2":
-        from .rings import truncated_bivariate_fixture
-
         return "ring", truncated_bivariate_fixture()
     m = _ZMOD.match(part)
     if m:
-        return "ring", Zmod(int(m.group(1)))
+        return "ring", Zmod(_nat(m.group(1)))
     m = _GF_PID.match(part)
     if m:
-        q = int(m.group(1))
+        q = _nat(m.group(1))
         _prime_power(q)  # GF(q) exists; its tables are not needed
         return "pid", f"GF({q})[t]"
     m = _GF_QUOT.match(part)
     if m:
-        q = int(m.group(1))
+        q = _nat(m.group(1))
         field = GaloisField(q)
         coeffs = parse_poly(m.group(2), field, field.embed_int)
         return "ring", PolyQuotient(field, coeffs)
@@ -348,8 +363,6 @@ def parse_poset(src: str):
     starting with ``#`` are skipped.  Isolated elements can be listed on
     a line of their own.
     """
-    from .poset import FinitePoset
-
     elements: List[str] = []
     seen = set()
     pairs = []

@@ -1,10 +1,9 @@
 """Finite strict orders, their least isotone map, and finite Brookfield sums.
 
-A poset is given by an element set plus any generating set of strict pairs.
-Comparisons and isotonicity checks read the transitive closure, built once;
-the length function and the top element read only the pairs.  The least
-isotone map assigns each element the length of the longest strict chain
-strictly below it, which on a finite poset coincides with the staged
+A poset is given by an element set plus any generating set of strict pairs,
+and is read from those pairs alone; no transitive closure is stored.  The
+least isotone map assigns each element the length of the longest strict
+chain strictly below it, which on a finite poset coincides with the staged
 least-value construction.
 """
 
@@ -27,7 +26,6 @@ class FinitePoset:
         for lo, hi in self.pairs:
             if lo not in self._elemset or hi not in self._elemset:
                 raise DomainError(f"pair ({lo!r}, {hi!r}) mentions unknown labels")
-        self._below = None  # element -> set of strictly smaller elements
         self._walked = None  # Kahn order over the generating pairs, predecessors
 
     def _walk(self):
@@ -55,21 +53,14 @@ class FinitePoset:
         self._walked = order, preds
         return self._walked
 
-    def _strictly_below(self) -> Dict[Hashable, set]:
-        """Transitive closure as a strictly-below map, built on first use."""
-        if self._below is None:
-            order, preds = self._walk()
-            below: Dict[Hashable, set] = {}
-            for x in order:
-                acc = below[x] = set()
-                for p in preds[x]:
-                    acc.add(p)
-                    acc |= below[p]
-            self._below = below
-        return self._below
-
     def less(self, a: Hashable, b: Hashable) -> bool:
-        return a in self._strictly_below()[b]
+        _, preds = self._walk()
+        below, todo = set(), [b]
+        while todo and a not in below:
+            new = preds[todo.pop()] - below
+            below |= new
+            todo.extend(new)
+        return a in below
 
     def maximal_elements(self) -> Tuple[Hashable, ...]:
         # in a strict order, x lies below something iff it is the lower end
@@ -143,15 +134,10 @@ def _check_monotone(f, p, strict):
     for x in p.elements:
         if x not in f:
             raise DomainError(f"assignment is not total: missing {x!r}")
-    below = p._strictly_below()
-    for y in p.elements:
-        for x in below[y]:
-            if strict:
-                if not f[x] < f[y]:
-                    return False
-            elif not f[x] <= f[y]:
-                return False
-    return True
+    p._walk()  # rejects cycles
+    # rising along every generating pair is rising along the closure, since
+    # the values are transitively ordered
+    return all(f[lo] < f[hi] if strict else f[lo] <= f[hi] for lo, hi in p.pairs)
 
 
 def pointwise_min(maps: Iterable[Mapping[Hashable, int]], p: FinitePoset) -> IsotoneMap:

@@ -41,6 +41,7 @@ import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ParseError, ResourceError
+from .poset import FinitePoset, length_function
 
 IDEAL_ENUMERATION_BOUND = 512
 TRIAL_DIVISION_BOUND = 10 ** 7
@@ -465,28 +466,27 @@ class FiniteRing:
 
     def element_length(self, x) -> int:
         """Longest strictly increasing chain of ideals from (x) up to R: the
-        sum of the local valuations of x where the ring has them, else a
-        walk up the principal ideals."""
+        sum of the local valuations of x where the ring has them, else the
+        length function of the poset of principal ideals."""
         if self._known_principal:
             return sum(self.valuations(self.ideal_class(x)))
         self._require_principal()
         return self._chain_up()[self.principal_ideal(x)]
 
+    def _ideal_order(self) -> FinitePoset:
+        """Distinct principal ideals, each below the ideals it properly contains."""
+        distinct = list(dict.fromkeys(self.principal_ideals().values()))
+        return FinitePoset(distinct, [(big, small) for big in distinct
+                                      for small in distinct if small < big])
+
     def _chain_up(self) -> Dict[FrozenSet, int]:
-        """Principal ideal -> longest chain of principal ideals up to R, in
-        O(classes^2) subset tests."""
+        """Principal ideal -> longest chain of principal ideals up to R: the
+        length function of :meth:`_ideal_order`."""
         try:
             return self._chains
         except AttributeError:
-            distinct = sorted(set(self.principal_ideals().values()), key=len, reverse=True)
-            up = {}
-            for ideal in distinct:  # larger ideals first
-                up[ideal] = max(
-                    (up[other] + 1 for other in distinct if len(other) > len(ideal) and ideal < other),
-                    default=0,
-                )
-            self._chains = up
-            return up
+            self._chains = length_function(self._ideal_order())
+            return self._chains
 
     def quotient_ring(self, b) -> "QuotientRing":
         return QuotientRing(self, b)

@@ -247,6 +247,49 @@ class TestInputErrors:
         assert (report["ok"], report["samples"], report["failures"]) == (True, 0, [])
 
 
+class TestParserBounds:
+    LONG = "9" * 5000  # longer than the 4,300 digits int() reads by default
+
+    def test_nesting_beyond_the_bound(self):
+        deep = "(" * 250 + "1" + ")" * 250
+        for argv in (["ordinal-eval", deep], ["product-bounds", deep, "2"],
+                     ["ring-analyze", "(" * 1000 + "Z/4" + ")" * 1000],
+                     ["ring-analyze", "Z/8" + "/(0)" * 1000]):
+            code, out, err = run(argv)
+            assert (code, out) == (4, ""), argv[:1]
+            assert err.startswith("error:") and "deeper than 32" in err
+
+    def test_nesting_at_the_bound(self):
+        assert run(["ordinal-eval", "(" * 32 + "w" + ")" * 32]) == (0, "w\n", "")
+        assert run(["ordinal-eval", "(" * 33 + "w" + ")" * 33])[0] == 4
+        assert run(["ordinal-eval", "w^" * 32 + "2"])[0] == 0
+        assert run(["ordinal-eval", "(-1) + " * 300 + "w"]) == (0, "w\n", "")
+        for spec in ("(" * 32 + "Z/4" + ")" * 32, "Z/8" + "/(0)" * 32):
+            assert run(["ring-analyze", spec])[0] == 0
+        for spec in ("(" * 33 + "Z/4" + ")" * 33, "Z/8" + "/(0)" * 33):
+            assert run(["ring-analyze", spec])[0] == 4
+
+    def test_numerals_beyond_the_digit_limit(self):
+        d = self.LONG
+        for argv in (["ordinal-eval", "w^" + d], ["ordinal-eval", "w*" + d],
+                     ["ordinal-eval", d], ["ring-analyze", "Z/" + d],
+                     ["ring-analyze", f"GF({d})[t]"], ["ring-analyze", f"GF(2)[t]/(t^{d})"],
+                     ["l-euclidean", f"GF({d})[t]"]):
+            code, out, err = run(argv)
+            assert (code, out) == (4, ""), argv[0]
+            assert err == ("error: a numeral of 5000 digits is longer than "
+                           f"the limit of {sys.get_int_max_str_digits()} digits\n")
+
+
+def test_symbolic_spec_with_a_non_principal_factor():
+    # a symbolic spec has no carrier to run the fixed point on, so this is
+    # the domain error (exit 2), not the stalled fixed point (exit 3)
+    for extra in ([], ["--json"]):
+        code, out, err = run(["ring-analyze", "Z x GF(2)[x,y]/(x,y)^2", *extra])
+        assert (code, out) == (2, "")
+        assert err == "error: GF(2)[x,y]/(x,y)^2 is not a principal ring\n"
+
+
 def test_ring_analyze_closes_the_ideals_once(monkeypatch):
     calls = []
     closed = FiniteRing._closed_ideals

@@ -227,6 +227,22 @@ def _minimization_oracle(table):
             for x in table.values}
 
 
+def _class_pair_oracle(table, strict):
+    """The loop over every pair of ideal classes that the predicates ran
+    before they read the ring's ideal order: a proper inclusion
+    (y) < (x) needs value(x) < value(y), or <= in weak mode."""
+    pids = table.ring.principal_ideals()
+    value = {}
+    for x, v in table.values.items():
+        if value.setdefault(pids[x], v) != v:
+            return False
+    for big, vb in value.items():
+        for small, vs in value.items():
+            if small < big and not (vb < vs if strict else vb <= vs):
+                return False
+    return True
+
+
 class TestIsotoneOnIdealClasses:
     RINGS = [Zmod(n) for n in range(2, 41)] + [
         gf2t2(), PolyQuotient(GaloisField(2), (0, 0, 0, 1)),
@@ -268,6 +284,20 @@ class TestIsotoneOnIdealClasses:
                 seen[strict] += 1
                 count += 1
         assert count > 500 and min(seen.values()) > 50
+
+    def test_predicates_match_the_class_pairs(self):
+        rng = random.Random(13)
+        specimen = truncated_bivariate_fixture().quotient_ring("x")
+        rings = self.RINGS + [specimen, ProductRing([specimen, Zmod(3)]),
+                              ProductRing([specimen, Zmod(4)])]
+        seen = {True: 0, False: 0}
+        for ring in rings:
+            for t in self._tables(ring, rng):
+                strict = is_isotone_euclidean(t)
+                assert strict == _class_pair_oracle(t, True), ring.name
+                assert is_weakly_isotone_euclidean(t) == _class_pair_oracle(t, False)
+                seen[strict] += 1
+        assert min(seen.values()) > 50
 
     def test_minimization_matches_the_double_loop(self):
         rng = random.Random(12)

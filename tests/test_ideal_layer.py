@@ -10,10 +10,12 @@ import io
 import itertools
 import json
 import math
+import os
 import random
+import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from euctype.cli import main
 from euctype.errors import DomainError
@@ -24,7 +26,7 @@ from euctype.euclidean import (
     division_counterexample,
 )
 from euctype.ordinal import Ordinal
-from euctype.parsing import parse_element
+from euctype.parsing import parse_element, parse_ring_spec
 from euctype.rings import (
     FiniteRing,
     GaloisField,
@@ -357,6 +359,19 @@ def valuation_corpus():
     return rings + quotients
 
 
+def old_chain_up(ring):
+    """The walk up the principal ideals that ``_chain_up`` made before it
+    read the length function of the ideal order: O(classes^2) subset tests."""
+    distinct = sorted(set(ring.principal_ideals().values()), key=len, reverse=True)
+    up = {}
+    for ideal in distinct:  # larger ideals first
+        up[ideal] = max(
+            (up[other] + 1 for other in distinct if len(other) > len(ideal) and ideal < other),
+            default=0,
+        )
+    return up
+
+
 def assert_bottom_matches_fixed_point(ring):
     closed, fixed = bottom_euclidean(ring), _bottom_fixed_point(ring)
     assert closed.values == fixed.values, ring.name
@@ -376,6 +391,13 @@ class TestValuations:
             chain = ring._chain_up()
             for x in ring.elements:
                 assert ring.element_length(x) == chain[ring.principal_ideal(x)], ring.name
+
+    def test_chain_up_matches_the_former_walk(self):
+        specimen = truncated_bivariate_fixture().quotient_ring("x")
+        rings = valuation_corpus() + [specimen, ProductRing([specimen, Zmod(3)]),
+                                      ProductRing([specimen, Zmod(4)])]
+        for ring in rings:
+            assert ring._chain_up() == old_chain_up(ring), ring.name
 
     def test_lengths_of_zero_follow_the_crt_split(self):
         for ring in valuation_corpus()[::2]:
@@ -403,3 +425,56 @@ KEYED_RINGS = st.recursive(
 @settings(max_examples=150, deadline=None)
 def test_bottom_table_equals_the_fixed_point_on_generated_rings(ring):
     assert_bottom_matches_fixed_point(ring)
+
+
+# ---------------------------------------------------------------------------
+# every emitted table re-verifies
+
+
+def run_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--json"])
+    assert code == 0, (argv, err.getvalue())
+    return json.loads(out.getvalue())
+
+
+def assert_tables_reverify(ring, divisor, other):
+    """``euclid-bottom`` of ring, ``euclid-quotient`` by divisor and
+    ``euclid-product`` with other each emit a table that ``euclid-verify``
+    accepts under the same ring name.  The tables go to a temporary
+    directory of their own, since Hypothesis runs this many times within
+    one test."""
+    emitted = [
+        run_json(["euclid-bottom", ring.name])["table"],
+        run_json(["euclid-quotient", ring.name, ring.format_element(divisor)])["table"],
+        run_json(["euclid-product", ring.name, other.name])["collapsed_table"],
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, table in enumerate(emitted):
+            path = os.path.join(tmp, f"table{i}.json")
+            with open(path, "w") as fh:
+                json.dump(table, fh)
+            report = run_json(["euclid-verify", path])
+            assert report["euclidean"] is True, table["ring"]
+            assert report["ring"] == table["ring"]
+
+
+SMALL_KEYED_RINGS = KEYED_RINGS.filter(lambda ring: len(ring) <= 300)
+
+
+@given(SMALL_KEYED_RINGS, SMALL_KEYED_RINGS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_emitted_tables_reverify_on_generated_rings(ring, other, data):
+    assume(len(ring) * len(other) <= 300)
+    divisor = data.draw(st.sampled_from([b for b in ring.elements if not ring.is_unit(b)]))
+    assert_tables_reverify(ring, divisor, other)
+
+
+def test_emitted_tables_of_the_specimen_quotient_reverify():
+    specimen = parse_ring_spec("GF(2)[x,y]/(x,y)^2/(x)")
+    for ring in (specimen, ProductRing([specimen, Zmod(3)])):
+        assert_tables_reverify(ring, ring.zero, Zmod(3))
+        for b in ring.elements:
+            if b != ring.zero and not ring.is_unit(b):
+                assert_tables_reverify(ring, b, specimen)

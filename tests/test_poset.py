@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from euctype.errors import DomainError
+from euctype.ordinal import Ordinal, omega
 from euctype.poset import (
     FinitePoset,
     antichain,
@@ -67,7 +69,6 @@ class TestLength:
         g = product_poset(chain(4), chain(5))
         assert length(g) == 7
         assert g.top() == (3, 4)
-        assert g._below is None
         with pytest.raises(DomainError):
             FinitePoset([1, 2, 3], [(1, 2), (2, 3), (3, 1)]).top()
 
@@ -194,3 +195,102 @@ class TestIsotoneMaps:
                                  if a in down and b in down])
         sub_lam = length_function(sub)
         assert all(sub_lam[x] == lam[x] for x in down)
+
+
+# ---------------------------------------------------------------------------
+# the transitive closure FinitePoset once stored, kept as the oracle for
+# comparisons and isotonicity checks that read the generating pairs alone
+
+
+def closure_below(p):
+    """Each element's strictly smaller elements, closed along the Kahn walk."""
+    order, preds = p._walk()
+    below = {}
+    for x in order:
+        acc = below[x] = set()
+        for q in preds[x]:
+            acc.add(q)
+            acc |= below[q]
+    return below
+
+
+def closure_monotone(f, p, strict, below):
+    """The former isotonicity check: every pair of the closure."""
+    for x in p.elements:
+        if x not in f:
+            raise DomainError(f"assignment is not total: missing {x!r}")
+    for y in p.elements:
+        for x in below[y]:
+            if strict:
+                if not f[x] < f[y]:
+                    return False
+            elif not f[x] <= f[y]:
+                return False
+    return True
+
+
+def small_posets():
+    """Every strict order on at most 4 labels, generated once by all its
+    pairs and once by its covers alone."""
+    for n in range(1, 5):
+        labels = tuple(range(n))
+        for rel in _all_posets(labels):
+            covers = [(a, b) for a, b in sorted(rel)
+                      if not any((a, c) in rel and (c, b) in rel for c in labels)]
+            yield FinitePoset(labels, sorted(rel))
+            yield FinitePoset(labels, covers)
+
+
+GRIDS = [(1, 4), (2, 3), (3, 3), (4, 5), (6, 2)]
+
+
+class TestAgainstTheClosure:
+    def test_less(self):
+        posets = list(small_posets()) + [product_poset(chain(a), chain(b)) for a, b in GRIDS]
+        for p in posets:
+            below = closure_below(p)
+            for a in p.elements:
+                for b in p.elements:
+                    assert p.less(a, b) == (a in below[b]), (p.pairs, a, b)
+
+    def test_isotone_on_small_posets(self):
+        seen = {True: 0, False: 0}
+        for p in small_posets():
+            below = closure_below(p)
+            for values in itertools.product(range(3), repeat=len(p.elements)):
+                f = dict(zip(p.elements, values))
+                strict = is_isotone(f, p)
+                assert strict == closure_monotone(f, p, True, below), (p.pairs, f)
+                assert is_weakly_isotone(f, p) == closure_monotone(f, p, False, below)
+                seen[strict] += 1
+        assert min(seen.values()) > 1000
+
+    def test_isotone_on_grids(self):
+        rng = random.Random(10)
+        seen = {True: 0, False: 0}
+        for a, b in GRIDS:
+            g = product_poset(chain(a), chain(b))
+            below = closure_below(g)
+            lam = length_function(g)
+            for _ in range(60):
+                # twice the length function plus 0 or 1 rises along every
+                # pair, also with omega added on the top row; one changed
+                # value then may or may not break it
+                f = {x: Ordinal(2 * lam[x] + rng.randint(0, 1)) for x in g.elements}
+                if rng.random() < 0.5:
+                    f = {x: v + omega if x[0] == a - 1 else v for x, v in f.items()}
+                if rng.random() < 0.6:
+                    x = rng.choice(g.elements)
+                    f[x] = Ordinal(rng.randint(0, 2)) if rng.random() < 0.5 else f[x] + 1
+                strict = is_isotone(f, g)
+                assert strict == closure_monotone(f, g, True, below)
+                assert is_weakly_isotone(f, g) == closure_monotone(f, g, False, below)
+                seen[strict] += 1
+        assert min(seen.values()) > 20
+
+    def test_cyclic_relation_raises(self):
+        p = FinitePoset([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
+        for f in ({1: 0, 2: 1, 3: 2}, {1: 0, 2: 0, 3: 0}):
+            for check in (is_isotone, is_weakly_isotone):
+                with pytest.raises(DomainError, match="cycle"):
+                    check(f, p)
