@@ -65,51 +65,59 @@ def _sup_plus_one(values: Dict[object, Ordinal]) -> Ordinal:
 
 
 def _ranks(table_values: Dict[object, Ordinal]) -> Dict[object, int]:
-    """Element -> rank of its value; ranks compare like the ordinals do."""
-    order = {v: i for i, v in enumerate(sorted(set(table_values.values())))}
-    return {x: order[v] for x, v in table_values.items()}
+    """Element -> rank of its value; ranks compare like the ordinals do.
+    Tables share few value objects, so each is hashed once and the elements
+    find their rank by the object's id."""
+    shared = {id(v): v for v in table_values.values()}
+    order = {v: i for i, v in enumerate(sorted(set(shared.values())))}
+    by_id = {i: order[v] for i, v in shared.items()}
+    return {x: by_id[id(v)] for x, v in table_values.items()}
 
 
 def division_counterexample(ring: FiniteRing, values: Dict[object, Ordinal]):
     """Least (a, b) with no valid quotient, or None if the table is Euclidean.
 
     A pair (a, b) is satisfied iff the coset a + (b) contains 0 or some r
-    with value below the value of b.  Divisors generating the same ideal
-    share its cosets, so each ideal class is swept once with its divisors
-    in rank order: the cosets met grow with the rank, and the least bad a
-    is the least element of the first coset not yet met.  The cost is
-    O(classes * n) instead of O(n^2).
+    with value below the value of b.  Divisors with the same ideal-class
+    key share their cosets, so each class is swept once with its divisors
+    in rank order.  The cosets met, named by ``ring.coset_label``, grow
+    with the rank, and a class is done once every coset is met.  Only a
+    (class, rank) that leaves a coset unmet walks the carrier, for the
+    least element outside the cosets met.  On Z/n, GF(q)[t]/(f) and their
+    products a label is arithmetic (x mod d, x mod g, a tuple of those), so
+    the check builds no ideal and adds no elements.  The cost is
+    O(classes * n) label reads instead of O(n^2).
     """
-    zero = ring.zero
-    pids = ring.principal_ideals()
+    zero, elements, index = ring.zero, ring.elements, ring.index
     rank = _ranks(values)
-    by_rank = sorted(rank, key=rank.__getitem__)
-    index = ring.index
-    # ideal -> rank -> least divisor of that rank generating the ideal
-    classes: Dict[frozenset, Dict[int, object]] = {}
-    for b in ring.elements:
+    levels = [[] for _ in range(max(rank.values(), default=-1) + 1)]
+    for x, r in rank.items():
+        levels[r].append(x)
+    key_of = ring.ideal_class
+    # class key -> rank -> least divisor of that rank in the class
+    classes: Dict[object, Dict[int, object]] = {}
+    for b in elements:
         if b != zero:
-            classes.setdefault(pids[b], {}).setdefault(rank[b], b)
+            classes.setdefault(key_of(b), {}).setdefault(rank[b], b)
     best = None
-    for ideal, divisors in classes.items():
-        cid, reps = ring.coset_partition(ideal)
-        hit = [False] * len(reps)
-        hit[cid[zero]] = True
-        met = first_unmet = 0
+    for key, divisors in classes.items():
+        label, count = ring.coset_label(key)
+        met = {label(zero)}
+        below = pos = 0  # every rank below `below` is met; so is each coset of elements[:pos]
         for rb in sorted(divisors):
-            while met < len(by_rank) and rank[by_rank[met]] < rb:
-                hit[cid[by_rank[met]]] = True
-                met += 1
-            while first_unmet < len(reps) and hit[first_unmet]:
-                first_unmet += 1
-            if first_unmet == len(reps):
+            for level in levels[below:rb]:
+                met.update(map(label, level))
+            below = rb
+            if len(met) == count:
                 break  # every coset is met for this rank and all above it
-            pair = (index(reps[first_unmet]), index(divisors[rb]))
+            while label(elements[pos]) in met:
+                pos += 1
+            pair = (pos, index(divisors[rb]))
             if best is None or pair < best:
                 best = pair
     if best is None:
         return None
-    return ring.elements[best[0]], ring.elements[best[1]]
+    return elements[best[0]], elements[best[1]]
 
 
 def is_euclidean_function(table: EuclideanTable):

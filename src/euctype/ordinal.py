@@ -18,9 +18,10 @@ images: ``product_left(a, b) == b * a``.
 from __future__ import annotations
 
 import functools
+import sys
 from typing import Iterable, Tuple, Union
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 OrdinalLike = Union["Ordinal", int]
 
@@ -186,6 +187,16 @@ def left_subtract(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
     return Ordinal.from_terms(b.terms[i:])
 
 
+def _numeral(n: int) -> str:
+    """The decimal digits of n; an integer longer than ``str`` writes hits a
+    bound, as a numeral too long for ``int`` does on input."""
+    try:
+        return str(n)
+    except ValueError:
+        raise ResourceError("the result holds an integer of more than "
+                            f"{sys.get_int_max_str_digits()} digits, the limit for printing one")
+
+
 def format_ordinal(a: Ordinal) -> str:
     """Canonical ASCII rendering, e.g. ``w^2*3 + w + 5``."""
     if a.is_zero:
@@ -193,16 +204,16 @@ def format_ordinal(a: Ordinal) -> str:
     parts = []
     for (e, c) in a.terms:
         if e.is_zero:
-            parts.append(str(c))
+            parts.append(_numeral(c))
             continue
         if e.is_finite:
             n = e.to_int()
-            s = "w" if n == 1 else f"w^{n}"
+            s = "w" if n == 1 else f"w^{_numeral(n)}"
         elif e == omega:
             s = "w^w"
         else:
             s = f"w^({format_ordinal(e)})"
         if c > 1:
-            s += f"*{c}"
+            s += f"*{_numeral(c)}"
         parts.append(s)
     return " + ".join(parts)

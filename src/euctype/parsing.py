@@ -415,11 +415,17 @@ def table_from_dict(data: dict) -> EuclideanTable:
         raise DomainError("tables exist for concrete finite rings only")
     values = {}
     parsed: Dict[str, Ordinal] = {}  # tables repeat few values; parse each text once
+    # a key as the ring prints it names its element with no parse; any other
+    # key is parsed, then checked against the name of what it parsed to
+    named = {ring.format_element(x): x for x in ring.elements}
     for key, text in data["values"].items():
-        x = parse_element(ring, key)
-        name = ring.format_element(x)
-        if key != name and "".join(key.split()) != "".join(name.split()):
-            raise DomainError(f"table key {key!r} is not canonical; the element is {name!r}")
+        if key in named:
+            x, name = named[key], key
+        else:
+            x = parse_element(ring, key)
+            name = ring.format_element(x)
+            if key != name and "".join(key.split()) != "".join(name.split()):
+                raise DomainError(f"table key {key!r} is not canonical; the element is {name!r}")
         if x == ring.zero:
             raise DomainError("the value at zero belongs in 'value_at_zero', not in 'values'")
         if x in values:

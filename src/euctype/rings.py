@@ -24,21 +24,26 @@ Enumerating the ideals of a ring not known to be principal still closes
 sums of ideals and is meant for desk scale; the enumeration bound is
 explicit.
 
-A coset layer sits on the ideals: ``coset_partition(I)`` splits the
-carrier into the cosets x + I once per ideal.  The division check and
-the bottom-table fixed point of table rings read it, and a quotient
-R/(b) takes its elements (the least member of each coset), projection
-and cosets from the partition of R by (b).  Each ring class owns the
-rest of what is ring-specific: its element syntax (``format_element``
-and its inverse ``parse_element``) and its CRT split into local rings
-(``local_factors``).
+A coset layer sits on the ideals.  ``coset_label(key)`` names the coset
+x + I of the ideal I with class key ``key`` and counts the cosets: by
+arithmetic on the keyed rings (x mod d in Z/n, x mod g in GF(q)[t]/(f),
+the tuple of the factors' labels in a product), so the division check
+builds no ideal there.  ``coset_partition(I)`` splits the carrier into
+the cosets once per ideal, by adding I to the elements.  Table rings and
+quotients label their cosets from it, the bottom-table fixed point of
+table rings reads it, and a quotient R/(b) takes its elements (the least
+member of each coset), projection and cosets from the partition of R by
+(b).  Each ring class owns the rest of what is ring-specific: its
+element syntax (``format_element`` and its inverse ``parse_element``)
+and its CRT split into local rings (``local_factors``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+import operator
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ParseError, ResourceError
 from .poset import FinitePoset, length_function
@@ -194,7 +199,8 @@ class GaloisField:
     lookups in two tables of discrete logarithms: ``_exp`` holds the powers
     g^0..g^(q-2) of the first primitive element g in encoding order, twice
     over, and ``_log`` inverts it.  Each candidate g costs at most q - 1
-    polynomial products modulo ``modulus``; addition works on the digits.
+    polynomial products modulo ``modulus``; addition adds base-p digits
+    of the integers, an XOR for p = 2.
     """
 
     _cache: Dict[int, "GaloisField"] = {}
@@ -227,17 +233,28 @@ class GaloisField:
             self._log = {e: i for i, e in enumerate(exp)}
 
     def add(self, a: int, b: int) -> int:
+        p = self.p
         if self.k == 1:
-            return (a + b) % self.p
-        return _undigits(
-            [(x + y) % self.p for x, y in zip(_digits(a, self.p, self.k), _digits(b, self.p, self.k))],
-            self.p,
-        )
+            return (a + b) % p
+        if p == 2:
+            return a ^ b
+        out, place = 0, 1
+        while a or b:  # base-p digits, least significant first
+            out += (a + b) % p * place
+            a, b, place = a // p, b // p, place * p
+        return out
 
     def neg(self, a: int) -> int:
+        p = self.p
         if self.k == 1:
-            return (-a) % self.p
-        return _undigits([(-x) % self.p for x in _digits(a, self.p, self.k)], self.p)
+            return (-a) % p
+        if p == 2:
+            return a
+        out, place = 0, 1
+        while a:
+            out += (-a) % p * place
+            a, place = a // p, place * p
+        return out
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -403,6 +420,14 @@ class FiniteRing:
         self._cosets[ideal] = cid, reps
         return cid, reps
 
+    def coset_label(self, key) -> Tuple[Callable, int]:
+        """A map from each element x to a label of its coset x + I, where I
+        is the principal ideal with class key ``key``, and the number of
+        cosets.  This default reads :meth:`coset_partition`; the keyed rings
+        compute the label by arithmetic, without building I."""
+        cid, reps = self.coset_partition(frozenset(self.ideal_members(key)))
+        return cid.__getitem__, len(reps)
+
     def all_ideals(self, max_size: int = IDEAL_ENUMERATION_BOUND) -> List[FrozenSet]:
         """Every ideal, smallest first, as one list built once per ring.
 
@@ -535,6 +560,9 @@ class Zmod(FiniteRing):
     def ideal_members(self, d):
         return range(0, self.n, d)
 
+    def coset_label(self, d):
+        return d.__rmod__, d  # x -> x mod d
+
     def valuations(self, d):
         """The multiplicity in d = gcd(x, n) of each prime of n, smallest
         prime first."""
@@ -608,6 +636,13 @@ class PolyQuotient(FiniteRing):
         F = self.field
         for h in itertools.product(range(F.size), repeat=self.deg + 1 - len(g)):
             yield self._pad(poly_mul(F, g, h))
+
+    def coset_label(self, g):
+        """x mod g; for g = t^j that is the first j coefficients of x."""
+        F, j = self.field, len(g) - 1
+        if not any(g[:j]):
+            return operator.itemgetter(slice(j)), F.size ** j
+        return (lambda x: poly_mod(F, x, g)), F.size ** j
 
     def valuations(self, g):
         """The multiplicity in the monic gcd g of each irreducible factor
@@ -702,6 +737,14 @@ class ProductRing(FiniteRing):
 
     def ideal_members(self, key):
         return itertools.product(*(f.ideal_members(k) for f, k in zip(self.factors, key)))
+
+    def coset_label(self, key):
+        """The tuple of the factors' labels."""
+        labels, counts = zip(*(f.coset_label(k) for f, k in zip(self.factors, key)))
+        if len(labels) == 2:  # the common case, without a loop per element
+            first, second = labels
+            return (lambda x: (first(x[0]), second(x[1]))), math.prod(counts)
+        return (lambda x: tuple([label(a) for label, a in zip(labels, x)])), math.prod(counts)
 
     def valuations(self, key):
         return sum((f.valuations(k) for f, k in zip(self.factors, key)), ())

@@ -280,6 +280,17 @@ class TestParserBounds:
             assert err == ("error: a numeral of 5000 digits is longer than "
                            f"the limit of {sys.get_int_max_str_digits()} digits\n")
 
+    def test_results_beyond_the_digit_limit(self):
+        # each numeral is read, only the sum or product is too long to print
+        d = "9" * sys.get_int_max_str_digits()
+        message = ("error: the result holds an integer of more than "
+                   f"{sys.get_int_max_str_digits()} digits, the limit for printing one\n")
+        for argv in (["ordinal-eval", f"{d} # {d}"], ["ordinal-eval", f"{d} . {d}"],
+                     ["ordinal-eval", f"w*{d} # w*{d}"], ["product-bounds", d, d],
+                     ["ordinal-eval", f"{d} # {d}", "--json"]):
+            assert run(argv) == (4, "", message), argv[0]
+        assert run(["ordinal-eval", f"{d} + 0"])[0] == 0
+
 
 def test_symbolic_spec_with_a_non_principal_factor():
     # a symbolic spec has no carrier to run the fixed point on, so this is

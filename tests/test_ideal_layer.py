@@ -25,7 +25,7 @@ from euctype.euclidean import (
     bottom_euclidean,
     division_counterexample,
 )
-from euctype.ordinal import Ordinal
+from euctype.ordinal import Ordinal, omega_power
 from euctype.parsing import parse_element, parse_ring_spec
 from euctype.rings import (
     FiniteRing,
@@ -235,6 +235,142 @@ class TestClassSweep:
     def test_bottom_tables_pass(self):
         for ring in self.RINGS:
             assert division_counterexample(ring, bottom_euclidean(ring).values) is None
+
+
+def class_sweep_division_counterexample(ring, values):
+    """The sweep that coset labels replaced: one coset partition per
+    distinct principal ideal, built by adding the ideal to every element."""
+    zero = ring.zero
+    pids = ring.principal_ideals()
+    rank = _ranks(values)
+    by_rank = sorted(rank, key=rank.__getitem__)
+    index = ring.index
+    classes = {}
+    for b in ring.elements:
+        if b != zero:
+            classes.setdefault(pids[b], {}).setdefault(rank[b], b)
+    best = None
+    for ideal, divisors in classes.items():
+        cid, reps = ring.coset_partition(ideal)
+        hit = [False] * len(reps)
+        hit[cid[zero]] = True
+        met = first_unmet = 0
+        for rb in sorted(divisors):
+            while met < len(by_rank) and rank[by_rank[met]] < rb:
+                hit[cid[by_rank[met]]] = True
+                met += 1
+            while first_unmet < len(reps) and hit[first_unmet]:
+                first_unmet += 1
+            if first_unmet == len(reps):
+                break
+            pair = (index(reps[first_unmet]), index(divisors[rb]))
+            if best is None or pair < best:
+                best = pair
+    if best is None:
+        return None
+    return ring.elements[best[0]], ring.elements[best[1]]
+
+
+def _table_variants(bottom, rng):
+    """The bottom table, its omega-relabellings v -> w^v and v -> w*v + v
+    (Euclidean still), and the bottom and w^v tables with 1 to 3 values
+    moved (most of them not Euclidean)."""
+    power = {x: omega_power(v) for x, v in bottom.items()}
+    times = {x: Ordinal.from_terms(((Ordinal(1), v.to_int()), (Ordinal(), v.to_int())))
+             if v.to_int() else v for x, v in bottom.items()}
+    out = [bottom, power, times]
+    nonzero = list(bottom)
+    for base in (bottom, power):
+        values = dict(base)
+        for x in rng.sample(nonzero, min(len(nonzero), rng.randint(1, 3))):
+            v = bottom[x].to_int() + rng.choice((-2, -1, 1, 2))
+            values[x] = Ordinal(max(0, v)) if base is bottom else omega_power(max(0, v))
+        out.append(values)
+    return out
+
+
+def specimen_products():
+    specimen = truncated_bivariate_fixture()
+    quotient = specimen.quotient_ring("x")
+    return [specimen, quotient,
+            ProductRing([specimen, Zmod(3)]), ProductRing([Zmod(4), specimen]),
+            ProductRing([specimen, poly(2, 1, 1, 1)]), ProductRing([quotient, Zmod(9)]),
+            ProductRing([Zmod(2), specimen, Zmod(3)])]
+
+
+class TestCosetLabels:
+    """``division_counterexample`` reads cosets through ``coset_label``; the
+    class sweep over coset partitions is its oracle."""
+
+    def test_labels_split_the_carrier_into_the_cosets(self):
+        rings = valuation_corpus()[::7] + product_rings() + specimen_products() + [
+            poly(2, 1, 0, 1, 0, 1), poly(3, 0, 1, 0, 1), poly(4, 2, 3, 1)]
+        for ring in rings:
+            for key in dict.fromkeys(ring.ideal_class(x) for x in ring.elements):
+                label, count = ring.coset_label(key)
+                cid, reps = ring.coset_partition(frozenset(ring.ideal_members(key)))
+                pairs = {(label(x), cid[x]) for x in ring.elements}
+                assert count == len(reps), ring.name
+                # a bijection between labels and coset ids
+                assert len(pairs) == len({lab for lab, _ in pairs}) == count, ring.name
+
+    def test_the_sweep_matches_on_the_valuation_corpus(self):
+        rng = random.Random(13)
+        rings = valuation_corpus()
+        assert len(rings) > 560
+        tables = failing = 0
+        for ring in rings:
+            for values in _table_variants(bottom_euclidean(ring).values, rng):
+                cex = division_counterexample(ring, values)
+                assert cex == class_sweep_division_counterexample(ring, values), ring.name
+                tables += 1
+                failing += cex is not None
+        assert tables == 5 * len(rings)
+        assert failing > len(rings) // 2  # many of the moved tables are not Euclidean
+
+    def test_the_sweep_matches_on_products_with_the_specimen(self):
+        rng = random.Random(14)
+        for ring in specimen_products():
+            nonzero = [x for x in ring.elements if x != ring.zero]
+            for _ in range(12):
+                top = rng.randint(1, 6)
+                values = {x: Ordinal(rng.randrange(top)) for x in nonzero}
+                assert (division_counterexample(ring, values)
+                        == class_sweep_division_counterexample(ring, values)), ring.name
+
+    def test_quotient_keys_name_one_ideal_twice(self):
+        # in Z/12/(4) the keys 1 and 3 both name the unit ideal, so the sweep
+        # takes the units as two classes; the least pair stays the same
+        ring = Zmod(12).quotient_ring(4)
+        assert ring.ideal_class(1) != ring.ideal_class(3)
+        assert ring.principal_ideal(1) == ring.principal_ideal(3)
+        rng = random.Random(15)
+        for _ in range(30):
+            values = {x: Ordinal(rng.randrange(3)) for x in (1, 2, 3)}
+            assert (division_counterexample(ring, values)
+                    == class_sweep_division_counterexample(ring, values)), values
+
+    def test_keyed_rings_need_no_ideals_and_no_additions(self, monkeypatch):
+        rng = random.Random(16)
+        cases = []
+        for ring in (Zmod(720), poly(3, 0, 0, 0, 0, 1), ProductRing([Zmod(8), Zmod(27)]),
+                     poly(2, 0, 1, 1, 0, 1, 1),  # t (t^2 + t + 1)^2
+                     ProductRing([Zmod(4), poly(3, 1, 0, 1), Zmod(5)])):
+            for values in _table_variants(bottom_euclidean(ring).values, rng):
+                cases.append((ring, values, class_sweep_division_counterexample(ring, values)))
+        assert sum(expected is not None for _, _, expected in cases) >= 5
+
+        def forbidden(name):
+            def call(self, *args):
+                raise AssertionError(f"{name} called on {self.name}")
+            return call
+
+        for cls in (Zmod, PolyQuotient, ProductRing):
+            monkeypatch.setattr(cls, "add", forbidden("add"))
+        for name in ("principal_ideals", "coset_partition"):
+            monkeypatch.setattr(FiniteRing, name, forbidden(name))
+        for ring, values, expected in cases:
+            assert division_counterexample(ring, values) == expected, ring.name
 
 
 def test_symbolic_spec_with_a_large_factor():

@@ -264,6 +264,36 @@ class TestTableRoundTrip:
         with pytest.raises(DomainError, match="name the element '3'"):
             table_from_dict(d)
 
+    def test_key_spellings(self):
+        d = table_to_dict(bottom_euclidean(Zmod(12)))
+        for old, new in (("1", "13"), ("1", " 13")):
+            broken = {**d, "values": {(new if k == old else k): v
+                                      for k, v in d["values"].items()}}
+            with pytest.raises(DomainError) as exc:
+                table_from_dict(broken)
+            assert str(exc.value) == f"table key {new!r} is not canonical; the element is '1'"
+        with pytest.raises(DomainError) as exc:
+            table_from_dict({**d, "values": {**d["values"], "0": "0"}})
+        assert str(exc.value) == "the value at zero belongs in 'value_at_zero', not in 'values'"
+        for twice in ({**d["values"], "3 ": "1"}, {"3 ": "1", **d["values"]}):
+            with pytest.raises(DomainError) as exc:
+                table_from_dict({**d, "values": twice})
+            assert str(exc.value) == "two table keys name the element '3'"
+        with pytest.raises(ParseError) as exc:
+            table_from_dict({**d, "values": {**d["values"], "three": "1"}})
+        assert str(exc.value) == "expected an integer element, got 'three'"
+
+    def test_whitespace_variants_of_keys_are_read(self):
+        for ring, old, new in ((Zmod(12), "5", " 5\n"), (ProductRing([Zmod(4), Zmod(9)]),
+                                                        "(1, 2)", "( 1,2 )"),
+                               (PolyQuotient(GaloisField(3), (0, 0, 1)), "2*t+1", "2*t + 1")):
+            t = bottom_euclidean(ring)
+            d = table_to_dict(t)
+            assert old in d["values"]
+            d["values"] = {(new if k == old else k): v for k, v in d["values"].items()}
+            back = table_from_dict(d)
+            assert back.values == t.values and back.validated and back.is_bottom
+
     def test_value_at_zero_below_the_values_rejected(self):
         d = self._z4()
         d["value_at_zero"] = "1"  # the value of 2 is 1 already

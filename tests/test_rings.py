@@ -480,3 +480,22 @@ class TestFieldOracle:
             assert F.inv(a) == _former_inverse(q, table, a)
         with pytest.raises(DomainError, match="zero has no inverse"):
             F.inv(0)
+
+
+def _digit_add(F, a, b):
+    """The former GaloisField.add for k > 1: digit tuples and back."""
+    p, k = F.p, F.k
+    return _undigits([(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p)
+
+
+def _digit_neg(F, a):
+    return _undigits([(-x) % F.p for x in _digits(a, F.p, F.k)], F.p)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 27, 256])
+def test_integer_addition_matches_the_digit_form(q):
+    F = GaloisField(q)
+    for a in range(q):
+        assert F.neg(a) == _digit_neg(F, a)
+        for b in range(q):
+            assert F.add(a, b) == _digit_add(F, a, b)
