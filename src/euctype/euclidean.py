@@ -65,13 +65,9 @@ def _sup_plus_one(values: Dict[object, Ordinal]) -> Ordinal:
 
 
 def _ranks(table_values: Dict[object, Ordinal]) -> Dict[object, int]:
-    """Element -> rank of its value; ranks compare like the ordinals do.
-    Tables share few value objects, so each is hashed once and the elements
-    find their rank by the object's id."""
-    shared = {id(v): v for v in table_values.values()}
-    order = {v: i for i, v in enumerate(sorted(set(shared.values())))}
-    by_id = {i: order[v] for i, v in shared.items()}
-    return {x: by_id[id(v)] for x, v in table_values.items()}
+    """Element -> rank of its value; ranks compare like the ordinals do."""
+    order = {v: i for i, v in enumerate(sorted(set(table_values.values())))}
+    return {x: order[v] for x, v in table_values.items()}
 
 
 def division_counterexample(ring: FiniteRing, values: Dict[object, Ordinal]):
@@ -86,7 +82,10 @@ def division_counterexample(ring: FiniteRing, values: Dict[object, Ordinal]):
     least element outside the cosets met.  On Z/n, GF(q)[t]/(f) and their
     products a label is arithmetic (x mod d, x mod g, a tuple of those), so
     the check builds no ideal and adds no elements.  The cost is
-    O(classes * n) label reads instead of O(n^2).
+    O(classes * n) label reads instead of O(n^2).  Nothing of a check is
+    kept on those rings, so checking a second table on the same ring costs
+    as much as the first; table rings keep their ideal-class keys and
+    coset partitions.
     """
     zero, elements, index = ring.zero, ring.elements, ring.index
     rank = _ranks(values)

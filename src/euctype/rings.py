@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ParseError, ResourceError
@@ -363,10 +362,18 @@ class FiniteRing:
 
     def ideal_class(self, x):
         """Hashable key of the principal ideal (x); elements with equal keys
-        generate the same ideal.  This default scans the carrier, so the key
-        is the ideal itself; the concrete rings use a canonical generator."""
-        mul = self.mul
-        return frozenset(mul(q, x) for q in self.elements)
+        generate the same ideal.  This default scans the carrier once per
+        element and keeps the result, so the key is the ideal itself; the
+        concrete rings use a canonical generator."""
+        try:
+            keys = self._keys
+        except AttributeError:
+            keys = self._keys = {}
+        key = keys.get(x)
+        if key is None:
+            mul = self.mul
+            key = keys[x] = frozenset(mul(q, x) for q in self.elements)
+        return key
 
     def ideal_members(self, key) -> Iterable:
         """The elements of the principal ideal whose class key is ``key``."""
@@ -638,11 +645,27 @@ class PolyQuotient(FiniteRing):
             yield self._pad(poly_mul(F, g, h))
 
     def coset_label(self, g):
-        """x mod g; for g = t^j that is the first j coefficients of x."""
+        """x mod g for g of degree j: the low j coefficients of x, plus x_i
+        times the residue of t^i modulo g for each i >= j.  Zero residues
+        are dropped, so for g = t^j the label is the low coefficients."""
         F, j = self.field, len(g) - 1
-        if not any(g[:j]):
-            return operator.itemgetter(slice(j)), F.size ** j
-        return (lambda x: poly_mod(F, x, g)), F.size ** j
+        add, mul = F.add, F.mul
+        residues = []
+        for i in range(j, self.deg):
+            terms = [(k, c) for k, c in enumerate(poly_mod(F, (0,) * i + (1,), g)) if c]
+            if terms:
+                residues.append((i, terms))
+
+        def label(x):
+            low = list(x[:j])
+            for i, terms in residues:
+                a = x[i]
+                if a:
+                    for k, c in terms:
+                        low[k] = add(low[k], mul(a, c))
+            return tuple(low)
+
+        return label, F.size ** j
 
     def valuations(self, g):
         """The multiplicity in the monic gcd g of each irreducible factor
@@ -741,9 +764,6 @@ class ProductRing(FiniteRing):
     def coset_label(self, key):
         """The tuple of the factors' labels."""
         labels, counts = zip(*(f.coset_label(k) for f, k in zip(self.factors, key)))
-        if len(labels) == 2:  # the common case, without a loop per element
-            first, second = labels
-            return (lambda x: (first(x[0]), second(x[1]))), math.prod(counts)
         return (lambda x: tuple([label(a) for label, a in zip(labels, x)])), math.prod(counts)
 
     def valuations(self, key):

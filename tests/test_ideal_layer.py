@@ -35,6 +35,7 @@ from euctype.rings import (
     QuotientRing,
     TableRing,
     Zmod,
+    poly_mod,
     truncated_bivariate_fixture,
 )
 
@@ -242,7 +243,8 @@ def class_sweep_division_counterexample(ring, values):
     distinct principal ideal, built by adding the ideal to every element."""
     zero = ring.zero
     pids = ring.principal_ideals()
-    rank = _ranks(values)
+    order = {v: i for i, v in enumerate(sorted(set(values.values())))}
+    rank = {x: order[v] for x, v in values.items()}
     by_rank = sorted(rank, key=rank.__getitem__)
     index = ring.index
     classes = {}
@@ -313,6 +315,34 @@ class TestCosetLabels:
                 assert count == len(reps), ring.name
                 # a bijection between labels and coset ids
                 assert len(pairs) == len({lab for lab, _ in pairs}) == count, ring.name
+
+    def test_polynomial_labels_are_the_remainders(self):
+        for ring in (poly(2, 1, 0, 1, 0, 1), poly(3, 0, 1, 0, 1), poly(4, 2, 3, 1),
+                     poly(2, 0, 1, 1, 0, 1, 1), poly(3, 0, 0, 0, 1), poly(2, 1, 0, 1, 0, 0, 0, 1)):
+            F = ring.field
+            for g in dict.fromkeys(ring.ideal_class(x) for x in ring.elements):
+                label, count = ring.coset_label(g)
+                j = len(g) - 1
+                assert count == F.size ** j
+                for x in ring.elements:
+                    r = poly_mod(F, x, g)
+                    assert label(x) == r + (0,) * (j - len(r)), (ring.name, g, x)
+
+    def test_table_rings_keep_their_keys_between_checks(self, monkeypatch):
+        specimen = truncated_bivariate_fixture()
+        for _ in range(2):  # the kept key is the scanned ideal of that element
+            for x in specimen.elements:
+                assert specimen.ideal_class(x) == {specimen.mul(q, x) for q in specimen.elements}
+        rng = random.Random(17)
+        for ring in specimen_products():
+            nonzero = [x for x in ring.elements if x != ring.zero]
+            tables = [{x: Ordinal(rng.randrange(3)) for x in nonzero} for _ in range(4)]
+            expected = [division_counterexample(ring, values) for values in tables]
+            with monkeypatch.context() as m:
+                for cls in (TableRing, Zmod, PolyQuotient):
+                    m.setattr(cls, "mul", lambda self, x, y: pytest.fail(f"mul on {self.name}"))
+                m.setattr(TableRing, "add", lambda self, x, y: pytest.fail(f"add on {self.name}"))
+                assert [division_counterexample(ring, values) for values in tables] == expected
 
     def test_the_sweep_matches_on_the_valuation_corpus(self):
         rng = random.Random(13)
