@@ -26,7 +26,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import DomainError, ResourceError
 from .ordinal import Ordinal, natural_sum, omega, omega_power
 from .rings import (GaloisField, _least_prime_factor, _monic_polys, _multiplicity,
-                    _prime_power, poly_add, poly_is_irreducible, poly_mod, poly_neg, poly_trim)
+                    _prime_power, poly_add, poly_mod, poly_neg, poly_trim)
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +225,30 @@ def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
     Never a proof: reports the sampled coverage, and every returned
     witness can be reverified independently.  Samples are integer pairs
     (numerator, denominator) and each division scans at most 129 integers;
-    more than MAX_SAMPLES of them stop with :class:`ResourceError`.
+    more than MAX_SAMPLES of them stop with :class:`ResourceError`.  They
+    are the draws of ``randint(-height, height)`` and ``randint(1, height)``
+    on ``random.Random(seed)``, made by the same rejection of random bits.
     """
     primes = _check_primes(primes)
     if samples < 0:
         raise DomainError("the sample count must be nonnegative")
     if samples > MAX_SAMPLES:
         raise ResourceError(f"{samples} samples requested; the check is bounded at {MAX_SAMPLES}")
-    randint = random.Random(seed).randint
+    if height < 1:
+        raise DomainError("the sample height must be at least 1")
+    getrandbits = random.Random(seed).getrandbits
     radical = math.prod(primes)
+    span = 2 * height + 1
+    num_bits, den_bits = span.bit_length(), height.bit_length()
 
     def sample_element() -> Tuple[int, int]:
-        num = randint(-height, height)
-        while True:
-            den = randint(1, height)
-            if math.gcd(den, radical) == 1:
-                return num, den
+        num = getrandbits(num_bits)
+        while num >= span:
+            num = getrandbits(num_bits)
+        while True:  # a draw of height or more is redrawn, as is a den sharing a prime
+            den = getrandbits(den_bits) + 1
+            if den <= height and math.gcd(den, radical) == 1:
+                return num - height, den
 
     failures = []
     for _ in range(samples):
@@ -287,13 +295,15 @@ def check_not_l_euclidean_polys(q: int) -> LengthWitness:
 
     Allowed remainders are the nonzero constants and 0, and none is
     congruent to t modulo an irreducible quadratic.  All q remainders are
-    listed, so q above MAX_WITNESS_FIELD stops with ResourceError.
+    listed, so q above MAX_WITNESS_FIELD stops with ResourceError.  A
+    quadratic is irreducible exactly when it has no root in the field.
     """
     _prime_power(q)
     if q > MAX_WITNESS_FIELD:
         raise ResourceError(f"GF({q}) has more than {MAX_WITNESS_FIELD} elements, the witness bound")
     F = GaloisField(q)
-    quad = next(g for g in _monic_polys(F, 2) if poly_is_irreducible(F, g))
+    quad = next(g for g in _monic_polys(F, 2)  # (x + c1) x + c0 is t^2 + c1 t + c0 at x
+                if all(F.add(F.mul(F.add(x, g[1]), x), g[0]) for x in range(q)))
     t = (0, 1)
     allowed = tuple([()] + [(c,) for c in range(1, F.size)])
     for r in allowed:

@@ -49,9 +49,7 @@ class Ordinal:
         for (e1, _), (e2, _) in zip(terms, terms[1:]):
             if not e2 < e1:
                 raise DomainError("CNF exponents must be strictly decreasing")
-        out = object.__new__(cls)
-        out.terms = terms
-        return out
+        return _normal(terms)
 
     # -- structure ---------------------------------------------------------
 
@@ -80,13 +78,13 @@ class Ordinal:
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        other = _ordinal(other)
+        other = other if other.__class__ is Ordinal else _ordinal(other)
         if not isinstance(other, Ordinal):
             return NotImplemented
         return self.terms == other.terms
 
     def __lt__(self, other) -> bool:
-        other = _ordinal(other)
+        other = other if other.__class__ is Ordinal else _ordinal(other)
         if not isinstance(other, Ordinal):
             return NotImplemented
         return self.terms < other.terms
@@ -98,17 +96,17 @@ class Ordinal:
 
     def __add__(self, other: OrdinalLike) -> "Ordinal":
         other = _ordinal(other)
-        if other.is_zero:
+        if not other.terms:
             return self
-        if self.is_zero:
+        if not self.terms:
             return other
         lead = other.terms[0][0]
         # terms of self with exponent below the lead of other are absorbed
-        kept = [t for t in self.terms if t[0] > lead]
+        kept = [t for t in self.terms if lead < t[0]]
         if len(kept) < len(self.terms) and self.terms[len(kept)][0] == lead:
             merged = (lead, self.terms[len(kept)][1] + other.terms[0][1])
-            return Ordinal.from_terms(tuple(kept) + (merged,) + other.terms[1:])
-        return Ordinal.from_terms(tuple(kept) + other.terms)
+            return _normal(tuple(kept) + (merged,) + other.terms[1:])
+        return _normal(tuple(kept) + other.terms)
 
     def __mul__(self, other: OrdinalLike) -> "Ordinal":
         """Standard product: the order type of ``other`` copies of ``self``."""
@@ -138,6 +136,13 @@ def _ordinal(x):
     return Ordinal(x) if isinstance(x, int) else x
 
 
+def _normal(terms) -> Ordinal:
+    """The ordinal of terms already in normal form, taken unchecked."""
+    out = object.__new__(Ordinal)
+    out.terms = terms
+    return out
+
+
 _ZERO = Ordinal()  # the exponent of finite terms
 
 omega = Ordinal.from_terms(((Ordinal(1), 1),))
@@ -155,17 +160,25 @@ def product_left(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
 
 
 def natural_sum(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
-    """Coefficient-wise sum of the two normal forms on a shared support.
-
-    Commutative, associative, cancellative and strictly monotone in each
-    argument, unlike the ordinary ordinal sum.
+    """Coefficient-wise sum of the two normal forms on a shared support,
+    taken as one linear merge of their decreasing exponents.  Commutative,
+    associative, cancellative and strictly monotone in each argument,
+    unlike the ordinary ordinal sum.
     """
-    a, b = _ordinal(a), _ordinal(b)
-    coeffs: dict = {}
-    for (e, c) in a.terms + b.terms:
-        coeffs[e] = coeffs.get(e, 0) + c
-    exps = sorted(coeffs, reverse=True)
-    return Ordinal.from_terms((e, coeffs[e]) for e in exps)
+    a, b = _ordinal(a).terms, _ordinal(b).terms
+    terms, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        (ea, ca), (eb, cb) = a[i], b[j]
+        if ea == eb:
+            terms.append((ea, ca + cb))
+            i, j = i + 1, j + 1
+        elif eb < ea:
+            terms.append(a[i])
+            i += 1
+        else:
+            terms.append(b[j])
+            j += 1
+    return _normal(tuple(terms) + a[i:] + b[j:])
 
 
 def left_subtract(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
@@ -177,14 +190,14 @@ def left_subtract(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
     while i < len(a.terms) and i < len(b.terms) and a.terms[i] == b.terms[i]:
         i += 1
     if i == len(a.terms):
-        return Ordinal.from_terms(b.terms[i:])
+        return _normal(b.terms[i:])
     ea, ca = a.terms[i]
     eb, cb = b.terms[i]
     if ea == eb:
         # a's tail is absorbed into the replaced coefficient
-        return Ordinal.from_terms(((eb, cb - ca),) + b.terms[i + 1:])
+        return _normal(((eb, cb - ca),) + b.terms[i + 1:])
     # ea < eb: the whole remaining tail of a is absorbed by b's next term
-    return Ordinal.from_terms(b.terms[i:])
+    return _normal(b.terms[i:])
 
 
 def _numeral(n: int) -> str:
@@ -199,17 +212,18 @@ def _numeral(n: int) -> str:
 
 def format_ordinal(a: Ordinal) -> str:
     """Canonical ASCII rendering, e.g. ``w^2*3 + w + 5``."""
-    if a.is_zero:
+    if not a.terms:
         return "0"
     parts = []
     for (e, c) in a.terms:
-        if e.is_zero:
+        et = e.terms
+        if not et:
             parts.append(_numeral(c))
             continue
-        if e.is_finite:
-            n = e.to_int()
+        if len(et) == 1 and not et[0][0].terms:  # a finite exponent
+            n = et[0][1]
             s = "w" if n == 1 else f"w^{_numeral(n)}"
-        elif e == omega:
+        elif et == omega.terms:
             s = "w^w"
         else:
             s = f"w^({format_ordinal(e)})"

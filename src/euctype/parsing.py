@@ -67,35 +67,41 @@ def _nat(digits: str) -> int:
 
 
 class _Scanner:
+    """The tokens of ``src``, read in one pass: digit runs and single other
+    characters, with the whitespace (``str.isspace``) between them dropped.
+    Errors name the position of a token in ``src``."""
+
+    TOKEN = re.compile(r"\d+|\S")
+
     def __init__(self, src: str):
         self.src = src
-        self.pos = 0
+        self.tokens = self.TOKEN.findall(src) + [""]  # "" marks the end
+        self.i = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
+    def where(self) -> int:
+        """The position of the current token in ``src``, or its length at the end."""
+        starts = [m.start() for m in self.TOKEN.finditer(self.src)] + [len(self.src)]
+        return starts[self.i]
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
+    def peek(self) -> str:  # the first character of the current token
+        return self.tokens[self.i][:1]
 
     def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
+        if self.tokens[self.i] == ch:
+            self.i += 1
             return True
         return False
 
     def expect(self, ch: str):
         if not self.take(ch):
-            raise ParseError(f"expected {ch!r}", self.pos)
+            raise ParseError(f"expected {ch!r}", self.where())
 
     def nat(self) -> int:
-        self.skip_ws()
-        m = re.match(r"\d+", self.src[self.pos:])
-        if not m:
-            raise ParseError("expected a number", self.pos)
-        self.pos += m.end()
-        return _nat(m.group())
+        token = self.tokens[self.i]
+        if not token[:1].isdecimal():  # what \d matches
+            raise ParseError("expected a number", self.where())
+        self.i += 1
+        return _nat(token)
 
 
 def parse_ordinal(src: str) -> Ordinal:
@@ -103,9 +109,8 @@ def parse_ordinal(src: str) -> Ordinal:
         raise ParseError("empty ordinal expression")
     sc = _Scanner(src)
     value = _expr(sc, 0)
-    sc.skip_ws()
-    if sc.pos != len(src):
-        raise ParseError(f"unexpected {src[sc.pos]!r}", sc.pos)
+    if sc.peek():
+        raise ParseError(f"unexpected {sc.peek()!r}", sc.where())
     return value
 
 
@@ -113,13 +118,13 @@ def _expr(sc: _Scanner, depth: int) -> Ordinal:
     if depth > MAX_EXPONENT_DEPTH:
         raise ResourceError(f"parenthesis nesting deeper than {MAX_EXPONENT_DEPTH}")
     minuends = []  # a chain (-a) + (-b) + ... + c, read without recursion
-    save = sc.pos
+    save = sc.i
     while sc.take("(") and sc.take("-"):
         minuends.append(_expr(sc, depth + 1))
         sc.expect(")")
         sc.expect("+")
-        save = sc.pos
-    sc.pos = save
+        save = sc.i
+    sc.i = save
     value = _sum(sc, depth)
     for minuend in reversed(minuends):
         value = left_subtract(minuend, value)
@@ -147,7 +152,7 @@ def _product(sc: _Scanner, depth: int) -> Ordinal:
 def _atom(sc: _Scanner, depth: int) -> Ordinal:
     ch = sc.peek()
     if ch in ("w", "ω"):
-        sc.pos += 1
+        sc.i += 1
         exponent = Ordinal(1)
         if sc.take("^"):
             exponent = _exponent(sc, depth + 1)
@@ -163,7 +168,7 @@ def _atom(sc: _Scanner, depth: int) -> Ordinal:
         value = _expr(sc, depth + 1)
         sc.expect(")")
         return value
-    raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end of input", sc.pos)
+    raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end of input", sc.where())
 
 
 def _exponent(sc: _Scanner, depth: int) -> Ordinal:
@@ -173,7 +178,7 @@ def _exponent(sc: _Scanner, depth: int) -> Ordinal:
     if ch.isdigit():
         return Ordinal(sc.nat())
     if ch in ("w", "ω"):
-        sc.pos += 1
+        sc.i += 1
         if sc.take("^"):
             return omega_power(_exponent(sc, depth + 1))
         return omega_power(1)
@@ -181,7 +186,7 @@ def _exponent(sc: _Scanner, depth: int) -> Ordinal:
         value = _expr(sc, depth)
         sc.expect(")")
         return value
-    raise ParseError("expected an exponent", sc.pos)
+    raise ParseError("expected an exponent", sc.where())
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +217,7 @@ def parse_poly(src: str, field: GaloisField, encode) -> Tuple[int, ...]:
             sc.take("*")
         degree = 0
         if sc.peek() == "t":
-            sc.pos += 1
+            sc.i += 1
             degree = 1
             if sc.take("^"):
                 degree = sc.nat()
@@ -222,15 +227,15 @@ def parse_poly(src: str, field: GaloisField, encode) -> Tuple[int, ...]:
         bump(degree, value)
         ch = sc.peek()
         if ch == "+":
-            sc.pos += 1
+            sc.i += 1
             sign = 1
         elif ch == "-":
-            sc.pos += 1
+            sc.i += 1
             sign = -1
         elif ch == "":
             break
         else:
-            raise ParseError(f"unexpected {ch!r} in polynomial", sc.pos)
+            raise ParseError(f"unexpected {ch!r} in polynomial", sc.where())
     return poly_trim(coeffs)
 
 

@@ -248,6 +248,21 @@ class TestLocalization:
         with pytest.raises(ResourceError, match="bounded at 5"):
             check_localization_euclidean([2], samples=6)
 
+    def test_samples_are_the_randint_stream(self, monkeypatch):
+        # with every division failing, the failures list every sampled pair
+        monkeypatch.setattr(models, "_localized_divide", lambda *args: None)
+        for primes in [(2,), (3, 7), (2, 3, 5, 7)]:
+            for seed in range(50):
+                for height in range(1, 61):
+                    result = check_localization_euclidean(primes, samples=4, seed=seed,
+                                                          height=height)
+                    assert result.failures == list(_fraction_samples(primes, 4, seed, height))
+
+    def test_height_below_one_is_refused(self):
+        for height in (0, -1):
+            with pytest.raises(DomainError, match="height must be at least 1"):
+                check_localization_euclidean([2], samples=1, height=height)
+
     def test_integer_kernel_matches_the_fraction_code(self):
         prime_sets = [(2,), (3,), (97,), (2, 3), (5, 7, 11), (2, 3, 5, 7, 11, 13)]
         for seed in range(6):

@@ -272,3 +272,38 @@ class TestTupleOrder:
         assert sorted(as_ordinals) == by_loop
         assert max(xs) == by_loop[-1]
         assert min(xs) == by_loop[0]
+
+
+def _dict_natural_sum(a, b):
+    """The former natural sum, a dict of coefficients keyed by exponent and a
+    sort of its keys, kept as the oracle for the merge."""
+    a, b = (Ordinal(x) if isinstance(x, int) else x for x in (a, b))
+    coeffs = {}
+    for (e, c) in a.terms + b.terms:
+        coeffs[e] = coeffs.get(e, 0) + c
+    return Ordinal.from_terms((e, coeffs[e]) for e in sorted(coeffs, reverse=True))
+
+
+deep_or_int = st.one_of(deep_ordinals, st.integers(0, 50))
+
+
+class TestMergedNaturalSum:
+    @given(deep_or_int, deep_or_int)
+    def test_matches_the_former_dict_and_sort(self, a, b):
+        merged = natural_sum(a, b)
+        assert merged.terms == _dict_natural_sum(a, b).terms
+        assert format_ordinal(merged) == format_ordinal(_dict_natural_sum(a, b))
+
+    @given(deep_or_int, deep_or_int)
+    def test_commutative(self, a, b):
+        assert natural_sum(a, b).terms == natural_sum(b, a).terms
+
+    @given(deep_or_int, deep_or_int, deep_or_int)
+    def test_associative(self, a, b, c):
+        assert natural_sum(natural_sum(a, b), c) == natural_sum(a, natural_sum(b, c))
+
+    @given(deep_ordinals, deep_ordinals)
+    def test_unchecked_results_are_normal_forms(self, a, b):
+        # the merge, the sum and left subtraction build their terms unchecked
+        for x in (natural_sum(a, b), a + b, left_subtract(a, a + b), left_subtract(b, b + a)):
+            assert Ordinal.from_terms(x.terms) == x

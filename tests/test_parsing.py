@@ -75,6 +75,58 @@ class TestOrdinalParsing:
             assert exc.position == 4
             assert exc.exit_code == 5
 
+    # (input, message, position) as the character-at-a-time scanner gave them
+    MALFORMED = [
+        ("w + ", "unexpected end of input (at position 4)", 4),
+        ("w^", "expected an exponent (at position 2)", 2),
+        ("((w)", "expected ')' (at position 4)", 4),
+        ("w*", "expected a number (at position 2)", 2),
+        ("2 3", "unexpected '3' (at position 2)", 2),
+        ("w^(", "unexpected end of input (at position 3)", 3),
+        ("", "empty ordinal expression", None),
+        (" \t\n", "empty ordinal expression", None),
+        ("w +\t", "unexpected end of input (at position 4)", 4),
+        ("w\n+\n", "unexpected end of input (at position 4)", 4),
+        ("\tw ^ ", "expected an exponent (at position 5)", 5),
+        ("w\xa0+\xa0x", "unexpected 'x' (at position 4)", 4),
+        ("w\u2003+ 1 +", "unexpected end of input (at position 7)", 7),
+        ("ω^ω + ", "unexpected end of input (at position 6)", 6),
+        ("ω*ω", "expected a number (at position 2)", 2),
+        ("(-w) + ", "unexpected end of input (at position 7)", 7),
+        ("(-w + 1", "expected ')' (at position 7)", 7),
+        ("(- 3) 1", "expected '+' (at position 6)", 6),
+        ("w # # 1", "unexpected '#' (at position 4)", 4),
+        ("w . . 2", "unexpected '.' (at position 4)", 4),
+        ("w ** 2", "expected a number (at position 3)", 3),
+        ("w^w^", "expected an exponent (at position 4)", 4),
+        ("3)", "unexpected ')' (at position 1)", 1),
+        (")", "unexpected ')' (at position 0)", 0),
+        ("w^-1", "expected an exponent (at position 2)", 2),
+        ("x", "unexpected 'x' (at position 0)", 0),
+        ("w^\u00b2", "expected a number (at position 2)", 2),  # isdigit, not a decimal
+        ("1 + \u00b2", "expected a number (at position 4)", 4),
+        ("1 2\t3", "unexpected '2' (at position 2)", 2),
+        ("w^2*3 + w + 5 w", "unexpected 'w' (at position 14)", 14),
+        ("w)", "unexpected ')' (at position 1)", 1),
+    ]
+
+    @pytest.mark.parametrize("src, message, position", MALFORMED)
+    def test_error_messages_and_positions(self, src, message, position):
+        with pytest.raises(ParseError) as info:
+            parse_ordinal(src)
+        assert str(info.value) == message
+        assert info.value.position == position
+
+    def test_depth_32_parses_and_33_is_refused(self):
+        assert parse_ordinal("(" * 32 + "1" + ")" * 32) == Ordinal(1)
+        assert parse_ordinal("w^(" * 32 + "1" + ")" * 32) == parse_ordinal("w^" * 32 + "1")
+        for src, message in [("(" * 33 + "1" + ")" * 33, "parenthesis nesting deeper than 32"),
+                             ("w^(" * 33 + "1" + ")" * 33, "exponent nesting deeper than 32"),
+                             ("w^" * 33 + "1", "exponent nesting deeper than 32")]:
+            with pytest.raises(ResourceError) as info:
+                parse_ordinal(src)
+            assert str(info.value) == message
+
     def test_depth_limit(self):
         deep = "w^" * 40 + "2"
         with pytest.raises(ResourceError):
@@ -155,6 +207,20 @@ class TestRingSpecParsing:
             parse_ring_spec("GF(6)[t]/(t^2)")
         with pytest.raises(DomainError):
             parse_ring_spec("GF(2)[t]/(1)")
+
+    @pytest.mark.parametrize("poly, message", [
+        ("t 12", "unexpected '1' in polynomial (at position 2)"),
+        ("t^", "expected a number (at position 2)"),
+        ("t^x", "expected a number (at position 2)"),
+        ("2 3", "unexpected '3' in polynomial (at position 2)"),
+        ("t^2 + t + \u00b2", "expected a number (at position 10)"),
+        ("t\t^ 3 + 1 x", "unexpected 'x' in polynomial (at position 10)"),
+    ])
+    def test_polynomial_error_positions(self, poly, message):
+        # positions count within the polynomial, as the scanner reads it alone
+        with pytest.raises(ParseError) as info:
+            parse_ring_spec(f"GF(2)[t]/({poly})")
+        assert str(info.value) == message
 
 
 class TestElementParsing:
