@@ -290,9 +290,9 @@ deep_or_int = st.one_of(deep_ordinals, st.integers(0, 50))
 class TestMergedNaturalSum:
     @given(deep_or_int, deep_or_int)
     def test_matches_the_former_dict_and_sort(self, a, b):
-        merged = natural_sum(a, b)
-        assert merged.terms == _dict_natural_sum(a, b).terms
-        assert format_ordinal(merged) == format_ordinal(_dict_natural_sum(a, b))
+        merged, former = natural_sum(a, b), _dict_natural_sum(a, b)
+        assert merged.terms == former.terms
+        assert format_ordinal(merged) == format_ordinal(former)
 
     @given(deep_or_int, deep_or_int)
     def test_commutative(self, a, b):
