@@ -2,9 +2,14 @@
 
 A table assigns every nonzero element an ordinal value; the value at zero
 is always the supremum of the nonzero values plus one.  Tables are either
-exhaustively validated against the division property at construction or
-explicitly carry ``validated=False``; all transforms insist on validated
-inputs.
+validated at construction or explicitly carry ``validated=False``; all
+transforms insist on validated inputs.  Validation is the exhaustive
+check of the division property, except that the product and quotient
+tables of bottom tables on principal rings are validated by equality with
+the bottom table of their ring, which they match at every element (the
+bottom function of a finite principal ring is the sum of its local
+valuations; Fletcher 1971, Samuel 1971).  A table that differs from the
+bottom table at any element is checked exhaustively.
 
 The centerpiece is the bottom table: the pointwise-least Euclidean
 function.  A ring that is principal by construction is a product of
@@ -138,6 +143,16 @@ def make_table(ring: FiniteRing, values: Dict[object, Ordinal]) -> EuclideanTabl
             f"a={ring.format_element(a)}, b={ring.format_element(b)}"
         )
     return EuclideanTable(ring, dict(values), _sup_plus_one(values), validated=True)
+
+
+def _certified_table(ring: FiniteRing, values: Dict[object, Ordinal],
+                     known: Optional[EuclideanTable]) -> EuclideanTable:
+    """The table of ``values``, validated by equality with the validated
+    table ``known`` on the same ring where they agree at every element, and
+    by :func:`make_table` otherwise (``known`` None included)."""
+    if known is not None and known.ring is ring and known.validated and values == known.values:
+        return EuclideanTable(ring, dict(values), _sup_plus_one(values), validated=True)
+    return make_table(ring, values)
 
 
 def divide(table: EuclideanTable, a, b) -> DivisionWitness:
@@ -290,7 +305,14 @@ def is_weakly_isotone_euclidean(table: EuclideanTable) -> bool:
 
 
 def quotient_euclidean(table: EuclideanTable, b) -> EuclideanTable:
-    """Push the table down to R/(b) by taking minimal-value lifts."""
+    """Push the table down to R/(b) by taking minimal-value lifts.
+
+    From the bottom table of a principal ring this is the bottom table of
+    R/(b): the least of the sum of the v_i over x + (b) is the sum of the
+    min(v_i(x), v_i(b)), since by CRT every coordinate reaches its minimum
+    at once.  There the result is validated by equality with
+    ``bottom_euclidean(R/(b))``; every other table is checked exhaustively.
+    """
     _require_validated(table)
     ring = table.ring
     quot = ring.quotient_ring(b)
@@ -299,7 +321,8 @@ def quotient_euclidean(table: EuclideanTable, b) -> EuclideanTable:
         if xbar == quot.zero:
             continue
         values[xbar] = min(table.values[m] for m in quot.coset(xbar))
-    return make_table(quot, values)
+    known = bottom_euclidean(quot) if table.is_bottom and ring._known_principal else None
+    return _certified_table(quot, values, known)
 
 
 def nagata_product(t1: EuclideanTable, t2: EuclideanTable) -> PairTable:
@@ -365,9 +388,19 @@ def pair_less(a: Tuple[Ordinal, Ordinal], b: Tuple[Ordinal, Ordinal]) -> bool:
 
 def collapse_pair_table(pt: PairTable) -> EuclideanTable:
     """Ordinal-valued table obtained by composing with the length function
-    of the product value poset, i.e. the natural sum of the components."""
-    values = {x: natural_sum(v1, v2) for x, (v1, v2) in pt.values.items()}
-    return make_table(pt.ring, values)
+    of the product value poset, i.e. the natural sum of the components.
+
+    On bottom components over principal factors the natural sum of the two
+    valuation sums is the valuation sum of the product, so the result is
+    validated by equality with ``bottom_euclidean(pt.ring)``; other
+    components are checked exhaustively.
+    """
+    sums = {pair: natural_sum(*pair) for pair in set(pt.values.values())}
+    values = {x: sums[pair] for x, pair in pt.values.items()}
+    t1, t2 = pt.components
+    principal = t1.is_bottom and t2.is_bottom and pt.ring._known_principal
+    known = bottom_euclidean(pt.ring) if principal else None
+    return _certified_table(pt.ring, values, known)
 
 
 def residual_euclidean(table: EuclideanTable, factor: int = 1) -> EuclideanTable:

@@ -51,6 +51,7 @@ from .rings import (
 )
 
 MAX_EXPONENT_DEPTH = 32
+MAX_POLY_DEGREE = 2 ** 20  # the largest exponent of t a polynomial may write
 
 
 def _nat(digits: str) -> int:
@@ -197,8 +198,10 @@ def parse_poly(src: str, field: GaloisField, encode) -> Tuple[int, ...]:
     """Coefficient tuple (constant first) of a polynomial in t.
 
     ``encode`` maps each written nonnegative integer to a field element;
-    signs and repeated same-degree terms are handled with the field's own
-    arithmetic.
+    one leading sign, the signs between terms and repeated same-degree
+    terms are handled with the field's own arithmetic.  Every term names
+    a numeral or t, and a written exponent above ``MAX_POLY_DEGREE`` is
+    refused before any coefficient list is built.
     """
     sc = _Scanner(src)
     coeffs: List[int] = []
@@ -208,19 +211,27 @@ def parse_poly(src: str, field: GaloisField, encode) -> Tuple[int, ...]:
             coeffs.append(0)
         coeffs[degree] = field.add(coeffs[degree], c)
 
-    sign = 1
+    sign = -1 if sc.take("-") else 1
+    if sign > 0:
+        sc.take("+")
     while True:
         c = 1
         ch = sc.peek()
         if ch.isdigit():
             c = sc.nat()
             sc.take("*")
+        elif ch != "t":
+            raise ParseError(f"unexpected {ch!r} in polynomial" if ch
+                             else "unexpected end of polynomial", sc.where())
         degree = 0
         if sc.peek() == "t":
             sc.i += 1
             degree = 1
             if sc.take("^"):
                 degree = sc.nat()
+                if degree > MAX_POLY_DEGREE:
+                    raise ResourceError(f"exponent {degree} is above the limit of "
+                                        f"{MAX_POLY_DEGREE}")
         value = encode(c)
         if sign < 0:
             value = field.neg(value)

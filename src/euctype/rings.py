@@ -756,7 +756,7 @@ class ProductRing(FiniteRing):
         return tuple(f.neg(a) for f, a in zip(self.factors, x))
 
     def ideal_class(self, x):
-        return tuple(f.ideal_class(a) for f, a in zip(self.factors, x))
+        return tuple([f.ideal_class(a) for f, a in zip(self.factors, x)])
 
     def ideal_members(self, key):
         return itertools.product(*(f.ideal_members(k) for f, k in zip(self.factors, key)))
@@ -770,7 +770,7 @@ class ProductRing(FiniteRing):
         return sum((f.valuations(k) for f, k in zip(self.factors, key)), ())
 
     def format_element(self, x) -> str:
-        return "(" + ", ".join(f.format_element(a) for f, a in zip(self.factors, x)) + ")"
+        return "(" + ", ".join([f.format_element(a) for f, a in zip(self.factors, x)]) + ")"
 
     def parse_element(self, src: str):
         from .parsing import split_top_level

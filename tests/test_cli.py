@@ -291,6 +291,26 @@ class TestParserBounds:
             assert run(argv) == (4, "", message), argv[0]
         assert run(["ordinal-eval", f"{d} + 0"])[0] == 0
 
+    def test_polynomial_exponent_beyond_the_bound(self):
+        # refused before a coefficient list of that degree is built
+        code, out, err = run(["euclid-quotient", "GF(2)[t]/(t^3)", "t^99999999"])
+        assert (code, out) == (4, "")
+        assert err == "error: exponent 99999999 is above the limit of 1048576\n"
+        assert run(["ring-analyze", "GF(2)[t]/(t^1048577)"])[0] == 4
+
+    def test_polynomial_exponent_at_the_bound(self):
+        for exponent in ("999999", "1048576"):  # t^e is 0 modulo t^3
+            assert run(["euclid-quotient", "GF(2)[t]/(t^3)", "t^" + exponent]) == \
+                run(["euclid-quotient", "GF(2)[t]/(t^3)", "0"])
+
+    def test_polynomial_leading_sign(self):
+        # -t is 2*t in GF(3), not the unit 2*t+1
+        assert run(["euclid-quotient", "GF(3)[t]/(t^3)", "--", "-t"]) == \
+            run(["euclid-quotient", "GF(3)[t]/(t^3)", "2*t"])
+        code, out, err = run(["euclid-quotient", "GF(3)[t]/(t^3)", "t^2 + + 1"])
+        assert (code, out) == (5, "")
+        assert err == "error: unexpected '+' in polynomial (at position 6)\n"
+
 
 def test_symbolic_spec_with_a_non_principal_factor():
     # a symbolic spec has no carrier to run the fixed point on, so this is

@@ -1,10 +1,16 @@
+import contextlib
+import io
+import json
 import random
 
 import pytest
 
+from euctype import euclidean
+from euctype.cli import main
 from euctype.errors import DomainError, NotEuclideanRing
 from euctype.euclidean import (
     EuclideanTable,
+    _certified_table,
     bottom_euclidean,
     check_l_euclidean,
     collapse_pair_table,
@@ -25,7 +31,7 @@ from euctype.euclidean import (
     residual_euclidean,
     table_to_dict,
 )
-from euctype.ordinal import Ordinal
+from euctype.ordinal import Ordinal, omega_power
 from euctype.rings import (
     GaloisField,
     PolyQuotient,
@@ -375,6 +381,99 @@ class TestNagata:
         pt = nagata_product(bottom_euclidean(Zmod(2)), bottom_euclidean(Zmod(2)))
         with pytest.raises(DomainError):
             pair_divide(pt, (1, 1), (0, 0))
+
+
+def count_checks(monkeypatch):
+    """The list that grows by one on every exhaustive division check."""
+    calls = []
+    real = euclidean.division_counterexample
+
+    def counted(ring, values):
+        calls.append(ring.name)
+        return real(ring, values)
+
+    monkeypatch.setattr(euclidean, "division_counterexample", counted)
+    return calls
+
+
+def forbid_checks(monkeypatch):
+    def refuse(ring, values):
+        raise AssertionError(f"exhaustive check on {ring.name}")
+
+    monkeypatch.setattr(euclidean, "division_counterexample", refuse)
+
+
+class TestCertificate:
+    """A table is validated by equality with a validated table on the same
+    ring object, or by the exhaustive check; nothing else marks it."""
+
+    def test_equal_values_are_certified(self, monkeypatch):
+        ring = ProductRing([Zmod(8), Zmod(27)])
+        bottom = bottom_euclidean(ring)
+        forbid_checks(monkeypatch)
+        t = _certified_table(ring, dict(bottom.values), bottom)
+        assert t.validated and not t.is_bottom
+        assert t.values == bottom.values and t.values is not bottom.values
+        assert t.value_at_zero == max(bottom.values.values()).successor()
+
+    def test_near_equal_wrong_table_takes_the_exhaustive_path(self, monkeypatch):
+        ring = ProductRing([Zmod(8), Zmod(27)])
+        bottom = bottom_euclidean(ring)
+        wrong = dict(bottom.values)
+        wrong[(2, 3)] = Ordinal(0)  # a non-unit at the value of the units
+        with pytest.raises(DomainError) as expected:
+            make_table(ring, wrong)
+        calls = count_checks(monkeypatch)
+        with pytest.raises(DomainError) as got:
+            _certified_table(ring, wrong, bottom)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("not a Euclidean function on Z/8 x Z/27")
+        assert calls == [ring.name]
+
+    def test_only_a_validated_table_on_the_same_ring_certifies(self, monkeypatch):
+        ring = ProductRing([Zmod(4), Zmod(9)])
+        bottom = bottom_euclidean(ring)
+        twin = bottom_euclidean(ProductRing([Zmod(4), Zmod(9)]))  # an equal ring, not this one
+        unchecked = EuclideanTable(ring, dict(bottom.values), bottom.value_at_zero,
+                                   validated=False)
+        calls = count_checks(monkeypatch)
+        for known in (twin, unchecked, None):
+            assert _certified_table(ring, dict(bottom.values), known).validated
+        assert calls == [ring.name] * 3
+
+    @pytest.mark.parametrize("argv", [
+        ["euclid-product", "Z/8", "Z/27"],
+        ["euclid-product", "GF(2)[t]/(t^4)", "Z/9"],
+        ["euclid-quotient", "Z/720", "24"],
+        ["euclid-quotient", "Z/8 x Z/27", "(2, 3)"],
+    ])
+    def test_principal_products_and_quotients_need_no_check(self, monkeypatch, argv):
+        forbid_checks(monkeypatch)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--json"]) == 0
+        report = json.loads(out.getvalue())
+        table = report["collapsed_table" if argv[0] == "euclid-product" else "table"]
+        assert (table["validated"], table["bottom"]) == (True, False)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+
+    def test_quotient_of_a_non_bottom_table_is_checked(self, monkeypatch):
+        ring = Zmod(72)
+        bottom = bottom_euclidean(ring)
+        omega = make_table(ring, {x: omega_power(1) + v for x, v in bottom.values.items()})
+        lengths = length_table(ring)  # equals the bottom values, but is no bottom table
+        calls = count_checks(monkeypatch)
+        for t in (omega, lengths):
+            assert quotient_euclidean(t, 6).validated
+        assert len(calls) == 2
+
+    def test_collapse_of_non_bottom_components_is_checked(self, monkeypatch):
+        calls = count_checks(monkeypatch)
+        pt = nagata_product(length_table(Zmod(4)), bottom_euclidean(Zmod(9)))
+        assert len(calls) == 1  # the length table itself
+        assert collapse_pair_table(pt).validated
+        assert len(calls) == 2
 
 
 class TestResidual:

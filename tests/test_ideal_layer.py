@@ -23,7 +23,10 @@ from euctype.euclidean import (
     _bottom_fixed_point,
     _ranks,
     bottom_euclidean,
+    collapse_pair_table,
     division_counterexample,
+    nagata_product,
+    quotient_euclidean,
 )
 from euctype.ordinal import Ordinal, omega_power
 from euctype.parsing import parse_element, parse_ring_spec
@@ -576,6 +579,34 @@ class TestValuations:
         for ring in (fixture, ProductRing([Zmod(3), fixture]), fixture.quotient_ring("x")):
             with pytest.raises(DomainError, match=r"GF\(2\)\[x,y\]/\(x,y\)\^2 is not a principal"):
                 ring.valuations(ring.ideal_class(ring.zero))
+
+
+class TestCertifiedTables:
+    """The equalities that let product and quotient tables of bottom tables
+    skip the exhaustive check, tested apart from that shortcut."""
+
+    def test_quotient_of_the_bottom_table_is_the_bottom_table(self):
+        # the table on R/(b) depends on the ideal (b) only: one divisor per class
+        quotients = 0
+        for ring in valuation_corpus():
+            bottom = bottom_euclidean(ring)
+            divisors = {}
+            for b in ring.elements:
+                if not ring.is_unit(b):
+                    divisors.setdefault(ring.ideal_class(b), b)
+            for b in divisors.values():
+                quot = quotient_euclidean(bottom, b)
+                assert quot.values == bottom_euclidean(quot.ring).values, quot.ring.name
+                quotients += 1
+        assert quotients > 3000
+
+    def test_collapsed_table_is_the_bottom_table_of_the_product(self):
+        products = [ring for ring in valuation_corpus()
+                    if isinstance(ring, ProductRing) and len(ring.factors) == 2]
+        assert len(products) > 190
+        for ring in products:
+            pt = nagata_product(*map(bottom_euclidean, ring.factors))
+            assert collapse_pair_table(pt).values == bottom_euclidean(pt.ring).values, ring.name
 
 
 KEYED_RINGS = st.recursive(

@@ -12,6 +12,7 @@ from euctype.euclidean import (
 from euctype.models import RingSpec
 from euctype.ordinal import Ordinal, format_ordinal, omega, omega_power
 from euctype.parsing import (
+    MAX_POLY_DEGREE,
     parse_element,
     parse_ordinal,
     parse_poset,
@@ -215,6 +216,7 @@ class TestRingSpecParsing:
         ("2 3", "unexpected '3' in polynomial (at position 2)"),
         ("t^2 + t + \u00b2", "expected a number (at position 10)"),
         ("t\t^ 3 + 1 x", "unexpected 'x' in polynomial (at position 10)"),
+        ("t +", "unexpected end of polynomial (at position 3)"),
     ])
     def test_polynomial_error_positions(self, poly, message):
         # positions count within the polynomial, as the scanner reads it alone
@@ -251,6 +253,43 @@ class TestElementParsing:
         R = PolyQuotient(GaloisField(3), (0, 0, 1))
         assert parse_element(R, "5") == (2, 0)
         assert parse_element(R, "4*t+7") == (1, 1)
+
+    @pytest.mark.parametrize("src, coeffs", [
+        ("-t", (0, 2, 0)), ("- t", (0, 2, 0)), ("+t", (0, 1, 0)),
+        ("-2*t+1", (1, 1, 0)), ("-1", (2, 0, 0)), ("t^2 - t", (0, 2, 1)),
+    ])
+    def test_poly_leading_sign(self, src, coeffs):
+        assert parse_element(PolyQuotient(GaloisField(3), (0, 0, 0, 1)), src) == coeffs
+
+    @pytest.mark.parametrize("src, message", [
+        ("", "unexpected end of polynomial (at position 0)"),
+        ("+", "unexpected end of polynomial (at position 1)"),
+        ("-", "unexpected end of polynomial (at position 1)"),
+        ("t^2 +", "unexpected end of polynomial (at position 5)"),
+        ("t^2 + + 1", "unexpected '+' in polynomial (at position 6)"),
+        ("--t", "unexpected '-' in polynomial (at position 1)"),
+        ("-+t", "unexpected '+' in polynomial (at position 1)"),
+        ("t - -1", "unexpected '-' in polynomial (at position 4)"),
+        ("* t", "unexpected '*' in polynomial (at position 0)"),
+    ])
+    def test_poly_empty_terms(self, src, message):
+        # a term names a numeral or t; only the first may carry a sign
+        with pytest.raises(ParseError) as info:
+            parse_element(PolyQuotient(GaloisField(3), (0, 0, 0, 1)), src)
+        assert str(info.value) == message
+
+    def test_poly_leading_sign_in_a_spec(self):
+        assert parse_ring_spec("GF(2)[t]/(-t)").name == "GF(2)[t]/(t)"
+
+    def test_poly_exponent_bound(self):
+        R = PolyQuotient(GaloisField(2), (0, 0, 0, 1))
+        assert MAX_POLY_DEGREE == 2 ** 20
+        assert parse_element(R, f"t^{MAX_POLY_DEGREE} + t") == (0, 1, 0)
+        for src in (f"t^{MAX_POLY_DEGREE + 1}", "1 + t^99999999"):
+            with pytest.raises(ResourceError) as info:
+                parse_element(R, src)
+            assert str(info.value) == (f"exponent {src.rsplit('^')[1]} is above "
+                                       f"the limit of {MAX_POLY_DEGREE}")
 
     def test_product(self):
         P = ProductRing([Zmod(4), PolyQuotient(GaloisField(2), (0, 0, 1))])
