@@ -197,8 +197,8 @@ def _cmd_euclid_product(args):
     t1 = bottom_euclidean(r1)
     t2 = bottom_euclidean(r2)
     pt = nagata_product(t1, t2)
-    collapsed = collapse_pair_table(pt)
     product_bottom = bottom_euclidean(pt.ring)
+    collapsed = collapse_pair_table(pt, product_bottom)
     report = {
         "input": {"factors": [args.spec1, args.spec2]},
         "factor_order_types": [
@@ -372,7 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("euclid-quotient", _cmd_euclid_quotient,
             "push the least table down to a quotient ring")
     p.add_argument("spec")
-    p.add_argument("element")
+    p.add_argument("element", help="the divisor b; one that starts with '-' goes after "
+                   "'--', as in: euclid-quotient SPEC -- -t")
 
     p = add("euclid-product", _cmd_euclid_product,
             "pair-valued product construction and its ordinal collapse")

@@ -29,6 +29,7 @@ function at all and the stall is reported as a finding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import indexOf, itemgetter
 from typing import Dict, Optional, Tuple
 
 from .errors import DomainError, NotEuclideanRing
@@ -70,9 +71,19 @@ def _sup_plus_one(values: Dict[object, Ordinal]) -> Ordinal:
 
 
 def _ranks(table_values: Dict[object, Ordinal]) -> Dict[object, int]:
-    """Element -> rank of its value; ranks compare like the ordinals do."""
-    order = {v: i for i, v in enumerate(sorted(set(table_values.values())))}
-    return {x: order[v] for x, v in table_values.items()}
+    """Element -> rank of its value; ranks compare like the ordinals do.
+
+    Tables share their value objects, so the values are deduplicated by
+    identity first, and each distinct object is hashed once, when equal
+    values are grouped."""
+    values = table_values.values()
+    groups: Dict[Ordinal, list] = {}
+    for i, v in dict(zip(map(id, values), values)).items():
+        groups.setdefault(v, []).append(i)
+    rank_of_id = {}
+    for r, (_, ids) in enumerate(sorted(groups.items(), key=itemgetter(0))):
+        rank_of_id.update(dict.fromkeys(ids, r))
+    return dict(zip(table_values, map(rank_of_id.__getitem__, map(id, values))))
 
 
 def division_counterexample(ring: FiniteRing, values: Dict[object, Ordinal]):
@@ -81,16 +92,18 @@ def division_counterexample(ring: FiniteRing, values: Dict[object, Ordinal]):
     A pair (a, b) is satisfied iff the coset a + (b) contains 0 or some r
     with value below the value of b.  Divisors with the same ideal-class
     key share their cosets, so each class is swept once with its divisors
-    in rank order.  The cosets met, named by ``ring.coset_label``, grow
-    with the rank, and a class is done once every coset is met.  Only a
-    (class, rank) that leaves a coset unmet walks the carrier, for the
-    least element outside the cosets met.  On Z/n, GF(q)[t]/(f) and their
-    products a label is arithmetic (x mod d, x mod g, a tuple of those), so
-    the check builds no ideal and adds no elements.  The cost is
-    O(classes * n) label reads instead of O(n^2).  Nothing of a check is
-    kept on those rings, so checking a second table on the same ring costs
-    as much as the first; table rings keep their ideal-class keys and
-    coset partitions.
+    in rank order.  The cosets met grow with the rank, and a class is done
+    once every coset is met.  They are labelled a batch at a time by
+    ``ring.coset_labels``: zero first, then each level of elements of equal
+    rank in one call.  Only a (class, rank) that leaves a coset unmet walks
+    the carrier, labelling it lazily from the last position reached, for
+    the least element outside the cosets met.  On Z/n, GF(q)[t]/(f) and
+    their products a label is arithmetic (x mod d, x mod g, a tuple of
+    those), so the check builds no ideal and adds no elements.  The cost
+    is O(classes * n) label reads instead of O(n^2).  Nothing of a check
+    is kept on those rings, so checking a second table on the same ring
+    costs as much as the first; table rings keep their ideal-class keys
+    and coset partitions.
     """
     zero, elements, index = ring.zero, ring.elements, ring.index
     rank = _ranks(values)
@@ -105,17 +118,17 @@ def division_counterexample(ring: FiniteRing, values: Dict[object, Ordinal]):
             classes.setdefault(key_of(b), {}).setdefault(rank[b], b)
     best = None
     for key, divisors in classes.items():
-        label, count = ring.coset_label(key)
-        met = {label(zero)}
+        labels, count = ring.coset_labels(key)
+        met = set(labels([zero]))
         below = pos = 0  # every rank below `below` is met; so is each coset of elements[:pos]
         for rb in sorted(divisors):
             for level in levels[below:rb]:
-                met.update(map(label, level))
+                met.update(labels(level))
             below = rb
             if len(met) == count:
                 break  # every coset is met for this rank and all above it
-            while label(elements[pos]) in met:
-                pos += 1
+            # the first False of the lazy membership map is the least unmet element
+            pos += indexOf(map(met.__contains__, labels(elements[pos:])), False)
             pair = (pos, index(divisors[rb]))
             if best is None or pair < best:
                 best = pair
@@ -241,7 +254,8 @@ def _bottom_fixed_point(ring: FiniteRing) -> EuclideanTable:
                 live.discard(cid[x])
         level += 1
 
-    values = {x: Ordinal(v) for x, v in assigned.items()}
+    shared = [Ordinal(v) for v in range(level)]  # one value object per level
+    values = {x: shared[v] for x, v in assigned.items()}
     return EuclideanTable(ring, values, Ordinal(level), validated=True, is_bottom=True)
 
 
@@ -386,20 +400,23 @@ def pair_less(a: Tuple[Ordinal, Ordinal], b: Tuple[Ordinal, Ordinal]) -> bool:
     return a[0] <= b[0] and a[1] <= b[1] and a != b
 
 
-def collapse_pair_table(pt: PairTable) -> EuclideanTable:
+def collapse_pair_table(pt: PairTable,
+                        product_bottom: Optional[EuclideanTable] = None) -> EuclideanTable:
     """Ordinal-valued table obtained by composing with the length function
     of the product value poset, i.e. the natural sum of the components.
 
     On bottom components over principal factors the natural sum of the two
     valuation sums is the valuation sum of the product, so the result is
-    validated by equality with ``bottom_euclidean(pt.ring)``; other
-    components are checked exhaustively.
+    validated by equality with the product's bottom table: ``product_bottom``
+    where the caller has built it, else ``bottom_euclidean(pt.ring)``.
+    Other components are checked exhaustively.
     """
     sums = {pair: natural_sum(*pair) for pair in set(pt.values.values())}
     values = {x: sums[pair] for x, pair in pt.values.items()}
     t1, t2 = pt.components
-    principal = t1.is_bottom and t2.is_bottom and pt.ring._known_principal
-    known = bottom_euclidean(pt.ring) if principal else None
+    known = None
+    if t1.is_bottom and t2.is_bottom and pt.ring._known_principal:
+        known = product_bottom or bottom_euclidean(pt.ring)
     return _certified_table(pt.ring, values, known)
 
 

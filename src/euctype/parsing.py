@@ -200,8 +200,9 @@ def parse_poly(src: str, field: GaloisField, encode) -> Tuple[int, ...]:
     ``encode`` maps each written nonnegative integer to a field element;
     one leading sign, the signs between terms and repeated same-degree
     terms are handled with the field's own arithmetic.  Every term names
-    a numeral or t, and a written exponent above ``MAX_POLY_DEGREE`` is
-    refused before any coefficient list is built.
+    a numeral or t, a ``*`` joins a numeral to t only, and a written
+    exponent above ``MAX_POLY_DEGREE`` is refused before any coefficient
+    list is built.
     """
     sc = _Scanner(src)
     coeffs: List[int] = []
@@ -219,7 +220,8 @@ def parse_poly(src: str, field: GaloisField, encode) -> Tuple[int, ...]:
         ch = sc.peek()
         if ch.isdigit():
             c = sc.nat()
-            sc.take("*")
+            if sc.take("*") and sc.peek() != "t":
+                raise ParseError("expected t after '*' in polynomial", sc.where())
         elif ch != "t":
             raise ParseError(f"unexpected {ch!r} in polynomial" if ch
                              else "unexpected end of polynomial", sc.where())

@@ -24,10 +24,12 @@ Enumerating the ideals of a ring not known to be principal still closes
 sums of ideals and is meant for desk scale; the enumeration bound is
 explicit.
 
-A coset layer sits on the ideals.  ``coset_label(key)`` names the coset
-x + I of the ideal I with class key ``key`` and counts the cosets: by
-arithmetic on the keyed rings (x mod d in Z/n, x mod g in GF(q)[t]/(f),
-the tuple of the factors' labels in a product), so the division check
+A coset layer sits on the ideals.  ``coset_labels(key)`` labels the
+cosets x + I of the ideal I with class key ``key`` a whole batch of
+elements at a time, and counts the cosets: by arithmetic on the keyed
+rings (x mod d in Z/n, x mod g in GF(q)[t]/(f), which is a slice of the
+coefficients when g is a power of t, and in a product the factors' labels
+of the transposed batch, zipped back into tuples), so the division check
 builds no ideal there.  ``coset_partition(I)`` splits the carrier into
 the cosets once per ideal, by adding I to the elements.  Table rings and
 quotients label their cosets from it, the bottom-table fixed point of
@@ -40,9 +42,11 @@ and its CRT split into local rings (``local_factors``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+import operator
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ParseError, ResourceError
 from .poset import FinitePoset, length_function
@@ -427,13 +431,14 @@ class FiniteRing:
         self._cosets[ideal] = cid, reps
         return cid, reps
 
-    def coset_label(self, key) -> Tuple[Callable, int]:
-        """A map from each element x to a label of its coset x + I, where I
-        is the principal ideal with class key ``key``, and the number of
-        cosets.  This default reads :meth:`coset_partition`; the keyed rings
-        compute the label by arithmetic, without building I."""
+    def coset_labels(self, key) -> Tuple[Callable[[Sequence], Iterator], int]:
+        """A batch labeller and the number of cosets of I, the principal
+        ideal with class key ``key``: ``labels(xs)`` yields a label of the
+        coset x + I for each x of the sequence ``xs``, in order.  This
+        default reads :meth:`coset_partition`; the keyed rings compute the
+        labels by arithmetic, without building I."""
         cid, reps = self.coset_partition(frozenset(self.ideal_members(key)))
-        return cid.__getitem__, len(reps)
+        return functools.partial(map, cid.__getitem__), len(reps)
 
     def all_ideals(self, max_size: int = IDEAL_ENUMERATION_BOUND) -> List[FrozenSet]:
         """Every ideal, smallest first, as one list built once per ring.
@@ -567,8 +572,8 @@ class Zmod(FiniteRing):
     def ideal_members(self, d):
         return range(0, self.n, d)
 
-    def coset_label(self, d):
-        return d.__rmod__, d  # x -> x mod d
+    def coset_labels(self, d):
+        return functools.partial(map, d.__rmod__), d  # x -> x mod d
 
     def valuations(self, d):
         """The multiplicity in d = gcd(x, n) of each prime of n, smallest
@@ -644,10 +649,11 @@ class PolyQuotient(FiniteRing):
         for h in itertools.product(range(F.size), repeat=self.deg + 1 - len(g)):
             yield self._pad(poly_mul(F, g, h))
 
-    def coset_label(self, g):
+    def coset_labels(self, g):
         """x mod g for g of degree j: the low j coefficients of x, plus x_i
         times the residue of t^i modulo g for each i >= j.  Zero residues
-        are dropped, so for g = t^j the label is the low coefficients."""
+        are dropped, so where g leaves none (g = t^j, every divisor of a
+        chain quotient GF(q)[t]/(t^k)) the label is a slice of x."""
         F, j = self.field, len(g) - 1
         add, mul = F.add, F.mul
         residues = []
@@ -655,6 +661,8 @@ class PolyQuotient(FiniteRing):
             terms = [(k, c) for k, c in enumerate(poly_mod(F, (0,) * i + (1,), g)) if c]
             if terms:
                 residues.append((i, terms))
+        if not residues:
+            return functools.partial(map, operator.itemgetter(slice(0, j))), F.size ** j
 
         def label(x):
             low = list(x[:j])
@@ -665,7 +673,7 @@ class PolyQuotient(FiniteRing):
                         low[k] = add(low[k], mul(a, c))
             return tuple(low)
 
-        return label, F.size ** j
+        return functools.partial(map, label), F.size ** j
 
     def valuations(self, g):
         """The multiplicity in the monic gcd g of each irreducible factor
@@ -761,10 +769,16 @@ class ProductRing(FiniteRing):
     def ideal_members(self, key):
         return itertools.product(*(f.ideal_members(k) for f, k in zip(self.factors, key)))
 
-    def coset_label(self, key):
-        """The tuple of the factors' labels."""
-        labels, counts = zip(*(f.coset_label(k) for f, k in zip(self.factors, key)))
-        return (lambda x: tuple([label(a) for label, a in zip(labels, x)])), math.prod(counts)
+    def coset_labels(self, key):
+        """The tuples of the factors' labels: the batch is transposed into
+        one column per factor, each column is labelled by its factor, and
+        the labelled columns are zipped back into tuples."""
+        labellers, counts = zip(*(f.coset_labels(k) for f, k in zip(self.factors, key)))
+
+        def labels(xs):
+            return zip(*[label(column) for label, column in zip(labellers, zip(*xs))])
+
+        return labels, math.prod(counts)
 
     def valuations(self, key):
         return sum((f.valuations(k) for f, k in zip(self.factors, key)), ())

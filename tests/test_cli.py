@@ -312,6 +312,28 @@ class TestParserBounds:
         assert err == "error: unexpected '+' in polynomial (at position 6)\n"
 
 
+    def test_element_with_a_leading_sign_goes_after_the_separator(self):
+        spec = "GF(3)[t]/(t^3)"
+        code, out, err = run(["euclid-quotient", "--json", spec, "--", "-t"])
+        assert (code, err) == (0, "")
+        same = json.loads(run(["euclid-quotient", spec, "2*t", "--json"])[1])
+        assert json.loads(out)["table"] == same["table"]
+        # without "--" argparse reads -t as an option and exits 2; the help
+        # says where such an element goes
+        with pytest.raises(SystemExit) as info:
+            run(["euclid-quotient", spec, "-t"])
+        assert info.value.code == 2
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            main(["euclid-quotient", "--help"])
+        assert "goes after '--'" in " ".join(out.getvalue().split())
+
+    def test_star_must_be_followed_by_t(self):
+        for element, position in (("2*", 2), ("2* + t", 3)):
+            assert run(["euclid-quotient", "GF(3)[t]/(t^3)", element]) == (
+                5, "", f"error: expected t after '*' in polynomial (at position {position})\n")
+
+
 def test_symbolic_spec_with_a_non_principal_factor():
     # a symbolic spec has no carrier to run the fixed point on, so this is
     # the domain error (exit 2), not the stalled fixed point (exit 3)

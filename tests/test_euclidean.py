@@ -458,6 +458,22 @@ class TestCertificate:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
 
+    def test_euclid_product_builds_the_product_bottom_once(self, monkeypatch):
+        from euctype import cli
+
+        built = []
+        real = euclidean.bottom_euclidean
+
+        def counted(ring):
+            built.append(ring.name)
+            return real(ring)
+
+        monkeypatch.setattr(euclidean, "bottom_euclidean", counted)
+        monkeypatch.setattr(cli, "bottom_euclidean", counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["euclid-product", "Z/8", "Z/27", "--json"]) == 0
+        assert built == ["Z/8", "Z/27", "Z/8 x Z/27"]
+
     def test_quotient_of_a_non_bottom_table_is_checked(self, monkeypatch):
         ring = Zmod(72)
         bottom = bottom_euclidean(ring)

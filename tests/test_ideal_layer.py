@@ -10,6 +10,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import tempfile
@@ -27,9 +28,10 @@ from euctype.euclidean import (
     division_counterexample,
     nagata_product,
     quotient_euclidean,
+    table_to_dict,
 )
 from euctype.ordinal import Ordinal, omega_power
-from euctype.parsing import parse_element, parse_ring_spec
+from euctype.parsing import parse_element, parse_ring_spec, table_from_dict
 from euctype.rings import (
     FiniteRing,
     GaloisField,
@@ -303,33 +305,116 @@ def specimen_products():
             ProductRing([Zmod(2), specimen, Zmod(3)])]
 
 
+def chain_poly_rings():
+    """GF(q)[t]/(t^k): every divisor is a power of t and leaves no residues."""
+    return [poly(2, 0, 1), poly(2, 0, 0, 0, 0, 1), poly(3, 0, 0, 0, 1), poly(4, 0, 0, 1),
+            poly(5, 0, 0, 1), poly(7, 0, 0, 1)]
+
+
+def class_keys(ring):
+    return list(dict.fromkeys(ring.ideal_class(x) for x in ring.elements))
+
+
 class TestCosetLabels:
-    """``division_counterexample`` reads cosets through ``coset_label``; the
+    """``division_counterexample`` reads cosets through ``coset_labels``; the
     class sweep over coset partitions is its oracle."""
 
     def test_labels_split_the_carrier_into_the_cosets(self):
         rings = valuation_corpus()[::7] + product_rings() + specimen_products() + [
-            poly(2, 1, 0, 1, 0, 1), poly(3, 0, 1, 0, 1), poly(4, 2, 3, 1)]
+            poly(2, 1, 0, 1, 0, 1), poly(3, 0, 1, 0, 1), poly(4, 2, 3, 1)] + chain_poly_rings()
         for ring in rings:
-            for key in dict.fromkeys(ring.ideal_class(x) for x in ring.elements):
-                label, count = ring.coset_label(key)
+            for key in class_keys(ring):
+                labels, count = ring.coset_labels(key)
                 cid, reps = ring.coset_partition(frozenset(ring.ideal_members(key)))
-                pairs = {(label(x), cid[x]) for x in ring.elements}
+                got = list(labels(ring.elements))
+                pairs = set(zip(got, (cid[x] for x in ring.elements)))
                 assert count == len(reps), ring.name
                 # a bijection between labels and coset ids
                 assert len(pairs) == len({lab for lab, _ in pairs}) == count, ring.name
+                # the same labels one element at a time, and from a list
+                assert [lab for x in ring.elements for lab in labels([x])] == got, ring.name
+                assert list(labels(list(ring.elements))) == got, ring.name
+
+    def test_empty_and_one_element_batches(self):
+        specimen = truncated_bivariate_fixture()
+        rings = [Zmod(12), poly(3, 0, 0, 1), poly(2, 1, 0, 1, 0, 1),
+                 ProductRing([ProductRing([Zmod(2), Zmod(3)]), Zmod(4)]),
+                 Zmod(12).quotient_ring(4), specimen, ProductRing([specimen, Zmod(3)])]
+        for ring in rings:
+            for key in class_keys(ring):
+                labels, _ = ring.coset_labels(key)
+                assert list(labels([])) == [] and list(labels(())) == [], ring.name
+                one = list(labels([ring.one]))
+                assert len(one) == 1 and one == list(labels((ring.one,))), ring.name
+                full = dict(zip(ring.elements, labels(ring.elements)))
+                assert one == [full[ring.one]], ring.name
+                assert list(labels([ring.zero])) == [full[ring.zero]], ring.name
+
+    def test_nested_products_label_by_nested_tuples(self):
+        ring = ProductRing([ProductRing([Zmod(2), Zmod(3)]), Zmod(4)])
+        for (d1, d2), d3 in class_keys(ring):
+            labels, count = ring.coset_labels(((d1, d2), d3))
+            assert count == d1 * d2 * d3
+            assert list(labels(ring.elements)) == [
+                ((a % d1, b % d2), c % d3) for (a, b), c in ring.elements]
+
+    def test_quotients_and_table_rings_read_the_partition(self):
+        specimen = truncated_bivariate_fixture()
+        for ring in (specimen, specimen.quotient_ring("x"), Zmod(12).quotient_ring(4),
+                     poly(2, 0, 0, 0, 1).quotient_ring((0, 1, 0))):
+            for key in class_keys(ring):
+                labels, count = ring.coset_labels(key)
+                cid, reps = ring.coset_partition(frozenset(ring.ideal_members(key)))
+                assert count == len(reps), ring.name
+                assert list(labels(ring.elements)) == [cid[x] for x in ring.elements], ring.name
 
     def test_polynomial_labels_are_the_remainders(self):
         for ring in (poly(2, 1, 0, 1, 0, 1), poly(3, 0, 1, 0, 1), poly(4, 2, 3, 1),
                      poly(2, 0, 1, 1, 0, 1, 1), poly(3, 0, 0, 0, 1), poly(2, 1, 0, 1, 0, 0, 0, 1)):
             F = ring.field
-            for g in dict.fromkeys(ring.ideal_class(x) for x in ring.elements):
-                label, count = ring.coset_label(g)
+            for g in class_keys(ring):
+                labels, count = ring.coset_labels(g)
                 j = len(g) - 1
                 assert count == F.size ** j
-                for x in ring.elements:
+                for x, label in zip(ring.elements, labels(ring.elements)):
                     r = poly_mod(F, x, g)
-                    assert label(x) == r + (0,) * (j - len(r)), (ring.name, g, x)
+                    assert label == r + (0,) * (j - len(r)), (ring.name, g, x)
+
+    def test_chain_quotients_label_by_slices(self):
+        # every divisor of t^k is t^j, so the label of x is its low j coefficients
+        for ring in chain_poly_rings():
+            F = ring.field
+            for g in class_keys(ring):
+                j = len(g) - 1
+                assert g == (0,) * j + (1,), ring.name
+                labels, count = ring.coset_labels(g)
+                assert isinstance(labels.args[0], operator.itemgetter), (ring.name, g)
+                assert count == F.size ** j
+                for x, label in zip(ring.elements, labels(ring.elements)):
+                    r = poly_mod(F, x, g)
+                    assert label == x[:j] == r + (0,) * (j - len(r)), (ring.name, g, x)
+
+    def test_ranks_match_the_sort_by_value(self):
+        # shared: one Ordinal per ideal class or per level, as bottom tables
+        # (the last by the fixed point) and parsed tables hold them; fresh: a
+        # new Ordinal at every element
+        def by_value(values):
+            order = {v: i for i, v in enumerate(sorted(set(values.values())))}
+            return {x: order[v] for x, v in values.items()}
+
+        rng = random.Random(18)
+        for ring in (Zmod(720), ProductRing([Zmod(8), Zmod(27)]), poly(3, 0, 0, 0, 1),
+                     ProductRing([truncated_bivariate_fixture().quotient_ring("x"), Zmod(9)])):
+            bottom = bottom_euclidean(ring)
+            shared = bottom.values
+            assert len({id(v) for v in shared.values()}) <= len(shared) // 4
+            parsed = table_from_dict(table_to_dict(bottom)).values  # one object per value
+            assert len({id(v) for v in parsed.values()}) == len(set(parsed.values()))
+            fresh = {x: omega_power(rng.randrange(3)) + Ordinal(v.to_int())
+                     for x, v in shared.items()}
+            assert len({id(v) for v in fresh.values()}) == len(fresh)
+            for values in (shared, parsed, fresh, _table_variants(shared, rng)[-1]):
+                assert _ranks(values) == by_value(values), ring.name
 
     def test_table_rings_keep_their_keys_between_checks(self, monkeypatch):
         specimen = truncated_bivariate_fixture()

@@ -271,9 +271,13 @@ class TestElementParsing:
         ("-+t", "unexpected '+' in polynomial (at position 1)"),
         ("t - -1", "unexpected '-' in polynomial (at position 4)"),
         ("* t", "unexpected '*' in polynomial (at position 0)"),
+        ("2*", "expected t after '*' in polynomial (at position 2)"),
+        ("2* + t", "expected t after '*' in polynomial (at position 3)"),
+        ("2*3", "expected t after '*' in polynomial (at position 2)"),
     ])
     def test_poly_empty_terms(self, src, message):
-        # a term names a numeral or t; only the first may carry a sign
+        # a term names a numeral or t, and a '*' joins a numeral to t; only
+        # the first term may carry a sign
         with pytest.raises(ParseError) as info:
             parse_element(PolyQuotient(GaloisField(3), (0, 0, 0, 1)), src)
         assert str(info.value) == message
