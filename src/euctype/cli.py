@@ -97,7 +97,7 @@ def _cmd_ring_analyze(args):
         _emit(args, report, lines)
         return 0
     ring = parsed
-    principal = ring.is_principal(args.max_size)
+    principal = ring.is_principal()
     report = {
         "input": args.spec,
         "symbolic": False,
@@ -117,7 +117,8 @@ def _cmd_ring_analyze(args):
         lines.append(f"length of the zero ideal chain: {report['length']}")
         locals_, _ = crt_decompose(ring)
         report["local_factors"] = [loc.name for loc in locals_]
-        lines.append("local factors: " + " x ".join(loc.name for loc in locals_))
+        lines.append("local factors: " + " x ".join(
+            f"({loc.name})" if " x " in loc.name else loc.name for loc in locals_))
     _emit(args, report, lines)
     return 0
 

@@ -12,18 +12,17 @@ valuations; Fletcher 1971, Samuel 1971).  A table that differs from the
 bottom table at any element is checked exhaustively.
 
 The centerpiece is the bottom table: the pointwise-least Euclidean
-function.  A ring that is principal by construction is a product of
-chain rings R_i of lengths k_i, and there the bottom value of x is the
-sum of its local valuations v_i(x) (k_i for a zero coordinate): the sum
-is Euclidean by the coordinate shift of :func:`pair_divide`, and the
-bottom table lies above it since it lies above the ideal-chain length
-(Motzkin 1949; Samuel 1971).  Each value is then read from the ideal
-class of x alone.  On other rings (table rings, and what is built on
-them) the bottom table is a breadth-first fixed point that assigns whole
-levels at a time.  Level 0 is exactly the units, and the nonzero values
-always form an initial segment of the naturals.  If a round assigns
-nothing while nonzero elements remain, the ring admits no Euclidean
-function at all and the stall is reported as a finding.
+function.  A finite principal ring is a product of chain rings R_i of
+lengths k_i, and there the bottom value of x is the sum of its local
+valuations v_i(x) (k_i for a zero coordinate): the sum is Euclidean by
+the coordinate shift of :func:`pair_divide`, and the bottom table lies
+above it since it lies above the ideal-chain length (Motzkin 1949;
+Samuel 1971).  Each value is then read from the ideal class of x alone.
+A Euclidean ring is principal, so a finite ring that is not principal
+admits no Euclidean function.  There a breadth-first fixed point that
+assigns whole levels at a time (level 0 is exactly the units) stalls:
+a round assigns nothing while nonzero elements remain, and the elements
+left are reported as a finding.
 """
 
 from __future__ import annotations
@@ -190,14 +189,15 @@ def divide(table: EuclideanTable, a, b) -> DivisionWitness:
 def bottom_euclidean(ring: FiniteRing) -> EuclideanTable:
     """Least Euclidean table of the ring.
 
-    On a ring that is principal by construction the value of x is the sum
-    of its local valuations, and the value at zero the sum of the local
-    lengths: one ideal-class key per element and one valuation tuple per
-    key, with no ring operation.  Other rings go through
+    On a principal ring the value of x is the sum of its local
+    valuations, and the value at zero the sum of the local lengths: one
+    ideal-class key per element and one valuation tuple per key, with no
+    ring operation on the keyed rings.  A ring that is not principal
+    admits no Euclidean function; it goes through
     :func:`_bottom_fixed_point`, which raises :class:`NotEuclideanRing`
-    when the ring admits no Euclidean function.
+    with the elements where the fixed point stalls.
     """
-    if not ring._known_principal:
+    if not ring.is_principal():
         return _bottom_fixed_point(ring)
     zero, key_of, valuations = ring.zero, ring.ideal_class, ring.valuations
     by_key: Dict[object, Ordinal] = {}
@@ -335,7 +335,7 @@ def quotient_euclidean(table: EuclideanTable, b) -> EuclideanTable:
         if xbar == quot.zero:
             continue
         values[xbar] = min(table.values[m] for m in quot.coset(xbar))
-    known = bottom_euclidean(quot) if table.is_bottom and ring._known_principal else None
+    known = bottom_euclidean(quot) if table.is_bottom else None
     return _certified_table(quot, values, known)
 
 
@@ -415,7 +415,7 @@ def collapse_pair_table(pt: PairTable,
     values = {x: sums[pair] for x, pair in pt.values.items()}
     t1, t2 = pt.components
     known = None
-    if t1.is_bottom and t2.is_bottom and pt.ring._known_principal:
+    if t1.is_bottom and t2.is_bottom:
         known = product_bottom or bottom_euclidean(pt.ring)
     return _certified_table(pt.ring, values, known)
 
@@ -447,7 +447,6 @@ def residual_euclidean(table: EuclideanTable, factor: int = 1) -> EuclideanTable
 
 def _length_values(ring: FiniteRing) -> Dict[object, Ordinal]:
     """x -> ideal-chain length on the nonzero elements of a principal ring."""
-    ring._require_principal()
     return {x: Ordinal(ring.element_length(x)) for x in ring.elements if x != ring.zero}
 
 

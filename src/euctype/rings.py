@@ -13,16 +13,16 @@ names the principal ideal (x) by a cheap hashable key -- gcd(x, n) in
 Z/n, the monic gcd with the modulus in GF(q)[t]/(f), the tuple of factor
 keys in a product, the base ring's key in a quotient -- and builds the
 members of each ideal once per key, without multiplying.  Units,
-divisibility and the ideals of a principal ring read this map.  The
-keyed rings are principal, hence products of chain rings R_i of lengths
-k_i, and ``valuations(key)`` maps a key to the valuation v_i of the
-ideal in each R_i (k_i for the zero ideal) without touching the carrier:
-element lengths and the bottom tables of these rings are the sums of
-those valuations.  Table-presented rings fall back to scanning the
-carrier, which also serves as the test oracle for the keyed rings.
-Enumerating the ideals of a ring not known to be principal still closes
-sums of ideals and is meant for desk scale; the enumeration bound is
-explicit.
+divisibility and the ideals of a principal ring read this map.  A finite
+ring is principal exactly when each local factor eR (e a primitive
+idempotent) is a chain ring R_i, of length k_i (Hungerford 1968), and
+``valuations(key)`` maps a key to the valuation v_i of the ideal in each
+R_i (k_i for the zero ideal): element lengths and bottom tables are
+their sums.  The keyed rings read them off the key.  Rings built on
+table-presented ones scan the carrier for their keys (the test oracle
+for the keyed rings) and once for the primitive idempotents.
+Enumerating the ideals of a non-principal ring closes sums of ideals and
+is meant for desk scale; the enumeration bound is explicit.
 
 A coset layer sits on the ideals.  ``coset_labels(key)`` labels the
 cosets x + I of the ideal I with class key ``key`` a whole batch of
@@ -37,7 +37,8 @@ table rings reads it, and a quotient R/(b) takes its elements (the least
 member of each coset), projection and cosets from the partition of R by
 (b).  Each ring class owns the rest of what is ring-specific: its
 element syntax (``format_element`` and its inverse ``parse_element``)
-and its CRT split into local rings (``local_factors``).
+and, on the keyed rings, its CRT split into local rings
+(``local_factors``); other rings split into the quotients R/(1 - e).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import operator
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ParseError, ResourceError
-from .poset import FinitePoset, length_function
+from .poset import FinitePoset
 
 IDEAL_ENUMERATION_BOUND = 512
 TRIAL_DIVISION_BOUND = 10 ** 7
@@ -316,8 +317,7 @@ class FiniteRing:
         return self.add(x, self.neg(y))
 
     # subclasses that are principal by construction set this True; they are
-    # the rings with local valuations.  is_principal() keeps what it finds
-    # for other rings apart, in _principal.
+    # the rings whose local valuations are computed by arithmetic.
     _known_principal: Optional[bool] = None
 
     def __len__(self):
@@ -443,9 +443,8 @@ class FiniteRing:
     def all_ideals(self, max_size: int = IDEAL_ENUMERATION_BOUND) -> List[FrozenSet]:
         """Every ideal, smallest first, as one list built once per ring.
 
-        In a ring known to be principal these are the distinct principal
-        ideals; otherwise generated subsets are closed one generator at a
-        time.
+        In a principal ring these are the distinct principal ideals;
+        otherwise generated subsets are closed one generator at a time.
         """
         if len(self.elements) > max_size:
             raise ResourceError(
@@ -456,7 +455,7 @@ class FiniteRing:
             return self._ideals
         except AttributeError:
             pids = self.principal_ideals()
-            found = set(pids.values()) if self._known_principal else self._closed_ideals(pids)
+            found = set(pids.values()) if self.is_principal() else self._closed_ideals(pids)
             self._ideals = sorted(found, key=lambda s: (len(s), sorted(self.index(e) for e in s)))
             return self._ideals
 
@@ -478,52 +477,63 @@ class FiniteRing:
                     work.append(bigger)
         return found
 
-    def is_principal(self, max_size: int = IDEAL_ENUMERATION_BOUND) -> bool:
-        if self._known_principal:
-            return True
-        try:
-            return self._principal
-        except AttributeError:
-            principal = set(self.principal_ideals().values())
-            self._principal = all(ideal in principal for ideal in self.all_ideals(max_size))
-            return self._principal
+    def is_principal(self) -> bool:
+        """True iff every ideal is principal: by construction, or when the
+        maximal ideal of every local factor eR is principal."""
+        return bool(self._known_principal) or all(principal for *_, principal in self._local_split())
 
     def _require_principal(self):
         if not self.is_principal():
             raise DomainError(f"{self.name} is not a principal ring")
 
+    def _local_split(self) -> List[Tuple[object, int, int, bool]]:
+        """The primitive idempotents e in carrier order, from one scan of the
+        carrier, each with |eR|, the size q = |eR| / |m| of the residue field
+        of eR, and whether m is principal; m is the maximal ideal of eR, its
+        x with x + 1 - e no unit of R."""
+        try:
+            return self._split
+        except AttributeError:
+            pass
+        mul = self.mul
+        idempotents = [x for x in self.elements if x != self.zero and mul(x, x) == x]
+        units, pids = self.units(), set(self.principal_ideals().values())
+        split = []
+        for e in idempotents:  # e is primitive when no other f has fe = f
+            if not any(f != e and mul(f, e) == f for f in idempotents):
+                local, shift = self.principal_ideal(e), self.sub(self.one, e)
+                maximal = frozenset(x for x in local if self.add(x, shift) not in units)
+                split.append((e, len(local), len(local) // len(maximal), maximal in pids))
+        self._split = split
+        return split
+
     def valuations(self, key) -> Tuple[int, ...]:
         """The valuations v_i of the principal ideal with class key ``key``
         in the local factors R_i of the ring, in the order of
         :meth:`local_factors`, with the length k_i of R_i for the key of
-        zero.  A quotient keeps the local factors it collapses, at 0.  Only
-        the rings that are principal by construction have them."""
+        zero.  A quotient keeps the local factors it collapses, at 0.  This
+        default reads :meth:`_local_split`: v_e(x) = log_q(|eR| / |e(x)|),
+        as |m^v| = q^(k - v) in the chain ring eR."""
         self._require_principal()
-        raise DomainError(f"local valuations are not supported for {type(self).__name__}")
+        members, mul = list(self.ideal_members(key)), self.mul
+        out = []
+        for e, size, q, _ in self._local_split():
+            ratio, v = size // len({mul(e, m) for m in members}), 0
+            while ratio > 1:
+                ratio, v = ratio // q, v + 1
+            out.append(v)
+        return tuple(out)
 
     def element_length(self, x) -> int:
-        """Longest strictly increasing chain of ideals from (x) up to R: the
-        sum of the local valuations of x where the ring has them, else the
-        length function of the poset of principal ideals."""
-        if self._known_principal:
-            return sum(self.valuations(self.ideal_class(x)))
-        self._require_principal()
-        return self._chain_up()[self.principal_ideal(x)]
+        """Longest strictly increasing chain of ideals from (x) up to R in a
+        principal ring: the sum of the local valuations of x."""
+        return sum(self.valuations(self.ideal_class(x)))
 
     def _ideal_order(self) -> FinitePoset:
         """Distinct principal ideals, each below the ideals it properly contains."""
         distinct = list(dict.fromkeys(self.principal_ideals().values()))
         return FinitePoset(distinct, [(big, small) for big in distinct
                                       for small in distinct if small < big])
-
-    def _chain_up(self) -> Dict[FrozenSet, int]:
-        """Principal ideal -> longest chain of principal ideals up to R: the
-        length function of :meth:`_ideal_order`."""
-        try:
-            return self._chains
-        except AttributeError:
-            self._chains = length_function(self._ideal_order())
-            return self._chains
 
     def quotient_ring(self, b) -> "QuotientRing":
         return QuotientRing(self, b)
@@ -535,16 +545,16 @@ class FiniteRing:
 
         Multiplying the local factors back together gives a ring isomorphic
         to this one, the isomorphism being exactly ``iso``.  This default
-        knows only the local case: the non-units form a principal ideal.
+        takes the quotients R/(1 - e), isomorphic to eR, for the primitive
+        idempotents e of :meth:`_local_split`; a local ring is its own
+        single factor.
         """
         self._require_principal()
-        if frozenset(self.elements) - self.units() in set(self.principal_ideals().values()):
-            return self._local()
-        raise DomainError(f"CRT decomposition is not supported for {type(self).__name__}")
-
-    def _local(self):
-        """This ring as its own single local factor."""
-        return [self], {x: (x,) for x in self.elements}
+        split = self._local_split()
+        if len(split) == 1:
+            return [self], {x: (x,) for x in self.elements}
+        parts = [self.quotient_ring(self.sub(self.one, e)) for e, *_ in split]
+        return parts, {x: tuple(part.projection(x) for part in parts) for x in self.elements}
 
 
 class Zmod(FiniteRing):
@@ -592,8 +602,6 @@ class Zmod(FiniteRing):
 
     def local_factors(self):
         moduli = [p ** k for p, k in sorted(_int_factor(self.n).items())]
-        if len(moduli) == 1:
-            return self._local()
         iso = {x: tuple(x % m for m in moduli) for x in self.elements}
         return [Zmod(m) for m in moduli], iso
 
@@ -709,8 +717,6 @@ class PolyQuotient(FiniteRing):
     def local_factors(self):
         F = self.field
         fac = poly_factor(F, self.modulus)
-        if len(fac) == 1:
-            return self._local()
         parts = []
         for g in sorted(fac):
             ge = (1,)
@@ -866,8 +872,10 @@ class QuotientRing(FiniteRing):
         return {self.projection(m) for m in self.base.ideal_members(key)}
 
     def valuations(self, key):
-        """min(v_i(x), v_i(b)): the ideal (x) + (b) of the base ring."""
+        """min(v_i(x), v_i(b)) on a keyed base: the ideal (x) + (b) there."""
         base = self.base
+        if not base._known_principal:
+            return super().valuations(key)
         try:
             cap = self._cap
         except AttributeError:
@@ -888,7 +896,7 @@ class QuotientRing(FiniteRing):
         b = iso[self.modulus_element]
         kept = [i for i, loc in enumerate(locs) if not loc.is_unit(b[i])]
         if len(kept) == 1:
-            return self._local()
+            return [self], {x: (x,) for x in self.elements}
         parts = [locs[i].quotient_ring(b[i]) for i in kept]
         iso = {x: tuple(part.projection(iso[x][i]) for i, part in zip(kept, parts))
                for x in self.elements}

@@ -12,7 +12,7 @@ import pytest
 from euctype.cli import main
 from euctype.euclidean import bottom_euclidean, table_to_dict
 from euctype.ordinal import Ordinal
-from euctype.rings import FiniteRing, Zmod
+from euctype.rings import FiniteRing, ProductRing, Zmod, truncated_bivariate_fixture
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -471,10 +471,45 @@ class TestSpecimenQuotient:
         code, out, _ = run(["ring-analyze", "(GF(2)[x,y]/(x,y)^2/(x)) x Z/3"])
         assert "local factors: GF(2)[x,y]/(x,y)^2/(x) x Z/3" in out.splitlines()
 
-    def test_non_local_quotient_is_not_supported(self):
+    def test_non_local_quotient_splits(self):
         code, out, err = run(["ring-analyze", "(GF(2)[x,y]/(x,y)^2 x Z/3)/((x, 0))"])
+        assert (code, err) == (0, "")
+        name = "GF(2)[x,y]/(x,y)^2 x Z/3/((x, 0))"
+        assert out.splitlines()[2:] == [
+            "principal: True   ideals: 6",
+            "length of the zero ideal chain: 3",
+            f"local factors: ({name}/((1, 0))) x ({name}/((0, 1)))"]
+
+    def test_local_factor_names_with_a_product_are_parenthesized(self):
+        code, out, _ = run(["ring-analyze", "Z/8 x Z/27/((2, 1))"])
+        assert code == 0 and out.splitlines()[-1] == "local factors: (Z/8 x Z/27/((2, 1)))"
+        code, out, _ = run(["ring-analyze", "Z/8 x Z/27/((2, 1))", "--json"])
+        assert code == 0 and json.loads(out)["local_factors"] == ["Z/8 x Z/27/((2, 1))"]
+
+    def test_symbolic_specs_over_the_specimen(self):
+        for spec, order in (("Z x GF(2)[x,y]/(x,y)^2/(x)", "w + 2"),
+                            ("Z x (GF(2)[x,y]/(x,y)^2 x Z/3)/((x, 0))", "w + 3")):
+            code, out, _ = run(["ring-analyze", spec])
+            assert code == 0 and out.splitlines()[-1] == f"order type: {order}", spec
+        code, out, err = run(["ring-analyze", "Z x GF(2)[x,y]/(x,y)^2"])
         assert (code, out) == (2, "")
-        assert err == "error: CRT decomposition is not supported for QuotientRing\n"
+        assert err == "error: GF(2)[x,y]/(x,y)^2 is not a principal ring\n"
+
+    def test_principality_needs_no_ideal_enumeration(self):
+        spec = "GF(2)[x,y]/(x,y)^2 x Z/81"  # 648 elements, above the enumeration bound
+        code, out, err = run(["l-euclidean", spec])
+        assert (code, out) == (2, "")
+        assert err == "error: GF(2)[x,y]/(x,y)^2 is not a principal ring\n"
+        code, out, _ = run(["euclid-bottom", spec, "--json"])
+        report = json.loads(out)
+        fixture = truncated_bivariate_fixture()
+        ring = ProductRing([fixture, Zmod(81)])
+        assert code == 3 and report["finding"] == "not-euclidean"
+        assert report["stuck"] == [ring.format_element(x) for x in ring.elements
+                                   if x != ring.zero and x[0] not in fixture.units()]
+        code, out, err = run(["ring-analyze", spec])
+        assert (code, out) == (4, "")
+        assert err == f"error: {spec} has 648 elements; ideal enumeration is bounded at 512\n"
 
 
 def test_euclid_verify_checks_a_validated_table_once(tmp_path, monkeypatch):

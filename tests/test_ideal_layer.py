@@ -614,8 +614,8 @@ def valuation_corpus():
 
 
 def old_chain_up(ring):
-    """The walk up the principal ideals that ``_chain_up`` made before it
-    read the length function of the ideal order: O(classes^2) subset tests."""
+    """Principal ideal -> longest chain of principal ideals up to R, by a
+    walk with O(classes^2) subset tests: the oracle for element lengths."""
     distinct = sorted(set(ring.principal_ideals().values()), key=len, reverse=True)
     up = {}
     for ideal in distinct:  # larger ideals first
@@ -624,6 +624,25 @@ def old_chain_up(ring):
             default=0,
         )
     return up
+
+
+def specimen_rings():
+    """Principal rings built on the table-presented specimen: its local
+    quotient, two quotients that are not local, and their products with
+    Z/3 and Z/4."""
+    fixture = truncated_bivariate_fixture()
+    quotients = [fixture.quotient_ring("x"),
+                 ProductRing([fixture, Zmod(3)]).quotient_ring(("x", 0)),
+                 ProductRing([fixture, Zmod(4)]).quotient_ring(("y", 0))]
+    return quotients + [ProductRing([q, Zmod(m)]) for q in quotients for m in (3, 4)]
+
+
+def table_copy(ring):
+    """The ring as a TableRing on the same labels, which has no keyed layer."""
+    elements = ring.elements
+    add = {(x, y): ring.add(x, y) for x in elements for y in elements}
+    mul = {(x, y): ring.mul(x, y) for x in elements for y in elements}
+    return TableRing(elements, add, mul, ring.zero, ring.one, f"table({ring.name})")
 
 
 def assert_bottom_matches_fixed_point(ring):
@@ -642,16 +661,15 @@ class TestValuations:
 
     def test_element_length_equals_the_chain_walk(self):
         for ring in valuation_corpus():
-            chain = ring._chain_up()
+            chain = old_chain_up(ring)
             for x in ring.elements:
                 assert ring.element_length(x) == chain[ring.principal_ideal(x)], ring.name
 
-    def test_chain_up_matches_the_former_walk(self):
-        specimen = truncated_bivariate_fixture().quotient_ring("x")
-        rings = valuation_corpus() + [specimen, ProductRing([specimen, Zmod(3)]),
-                                      ProductRing([specimen, Zmod(4)])]
-        for ring in rings:
-            assert ring._chain_up() == old_chain_up(ring), ring.name
+    def test_specimen_lengths_match_the_former_walk(self):
+        for ring in specimen_rings():
+            chain = old_chain_up(ring)
+            for x in ring.elements:
+                assert ring.element_length(x) == chain[ring.principal_ideal(x)], ring.name
 
     def test_lengths_of_zero_follow_the_crt_split(self):
         for ring in valuation_corpus()[::2]:
@@ -661,9 +679,42 @@ class TestValuations:
 
     def test_rings_without_valuations(self):
         fixture = truncated_bivariate_fixture()
-        for ring in (fixture, ProductRing([Zmod(3), fixture]), fixture.quotient_ring("x")):
+        for ring in (fixture, ProductRing([Zmod(3), fixture])):
             with pytest.raises(DomainError, match=r"GF\(2\)\[x,y\]/\(x,y\)\^2 is not a principal"):
                 ring.valuations(ring.ideal_class(ring.zero))
+        quot = fixture.quotient_ring("x")  # GF(2)[y]/(y^2)
+        assert {x: quot.valuations(quot.ideal_class(x)) for x in quot.elements} == {
+            "0": (2,), "1": (0,), "y": (1,), "1+y": (0,)}
+
+    def test_default_valuations_equal_the_keyed_ones(self):
+        # the keyed valuations list the local factors a quotient collapses,
+        # at length 0; the split of the table copy has no such factor
+        rings = [ring for ring in valuation_corpus()[::3] if len(ring) <= 100]
+        assert len(rings) > 100
+        for ring in rings:
+            copy = table_copy(ring)
+            lengths = ring.valuations(ring.ideal_class(ring.zero))
+            for x in ring.elements:
+                keyed = ring.valuations(ring.ideal_class(x))
+                assert (sorted(copy.valuations(copy.ideal_class(x)))
+                        == sorted(v for v, k in zip(keyed, lengths) if k)), ring.name
+            bottom, copied = bottom_euclidean(ring), bottom_euclidean(copy)
+            assert copied.values == bottom.values, ring.name
+            assert copied.value_at_zero == bottom.value_at_zero, ring.name
+
+    def test_principal_rings_skip_the_fixed_point(self, monkeypatch):
+        from euctype import euclidean
+
+        expected = {ring.name: _bottom_fixed_point(ring) for ring in specimen_rings()}
+
+        def refuse(ring):
+            raise AssertionError(f"fixed point on the principal ring {ring.name}")
+
+        monkeypatch.setattr(euclidean, "_bottom_fixed_point", refuse)
+        for ring in specimen_rings():
+            table = bottom_euclidean(ring)
+            assert table.values == expected[ring.name].values, ring.name
+            assert table.value_at_zero == expected[ring.name].value_at_zero, ring.name
 
 
 class TestCertifiedTables:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from euctype import rings
 from euctype.errors import DomainError, ResourceError
 from euctype.models import _check_primes
+from euctype.parsing import parse_ring_spec
 from euctype.rings import (
     GaloisField,
     PolyQuotient,
@@ -308,15 +309,19 @@ class TestCRT:
     def test_principal_quotient_of_the_specimen(self):
         # GF(2)[x,y]/(x,y)^2/(x) is GF(2)[y]/(y^2): principal and local
         quot = truncated_bivariate_fixture().quotient_ring("x")
-        assert crt_decompose(quot) == quot._local()
+        assert crt_decompose(quot) == ([quot], {x: (x,) for x in quot.elements})
         self._check_iso(ProductRing([quot, Zmod(3)]))
         assert [r.name for r in crt_decompose(ProductRing([quot, Zmod(3)]))[0]] == [
             "GF(2)[x,y]/(x,y)^2/(x)", "Z/3"]
-        # principal but not local: no split is known
-        mixed = ProductRing([truncated_bivariate_fixture(), Zmod(3)]).quotient_ring(("x", 0))
-        assert mixed.is_principal()
-        with pytest.raises(DomainError, match="not supported"):
-            crt_decompose(mixed)
+        # principal but not local: split by the primitive idempotents
+        fixture = truncated_bivariate_fixture()
+        for m, b, sizes in ((3, ("x", 0), [3, 4]), (4, ("y", 0), [4, 4])):
+            mixed = ProductRing([fixture, Zmod(m)]).quotient_ring(b)
+            assert mixed.is_principal()
+            self._check_iso(mixed)
+            locals_, _ = crt_decompose(mixed)
+            assert [len(loc) for loc in locals_] == sizes
+            assert [len(parse_ring_spec(loc.name)) for loc in locals_] == sizes
 
 
 class TestBounds:
