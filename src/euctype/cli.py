@@ -105,7 +105,7 @@ def _cmd_ring_analyze(args):
         "size": len(ring),
         "units": len(ring.units()),
         "principal": principal,
-        "ideals": len(ring.all_ideals(args.max_size)),
+        "ideals": ring.ideal_count(args.max_size),
     }
     lines = [
         f"ring: {ring.name}",

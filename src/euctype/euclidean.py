@@ -3,13 +3,16 @@
 A table assigns every nonzero element an ordinal value; the value at zero
 is always the supremum of the nonzero values plus one.  Tables are either
 validated at construction or explicitly carry ``validated=False``; all
-transforms insist on validated inputs.  Validation is the exhaustive
-check of the division property, except that the product and quotient
-tables of bottom tables on principal rings are validated by equality with
-the bottom table of their ring, which they match at every element (the
-bottom function of a finite principal ring is the sum of its local
-valuations; Fletcher 1971, Samuel 1971).  A table that differs from the
-bottom table at any element is checked exhaustively.
+transforms insist on validated inputs.  Validation is the check of the
+division property.  On Z/n, GF(q)[t]/(f), their products and quotients,
+a table that is a function of the valuation vector is checked on the
+lattice of ideals, the product of the chains 0..k_i, by boxes of
+vectors; every other table is checked exhaustively, by a sweep of the
+carrier.  The product and quotient tables of bottom tables on principal
+rings are validated by equality with the bottom table of their ring,
+which they match at every element (the bottom function of a finite
+principal ring is the sum of its local valuations; Fletcher 1971,
+Samuel 1971).
 
 The centerpiece is the bottom table: the pointwise-least Euclidean
 function.  A finite principal ring is a product of chain rings R_i of
@@ -27,8 +30,10 @@ left are reported as a finding.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from operator import indexOf, itemgetter
+from operator import indexOf, itemgetter, lt, mul
 from typing import Dict, Optional, Tuple
 
 from .errors import DomainError, NotEuclideanRing
@@ -85,36 +90,98 @@ def _ranks(table_values: Dict[object, Ordinal]) -> Dict[object, int]:
     return dict(zip(table_values, map(rank_of_id.__getitem__, map(id, values))))
 
 
+def _down(bits: int, stride: int, below: int, steps: int) -> int:
+    """The vectors of the bitset ``bits`` and those up to ``steps`` below
+    them along one coordinate, whose digit has the given stride; ``below``
+    is the set of vectors where that digit is under its length, the only
+    ones a step down may reach."""
+    for _ in range(steps):
+        bits |= (bits >> stride) & below
+    return bits
+
+
+def _boxes_hold(ring: FiniteRing, keys: list, rank: Dict[object, int]) -> bool:
+    """True when the ranks are a function of the valuation vector and that
+    function is Euclidean; False leaves the table to the sweep.
+
+    The ring is a product of chain rings of lengths k_i.  For b of vector
+    beta and a outside (b) of vector alpha, the vectors met by the coset
+    a + (b) form a box, coordinate by coordinate by CRT: gamma_i = alpha_i
+    where alpha_i < beta_i, and beta_i <= gamma_i <= k_i elsewhere.  A
+    function phi of the vector is Euclidean exactly when each such box
+    holds a vector below phi(beta).  Take F, the coordinates where
+    alpha_i = beta_i, and G, the others.  For each rank r, with the vectors
+    as the bits of an integer in mixed radix k_i + 1: those below rank r,
+    closed downwards along F, must cover the vectors of rank r taken
+    strictly downwards along G, for every split with G not empty.  Vectors
+    are grouped by value, not by key: a quotient names one ideal by several
+    keys of its base ring.
+    """
+    valuations = ring.valuations
+    by_vector: Dict[Tuple[int, ...], int] = {}
+    for key, r in set(zip(keys, map(rank.get, ring.elements))):
+        if r is None:  # the key of zero
+            top = valuations(key)
+        elif by_vector.setdefault(valuations(key), r) != r:
+            return False
+    strides = list(itertools.accumulate((k + 1 for k in top[:-1]), mul, initial=1))
+    every = (1 << math.prod(k + 1 for k in top)) - 1
+    below = [every ^ (((1 << s) - 1) << k * s) * (every // ((1 << s * (k + 1)) - 1))
+             for k, s in zip(top, strides)]  # clear the layer where coordinate i is k_i
+    levels = [0] * (max(by_vector.values()) + 1)
+    for v, r in by_vector.items():
+        levels[r] |= 1 << sum(map(mul, v, strides))
+    splits = range(1, 1 << len(top))
+    lower = 0  # the vectors of the ranks done
+    for level in levels:
+        closed, strict = [lower], [level]  # indexed by the coordinates taken downwards
+        for coords in splits:
+            i, rest = (coords & -coords).bit_length() - 1, coords & (coords - 1)
+            stride, mask, k = strides[i], below[i], top[i]
+            closed.append(_down(closed[rest], stride, mask, k))
+            strict.append(_down((strict[rest] >> stride) & mask, stride, mask, k - 1))
+        if any(strict[g] & ~closed[splits[-1] ^ g] for g in splits):
+            return False
+        lower |= level
+    return True
+
+
 def division_counterexample(ring: FiniteRing, values: Dict[object, Ordinal]):
     """Least (a, b) with no valid quotient, or None if the table is Euclidean.
 
     A pair (a, b) is satisfied iff the coset a + (b) contains 0 or some r
-    with value below the value of b.  Divisors with the same ideal-class
-    key share their cosets, so each class is swept once with its divisors
-    in rank order.  The cosets met grow with the rank, and a class is done
-    once every coset is met.  They are labelled a batch at a time by
-    ``ring.coset_labels``: zero first, then each level of elements of equal
-    rank in one call.  Only a (class, rank) that leaves a coset unmet walks
-    the carrier, labelling it lazily from the last position reached, for
-    the least element outside the cosets met.  On Z/n, GF(q)[t]/(f) and
-    their products a label is arithmetic (x mod d, x mod g, a tuple of
-    those), so the check builds no ideal and adds no elements.  The cost
-    is O(classes * n) label reads instead of O(n^2).  Nothing of a check
-    is kept on those rings, so checking a second table on the same ring
-    costs as much as the first; table rings keep their ideal-class keys
-    and coset partitions.
+    with value below the value of b.  On a ring whose valuations are
+    arithmetic (``_known_principal``), a table that is a function of the
+    valuation vector is first checked on the product of chains 0..k_i by
+    :func:`_boxes_hold`, at a cost that depends on the number of ideals,
+    not on n; a table it certifies is Euclidean.  Every other table is
+    swept: divisors with the same ideal-class key share their cosets, so
+    each class is swept once with its divisors in rank order.  The cosets
+    met grow with the rank, and a class is done once every coset is met.
+    They are labelled a batch at a time by ``ring.coset_labels``: zero
+    first, then each level of elements of equal rank in one call.  Only a
+    (class, rank) that leaves a coset unmet walks the carrier, labelling it
+    lazily from the last position reached, for the least element outside
+    the cosets met.  On Z/n, GF(q)[t]/(f) and their products a label is
+    arithmetic (x mod d, x mod g, a tuple of those), so the check builds
+    no ideal and adds no elements, at O(classes * n) label reads.  The
+    ideal-class keys of the carrier are kept on the ring
+    (:meth:`FiniteRing.carrier_classes`), so a second check of the same
+    ring computes none; table rings also keep their coset partitions.
     """
     zero, elements, index = ring.zero, ring.elements, ring.index
     rank = _ranks(values)
+    keys = ring.carrier_classes()
+    if ring._known_principal and _boxes_hold(ring, keys, rank):
+        return None
     levels = [[] for _ in range(max(rank.values(), default=-1) + 1)]
     for x, r in rank.items():
         levels[r].append(x)
-    key_of = ring.ideal_class
     # class key -> rank -> least divisor of that rank in the class
     classes: Dict[object, Dict[int, object]] = {}
-    for b in elements:
+    for b, key in zip(elements, keys):
         if b != zero:
-            classes.setdefault(key_of(b), {}).setdefault(rank[b], b)
+            classes.setdefault(key, {}).setdefault(rank[b], b)
     best = None
     for key, divisors in classes.items():
         labels, count = ring.coset_labels(key)
@@ -199,17 +266,15 @@ def bottom_euclidean(ring: FiniteRing) -> EuclideanTable:
     """
     if not ring.is_principal():
         return _bottom_fixed_point(ring)
-    zero, key_of, valuations = ring.zero, ring.ideal_class, ring.valuations
+    valuations = ring.valuations
     by_key: Dict[object, Ordinal] = {}
     values = {}
-    for x in ring.elements:
-        if x != zero:
-            key = key_of(x)
-            value = by_key.get(key)
-            if value is None:
-                value = by_key[key] = Ordinal(sum(valuations(key)))
-            values[x] = value
-    top = Ordinal(sum(valuations(key_of(zero))))
+    for x, key in zip(ring.elements, ring.carrier_classes()):
+        value = by_key.get(key)
+        if value is None:
+            value = by_key[key] = Ordinal(sum(valuations(key)))
+        values[x] = value
+    top = values.pop(ring.zero)  # the sum of the local lengths
     return EuclideanTable(ring, values, top, validated=True, is_bottom=True)
 
 

@@ -11,8 +11,9 @@ search, counterexample reporting, coset representatives).
 Ideal-theoretic operations rest on one ideal-class layer.  Each ring
 names the principal ideal (x) by a cheap hashable key -- gcd(x, n) in
 Z/n, the monic gcd with the modulus in GF(q)[t]/(f), the tuple of factor
-keys in a product, the base ring's key in a quotient -- and builds the
-members of each ideal once per key, without multiplying.  Units,
+keys in a product, the base ring's key in a quotient -- keeps the keys of
+its carrier, computed a batch at a time (``ideal_classes``), and builds
+the members of each ideal once per key, without multiplying.  Units,
 divisibility and the ideals of a principal ring read this map.  A finite
 ring is principal exactly when each local factor eR (e a primitive
 idempotent) is a chain ring R_i, of length k_i (Hungerford 1968), and
@@ -22,7 +23,8 @@ their sums.  The keyed rings read them off the key.  Rings built on
 table-presented ones scan the carrier for their keys (the test oracle
 for the keyed rings) and once for the primitive idempotents.
 Enumerating the ideals of a non-principal ring closes sums of ideals and
-is meant for desk scale; the enumeration bound is explicit.
+is meant for desk scale; the enumeration bound is explicit.  A ring known
+to be principal counts its ideals from the lengths k_i instead.
 
 A coset layer sits on the ideals.  ``coset_labels(key)`` labels the
 cosets x + I of the ideal I with class key ``key`` a whole batch of
@@ -379,6 +381,19 @@ class FiniteRing:
             key = keys[x] = frozenset(mul(q, x) for q in self.elements)
         return key
 
+    def ideal_classes(self, xs: Sequence) -> List:
+        """The ideal-class key of each x of the sequence ``xs``, in order."""
+        return list(map(self.ideal_class, xs))
+
+    def carrier_classes(self) -> List:
+        """The ideal-class keys of the carrier, in carrier order, computed
+        by :meth:`ideal_classes` once per ring and kept."""
+        try:
+            return self._carrier_keys
+        except AttributeError:
+            self._carrier_keys = self.ideal_classes(self.elements)
+            return self._carrier_keys
+
     def ideal_members(self, key) -> Iterable:
         """The elements of the principal ideal whose class key is ``key``."""
         return key
@@ -396,12 +411,11 @@ class FiniteRing:
         try:
             return self._pids
         except AttributeError:
-            key_of, members = self.ideal_class, self.ideal_members
+            members = self.ideal_members
             by_key: Dict[object, FrozenSet] = {}
             seen: Dict[FrozenSet, FrozenSet] = {}
             pids = {}
-            for x in self.elements:
-                key = key_of(x)
+            for x, key in zip(self.elements, self.carrier_classes()):
                 ideal = by_key.get(key)
                 if ideal is None:
                     ideal = frozenset(members(key))
@@ -477,6 +491,15 @@ class FiniteRing:
                     work.append(bigger)
         return found
 
+    def ideal_count(self, max_size: int = IDEAL_ENUMERATION_BOUND) -> int:
+        """The number of ideals.  On a ring known to be principal they are
+        the valuation vectors 0 <= v <= k, where k holds the lengths k_i of
+        the local factors, so there are prod(k_i + 1); otherwise this is
+        the length of :meth:`all_ideals`, with its bound."""
+        if self._known_principal:
+            return math.prod(k + 1 for k in self.valuations(self.ideal_class(self.zero)))
+        return len(self.all_ideals(max_size))
+
     def is_principal(self) -> bool:
         """True iff every ideal is principal: by construction, or when the
         maximal ideal of every local factor eR is principal."""
@@ -513,7 +536,13 @@ class FiniteRing:
         :meth:`local_factors`, with the length k_i of R_i for the key of
         zero.  A quotient keeps the local factors it collapses, at 0.  This
         default reads :meth:`_local_split`: v_e(x) = log_q(|eR| / |e(x)|),
-        as |m^v| = q^(k - v) in the chain ring eR."""
+        as |m^v| = q^(k - v) in the chain ring eR, kept per key."""
+        try:
+            return self._valuations[key]
+        except AttributeError:
+            self._valuations = {}
+        except KeyError:
+            pass
         self._require_principal()
         members, mul = list(self.ideal_members(key)), self.mul
         out = []
@@ -522,7 +551,8 @@ class FiniteRing:
             while ratio > 1:
                 ratio, v = ratio // q, v + 1
             out.append(v)
-        return tuple(out)
+        out = self._valuations[key] = tuple(out)
+        return out
 
     def element_length(self, x) -> int:
         """Longest strictly increasing chain of ideals from (x) up to R in a
@@ -578,6 +608,9 @@ class Zmod(FiniteRing):
 
     def ideal_class(self, x):
         return math.gcd(x, self.n)  # n for x = 0
+
+    def ideal_classes(self, xs):
+        return list(map(math.gcd, xs, itertools.repeat(self.n)))
 
     def ideal_members(self, d):
         return range(0, self.n, d)
@@ -772,6 +805,16 @@ class ProductRing(FiniteRing):
     def ideal_class(self, x):
         return tuple([f.ideal_class(a) for f, a in zip(self.factors, x)])
 
+    def ideal_classes(self, xs):
+        """The tuples of the factors' keys: the batch is transposed into one
+        column per factor, each factor keys the distinct entries of its
+        column, and the keyed columns are zipped back into tuples."""
+        columns = []
+        for f, column in zip(self.factors, zip(*xs)):
+            distinct = list(dict.fromkeys(column))
+            columns.append(map(dict(zip(distinct, f.ideal_classes(distinct))).__getitem__, column))
+        return list(zip(*columns))
+
     def ideal_members(self, key):
         return itertools.product(*(f.ideal_members(k) for f, k in zip(self.factors, key)))
 
@@ -867,6 +910,9 @@ class QuotientRing(FiniteRing):
 
     def ideal_class(self, x):
         return self.base.ideal_class(x)
+
+    def ideal_classes(self, xs):
+        return self.base.ideal_classes(xs)
 
     def ideal_members(self, key):
         return {self.projection(m) for m in self.base.ideal_members(key)}

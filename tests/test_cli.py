@@ -434,8 +434,11 @@ class TestModelCostBounds:
         assert code == 0 and report["l_euclidean"] is False
         assert len(report["witness"]["allowed_remainders"]) == 4096
         assert elapsed < 5.0
-        (code, out, err), elapsed = fresh_run(["ring-analyze", "GF(1024)[t]/(t)"])
-        assert (code, out) == (4, "") and err.startswith("error:")
+        # a principal ring counts its ideals from the valuations of zero,
+        # with no enumeration bound
+        (code, out, _), elapsed = fresh_run(["ring-analyze", "GF(1024)[t]/(t)"])
+        assert code == 0 and out.splitlines()[1:3] == ["size: 1024   units: 1023",
+                                                       "principal: True   ideals: 2"]
         assert elapsed < 5.0
 
     def test_sample_count_above_the_bound(self):
@@ -452,6 +455,20 @@ class TestModelCostBounds:
         assert report["input"] == {"q": 3, "report_degree": 10}
         assert report["values_by_degree"] == {str(d): [d] for d in range(11)}
         assert report["stabilization_windows"] == [12, 16]
+
+
+def test_ring_analyze_counts_the_ideals_of_a_principal_ring_from_its_valuations(monkeypatch):
+    def refuse(self, max_size=None):
+        raise AssertionError(f"all_ideals called on {self.name}")
+
+    monkeypatch.setattr(FiniteRing, "all_ideals", refuse)
+    for spec, ideals in (("Z/1024", 11), ("Z/720 x Z/36", 270), ("Z/8 x Z/27/((2, 3))", 4)):
+        code, out, err = run(["ring-analyze", spec, "--json"])
+        assert (code, err) == (0, "") and json.loads(out)["ideals"] == ideals, spec
+    code, out, _ = run(["ring-analyze", "Z/1024"])
+    assert out.splitlines()[1:4] == ["size: 1024   units: 512",
+                                     "principal: True   ideals: 11",
+                                     "length of the zero ideal chain: 10"]
 
 
 class TestSpecimenQuotient:

@@ -22,6 +22,7 @@ from euctype.cli import main
 from euctype.errors import DomainError
 from euctype.euclidean import (
     _bottom_fixed_point,
+    _length_values,
     _ranks,
     bottom_euclidean,
     collapse_pair_table,
@@ -491,6 +492,139 @@ class TestCosetLabels:
             assert division_counterexample(ring, values) == expected, ring.name
 
 
+def vector_of(ring):
+    return {x: ring.valuations(ring.ideal_class(x)) for x in ring.elements}
+
+
+def sweep_only(ring, values):
+    """``division_counterexample`` with the box certificate turned off."""
+    from euctype import euclidean
+
+    certificate = euclidean._boxes_hold
+    euclidean._boxes_hold = lambda *args: False
+    try:
+        return division_counterexample(ring, values)
+    finally:
+        euclidean._boxes_hold = certificate
+
+
+class TestValuationBoxes:
+    """The box certificate of ``division_counterexample`` against the sweep,
+    which it must match down to the least pair."""
+
+    @staticmethod
+    def certified(ring, values):
+        from euctype import euclidean
+
+        return euclidean._boxes_hold(ring, ring.carrier_classes(), _ranks(values))
+
+    def test_the_certificate_matches_the_sweep_on_the_valuation_corpus(self):
+        rng = random.Random(19)
+        rings = valuation_corpus()
+        assert len(rings) > 560
+        tables = certified = failing = 0
+        for ring in rings:
+            bottom = bottom_euclidean(ring).values
+            vector = vector_of(ring)
+            variants = _table_variants(bottom, rng) + [_length_values(ring)]
+            for _ in range(2):  # random functions of the valuation vector
+                value = {v: Ordinal(rng.randrange(4)) for v in set(vector.values())}
+                variants.append({x: value[vector[x]] for x in bottom})
+            for values in variants:
+                cex = division_counterexample(ring, values)
+                assert cex == sweep_only(ring, values), ring.name
+                tables += 1
+                certified += self.certified(ring, values)
+                failing += cex is not None
+        assert tables == 8 * len(rings)
+        # the three relabellings and the length table of every ring take the certificate
+        assert certified >= 4 * len(rings)
+        assert failing > len(rings)
+
+    def test_the_certificate_is_exact_on_functions_of_the_vector(self):
+        rng = random.Random(20)
+        for ring in valuation_corpus()[::5]:
+            vector = vector_of(ring)
+            for _ in range(6):
+                value = {v: Ordinal(rng.randrange(5)) for v in set(vector.values())}
+                values = {x: value[vector[x]] for x in ring.elements if x != ring.zero}
+                assert self.certified(ring, values) == (sweep_only(ring, values) is None), ring.name
+
+    def test_tables_constant_per_key_but_not_per_ideal(self):
+        # a quotient names one ideal by several keys of its base ring: in
+        # Z/36/(6) the keys 2 and 4 both have the vector (1, 0); grouping
+        # by key would accept tables the sweep refutes
+        ring = Zmod(36).quotient_ring(6)
+        assert (ring.ideal_class(2), ring.ideal_class(4)) == (2, 4)
+        assert ring.valuations(2) == ring.valuations(4) == (1, 0)
+        rng = random.Random(21)
+        refuted = 0
+        # the least coset members of Z/8 x Z/27/((2, 3)) have one key per ideal
+        for ring, shared in ((Zmod(36).quotient_ring(6), True), (Zmod(180).quotient_ring(30), True),
+                             (ProductRing([Zmod(8), Zmod(27)]).quotient_ring((2, 3)), False)):
+            keys = dict(zip(ring.elements, ring.carrier_classes()))
+            assert (len(set(keys.values())) > len(set(vector_of(ring).values()))) == shared
+            for _ in range(60):
+                value = {key: Ordinal(rng.randrange(4)) for key in set(keys.values())}
+                values = {x: value[keys[x]] for x in ring.elements if x != ring.zero}
+                cex = division_counterexample(ring, values)
+                assert cex == sweep_only(ring, values), ring.name
+                assert cex == class_sweep_division_counterexample(ring, values), ring.name
+                refuted += cex is not None and len(set(values.values())) > 1
+        assert refuted > 20
+
+    def test_specimen_rings_take_the_sweep(self, monkeypatch):
+        from euctype import euclidean
+
+        rng = random.Random(22)
+        cases = []
+        for ring in specimen_rings():
+            bottom = bottom_euclidean(ring).values
+            for values in _table_variants(bottom, rng):
+                cases.append((ring, values, class_sweep_division_counterexample(ring, values)))
+        monkeypatch.setattr(euclidean, "_boxes_hold",
+                            lambda ring, *args: pytest.fail(f"certificate on {ring.name}"))
+        for ring, values, expected in cases:
+            assert division_counterexample(ring, values) == expected, ring.name
+
+    def test_a_second_check_computes_no_keys(self, monkeypatch):
+        calls = []
+
+        def counted(cls, name):
+            method = getattr(cls, name)
+
+            def call(self, *args):
+                calls.append((cls.__name__, name))
+                return method(self, *args)
+            return call
+
+        for cls in (FiniteRing, Zmod, PolyQuotient, ProductRing, QuotientRing):
+            for name in ("ideal_class", "ideal_classes"):
+                if name in vars(cls):
+                    monkeypatch.setattr(cls, name, counted(cls, name))
+        rng = random.Random(23)
+        for ring in (Zmod(720), poly(3, 0, 0, 0, 1), ProductRing([Zmod(8), poly(2, 0, 1, 1)]),
+                     Zmod(60).quotient_ring(4), ProductRing([truncated_bivariate_fixture(), Zmod(3)])):
+            nonzero = [x for x in ring.elements if x != ring.zero]
+            tables = [{x: Ordinal(rng.randrange(3)) for x in nonzero} for _ in range(2)]
+            calls.clear()
+            first = [division_counterexample(ring, tables[0])]
+            assert 0 < len(calls) <= len(ring.elements) + 1, ring.name
+            calls.clear()
+            assert [division_counterexample(ring, tables[0])] == first, ring.name
+            division_counterexample(ring, tables[1])
+            assert calls == [], ring.name
+
+    def test_default_valuations_are_kept_per_key(self, monkeypatch):
+        for ring in specimen_rings():
+            expected = {x: ring.valuations(ring.ideal_class(x)) for x in ring.elements}
+            with monkeypatch.context() as m:
+                for cls in (TableRing, Zmod, ProductRing, QuotientRing):
+                    m.setattr(cls, "mul", lambda self, x, y: pytest.fail(f"mul on {self.name}"))
+                assert {x: ring.valuations(ring.ideal_class(x))
+                        for x in ring.elements} == expected, ring.name
+
+
 def test_symbolic_spec_with_a_large_factor():
     # the length of Z/2048 comes from its 12 ideal classes, not 2048^2 products
     out = io.StringIO()
@@ -676,6 +810,13 @@ class TestValuations:
             locals_, _ = ring.local_factors()
             lengths = [k for k in ring.valuations(ring.ideal_class(ring.zero)) if k]
             assert lengths == [loc.element_length(loc.zero) for loc in locals_], ring.name
+
+    def test_ideal_count_from_the_valuations(self):
+        rings = valuation_corpus()
+        assert len(rings) > 560
+        for ring in rings:
+            assert ring._known_principal, ring.name
+            assert ring.ideal_count() == len(ring.all_ideals()), ring.name
 
     def test_rings_without_valuations(self):
         fixture = truncated_bivariate_fixture()
