@@ -31,6 +31,7 @@ from .euclidean import (
     order_type,
     quotient_euclidean,
     table_to_dict,
+    value_texts,
 )
 from .models import (
     RingSpec,
@@ -50,10 +51,40 @@ from .rings import IDEAL_ENUMERATION_BOUND, FiniteRing, crt_decompose, format_po
 SCHEMA_VERSION = 1
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _dumps(obj, level: int = 0) -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, with ``obj`` at nesting depth
+    ``level``.  With an indent, json encodes in Python; here a dict or list
+    whose members are all scalars or empty goes to the C encoder in one
+    call, with its line break and indent as the item separator, and only
+    the levels above it are joined in Python.  A dict with a key that is
+    not a string is left to json whole."""
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return json.dumps(obj)
+    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+    is_dict = isinstance(obj, dict)
+    members = obj.values() if is_dict else obj
+    # one test per distinct type finds a level with no container at all
+    if (not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, members)))
+            or not any(isinstance(v, _CONTAINERS) and v for v in members)):
+        text = json.dumps(obj, separators=("," + inner, ": "))
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if not is_dict:
+        parts = [_dumps(v, level + 1) for v in obj]
+    elif all(isinstance(k, str) for k in obj):
+        parts = [json.dumps(k) + ": " + _dumps(v, level + 1) for k, v in obj.items()]
+    else:
+        return json.dumps(obj, indent=2).replace("\n", outer)
+    brackets = "{}" if is_dict else "[]"
+    return brackets[0] + inner + ("," + inner).join(parts) + outer + brackets[1]
+
+
 def _emit(args, report: dict, lines: List[str]) -> None:
     if args.json:
         report = {"schema_version": SCHEMA_VERSION, "command": args.verb, **report}
-        print(json.dumps(report, indent=2, sort_keys=False))
+        print(_dumps(report))
     else:
         for line in lines:
             print(line)
@@ -124,13 +155,14 @@ def _cmd_ring_analyze(args):
 
 
 def _table_lines(ring, table) -> List[str]:
+    """One line per value, in order of first appearance in the carrier,
+    naming its elements in carrier order."""
     lines = [f"ring: {ring.name}"]
     by_value = {}
-    for x, v in table.values.items():
-        by_value.setdefault(format_ordinal(v), []).append(x)
-    for text in sorted(by_value, key=lambda t: min(ring.index(x) for x in by_value[t])):
-        xs = sorted(by_value[text], key=ring.index)
-        lines.append(f"  value {text}: " + ", ".join(ring.format_element(x) for x in xs))
+    for name, text in zip(*value_texts(table)):
+        by_value.setdefault(text, []).append(name)
+    for text, names in by_value.items():
+        lines.append(f"  value {text}: " + ", ".join(names))
     lines.append(f"value at zero: {format_ordinal(table.value_at_zero)}")
     return lines
 

@@ -34,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import indexOf, itemgetter, lt, mul
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, NotEuclideanRing
 from .ordinal import Ordinal, left_subtract, natural_sum
@@ -266,14 +266,9 @@ def bottom_euclidean(ring: FiniteRing) -> EuclideanTable:
     """
     if not ring.is_principal():
         return _bottom_fixed_point(ring)
-    valuations = ring.valuations
-    by_key: Dict[object, Ordinal] = {}
-    values = {}
-    for x, key in zip(ring.elements, ring.carrier_classes()):
-        value = by_key.get(key)
-        if value is None:
-            value = by_key[key] = Ordinal(sum(valuations(key)))
-        values[x] = value
+    valuations, keys = ring.valuations, ring.carrier_classes()
+    by_key = {key: Ordinal(sum(valuations(key))) for key in dict.fromkeys(keys)}
+    values = dict(zip(ring.elements, map(by_key.__getitem__, keys)))
     top = values.pop(ring.zero)  # the sum of the local lengths
     return EuclideanTable(ring, values, top, validated=True, is_bottom=True)
 
@@ -531,14 +526,28 @@ def length_table(ring: FiniteRing) -> EuclideanTable:
 # serialization
 
 
+def value_texts(table: EuclideanTable) -> Tuple[List[str], List[str]]:
+    """The names of the nonzero elements in carrier order, and the text of
+    the value of each.  Names come from :meth:`FiniteRing.element_names`,
+    zero is skipped by its position, and each distinct value object is
+    formatted once: the tables share one value per ideal class."""
+    ring = table.ring
+    elements, names = ring.elements, ring.element_names()
+    z = elements.index(ring.zero)
+    values = list(map(table.values.__getitem__, itertools.chain(elements[:z], elements[z + 1:])))
+    ids = list(map(id, values))
+    text = {i: str(v) for i, v in dict(zip(ids, values)).items()}
+    return names[:z] + names[z + 1:], list(map(text.__getitem__, ids))
+
+
 def table_to_dict(table: EuclideanTable) -> dict:
+    """The table as JSON-ready data: the ring's name, the value text of each
+    nonzero element under its name, in carrier order, the value at zero and
+    the two flags.  :func:`~euctype.parsing.table_from_dict` reads it back."""
     ring = table.ring
     return {
         "ring": ring.name,
-        "values": {
-            ring.format_element(x): str(v)
-            for x, v in sorted(table.values.items(), key=lambda kv: ring.index(kv[0]))
-        },
+        "values": dict(zip(*value_texts(table))),
         "value_at_zero": str(table.value_at_zero),
         "validated": table.validated,
         "bottom": table.is_bottom,

@@ -415,7 +415,10 @@ def table_from_dict(data: dict) -> EuclideanTable:
     """Table read back from :func:`~euctype.euclidean.table_to_dict` output.
 
     Every nonzero element needs exactly one value, under its canonical
-    name (as the ring prints it, up to whitespace).  The value at zero
+    name (as the ring prints it, up to whitespace).  Keys are looked up in
+    the ring's list of element names (:meth:`FiniteRing.element_names`),
+    so a key written as the ring prints it formats and parses no element;
+    any other key is parsed, then checked against its element's name.  The value at zero
     must lie above every value: at least their supremum plus one, which
     is what a written table holds.  A larger one is kept, since a table
     edited to fail the division property may keep its old value at zero.
@@ -433,9 +436,7 @@ def table_from_dict(data: dict) -> EuclideanTable:
         raise DomainError("tables exist for concrete finite rings only")
     values = {}
     parsed: Dict[str, Ordinal] = {}  # tables repeat few values; parse each text once
-    # a key as the ring prints it names its element with no parse; any other
-    # key is parsed, then checked against the name of what it parsed to
-    named = {ring.format_element(x): x for x in ring.elements}
+    named = dict(zip(ring.element_names(), ring.elements))
     for key, text in data["values"].items():
         if key in named:
             x, name = named[key], key

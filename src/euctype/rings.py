@@ -13,8 +13,9 @@ names the principal ideal (x) by a cheap hashable key -- gcd(x, n) in
 Z/n, the monic gcd with the modulus in GF(q)[t]/(f), the tuple of factor
 keys in a product, the base ring's key in a quotient -- keeps the keys of
 its carrier, computed a batch at a time (``ideal_classes``), and builds
-the members of each ideal once per key, without multiplying.  Units,
-divisibility and the ideals of a principal ring read this map.  A finite
+the members of each ideal once per key, without multiplying.
+Divisibility and the ideals of a principal ring read this map; the units
+of a ring known to be principal are read from the valuations below.  A finite
 ring is principal exactly when each local factor eR (e a primitive
 idempotent) is a chain ring R_i, of length k_i (Hungerford 1968), and
 ``valuations(key)`` maps a key to the valuation v_i of the ideal in each
@@ -38,9 +39,11 @@ quotients label their cosets from it, the bottom-table fixed point of
 table rings reads it, and a quotient R/(b) takes its elements (the least
 member of each coset), projection and cosets from the partition of R by
 (b).  Each ring class owns the rest of what is ring-specific: its
-element syntax (``format_element`` and its inverse ``parse_element``)
-and, on the keyed rings, its CRT split into local rings
-(``local_factors``); other rings split into the quotients R/(1 - e).
+element syntax (``format_element`` and its inverse ``parse_element``,
+with the names of the whole carrier kept by ``element_names``, built in
+one batch on products and polynomial quotients) and, on the keyed
+rings, its CRT split into local rings (``local_factors``); other rings
+split into the quotients R/(1 - e).
 """
 
 from __future__ import annotations
@@ -335,6 +338,18 @@ class FiniteRing:
     def format_element(self, x) -> str:
         return str(x)
 
+    def element_names(self) -> List[str]:
+        """The :meth:`format_element` name of each element, in carrier
+        order, built once per ring and kept."""
+        try:
+            return self._names
+        except AttributeError:
+            self._names = self._build_names()
+            return self._names
+
+    def _build_names(self) -> List[str]:
+        return list(map(self.format_element, self.elements))
+
     def parse_element(self, src: str):
         """The element that ``src`` (stripped) names, in the syntax of
         :meth:`format_element`; here a carrier label."""
@@ -345,14 +360,23 @@ class FiniteRing:
     # -- units and divisibility -------------------------------------------
 
     def units(self) -> FrozenSet:
-        """The elements whose principal ideal contains one."""
+        """The elements whose principal ideal contains one.  On a ring known
+        to be principal these are the elements whose key has the zero
+        valuation vector, read from the carrier's keys with no ideal built."""
         try:
             return self._units
         except AttributeError:
+            pass
+        if self._known_principal:
+            keys = self.carrier_classes()
+            unit_keys = {key for key in dict.fromkeys(keys) if not any(self.valuations(key))}
+            self._units = frozenset(itertools.compress(self.elements,
+                                                       map(unit_keys.__contains__, keys)))
+        else:
             one = self.one
             self._units = frozenset(x for x, ideal in self.principal_ideals().items()
                                     if one in ideal)
-            return self._units
+        return self._units
 
     def is_unit(self, x) -> bool:
         return x in self.units()
@@ -733,6 +757,21 @@ class PolyQuotient(FiniteRing):
     def format_element(self, x) -> str:
         return format_poly(x)
 
+    def _build_names(self) -> List[str]:
+        """The names of :func:`format_poly`, built one coefficient at a time
+        from the top: the carrier varies its last coefficient fastest, so
+        the names of the polynomials in t^i..t^(deg-1) repeat once for each
+        coefficient of t^(i-1), which is written after them."""
+        names = [""]  # the zero polynomial, until the end
+        for i in range(self.deg - 1, -1, -1):
+            t = "t" if i == 1 else f"t^{i}"
+            terms = [""] + [str(c) if i == 0 else t if c == 1 else f"{c}*{t}"
+                            for c in range(1, self.field.size)]
+            names = [high + "+" + term if high and term else high or term
+                     for term in terms for high in names]
+        names[0] = "0"
+        return names
+
     def parse_element(self, src: str):
         """A polynomial in t whose integer coefficients are field-element
         encodings, as printed; over a prime field any integer is reduced."""
@@ -750,6 +789,8 @@ class PolyQuotient(FiniteRing):
     def local_factors(self):
         F = self.field
         fac = poly_factor(F, self.modulus)
+        if len(fac) == 1:  # a local ring is its own single factor
+            return [self], {x: (x,) for x in self.elements}
         parts = []
         for g in sorted(fac):
             ge = (1,)
@@ -834,6 +875,12 @@ class ProductRing(FiniteRing):
 
     def format_element(self, x) -> str:
         return "(" + ", ".join([f.format_element(a) for f, a in zip(self.factors, x)]) + ")"
+
+    def _build_names(self) -> List[str]:
+        """The factors' names joined over the product of their name lists,
+        which runs in carrier order."""
+        names = itertools.product(*(f.element_names() for f in self.factors))
+        return list(map("({})".format, map(", ".join, names)))
 
     def parse_element(self, src: str):
         from .parsing import split_top_level

@@ -8,10 +8,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from euctype.cli import main
-from euctype.euclidean import bottom_euclidean, table_to_dict
-from euctype.ordinal import Ordinal
+from euctype.cli import _dumps, _table_lines, main
+from euctype.euclidean import EuclideanTable, bottom_euclidean, quotient_euclidean, table_to_dict
+from euctype.ordinal import Ordinal, format_ordinal, omega_power
+from euctype.parsing import parse_ring_spec
 from euctype.rings import FiniteRing, ProductRing, Zmod, truncated_bivariate_fixture
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -139,6 +141,7 @@ def test_golden_reports(golden):
     code, out, _ = run(expected["argv"])
     assert code == expected["exit_code"]
     assert json.loads(out) == expected["report"]
+    assert out == json.dumps(expected["report"], indent=2) + "\n"  # byte for byte
 
 
 class TestRoundTrips:
@@ -593,3 +596,64 @@ def test_cli_defaults_are_stated_once():
     assert parser.parse_args(["ring-analyze", "Z/4"]).max_size == IDEAL_ENUMERATION_BOUND
     assert parser.parse_args(["model-z"]).window == 1024
     assert parser.parse_args(["model-poly", "2"]).window == 10
+
+
+# ---------------------------------------------------------------------------
+# the write path in bulk
+
+
+STRINGS = st.one_of(st.text(max_size=8),
+                    st.sampled_from(["", "ω", "é", "\n", '"', "\\", "\x00", "\u2028", "w^2 + 1"]))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), STRINGS)
+KEYS = st.one_of(STRINGS, st.integers(), st.floats(), st.booleans(), st.none())
+JSON_VALUES = st.recursive(
+    st.one_of(SCALARS, st.just({}), st.just([]), st.just(())),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(STRINGS, children, max_size=4),
+        st.dictionaries(KEYS, children, max_size=4)),
+    max_leaves=25)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=500, deadline=None)
+def test_dumps_is_json_dumps_with_an_indent(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_on_written_tables():
+    for spec in ("Z/8", "GF(3)[t]/(t^3)", "Z/12 x Z/10", "GF(2)[x,y]/(x,y)^2/(x)"):
+        report = {"table": table_to_dict(bottom_euclidean(parse_ring_spec(spec))), "empty": {},
+                  "nested": [[], {}, [[]], {"a": []}], "order_type": "3"}
+        assert _dumps(report) == json.dumps(report, indent=2), spec
+
+
+def old_table_lines(ring, table):
+    """The per-element text writer: the oracle for ``cli._table_lines``."""
+    lines = [f"ring: {ring.name}"]
+    by_value = {}
+    for x, v in table.values.items():
+        by_value.setdefault(format_ordinal(v), []).append(x)
+    for text in sorted(by_value, key=lambda t: min(ring.index(x) for x in by_value[t])):
+        xs = sorted(by_value[text], key=ring.index)
+        lines.append(f"  value {text}: " + ", ".join(ring.format_element(x) for x in xs))
+    lines.append(f"value at zero: {format_ordinal(table.value_at_zero)}")
+    return lines
+
+
+def test_text_tables_match_the_per_element_writer():
+    """Bottom and quotient tables, and relabellings with one value object
+    per element, some values equal and listed in a reversed order."""
+    for spec in ("Z/8", "Z/360", "GF(2)[t]/(t^5)", "GF(4)[t]/(t^2+t)", "Z/12 x Z/10",
+                 "(Z/2 x Z/3) x Z/4", "GF(2)[x,y]/(x,y)^2/(x) x Z/3", "Z/36/(6)"):
+        ring = parse_ring_spec(spec)
+        bottom = bottom_euclidean(ring)
+        divisor = next(b for b in reversed(ring.elements) if not ring.is_unit(b))
+        tables = [bottom, quotient_euclidean(bottom, divisor)]
+        for relabel in (omega_power, lambda v: Ordinal(v // 2)):
+            values = {x: relabel(bottom.values[x].to_int()) for x in reversed(ring.elements)
+                      if x != ring.zero}
+            tables.append(EuclideanTable(ring, values, max(values.values()).successor(), False))
+        for table in tables:
+            assert _table_lines(table.ring, table) == old_table_lines(table.ring, table), spec

@@ -21,6 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 from euctype.cli import main
 from euctype.errors import DomainError
 from euctype.euclidean import (
+    EuclideanTable,
     _bottom_fixed_point,
     _length_values,
     _ranks,
@@ -952,3 +953,80 @@ def test_emitted_tables_of_the_specimen_quotient_reverify():
         for b in ring.elements:
             if b != ring.zero and not ring.is_unit(b):
                 assert_tables_reverify(ring, b, specimen)
+
+
+# ---------------------------------------------------------------------------
+# the write path: element names, units and tables in bulk
+
+
+def old_table_to_dict(table):
+    """The per-element writer, sorted by carrier index: the oracle for
+    :func:`table_to_dict`."""
+    ring = table.ring
+    return {
+        "ring": ring.name,
+        "values": {
+            ring.format_element(x): str(v)
+            for x, v in sorted(table.values.items(), key=lambda kv: ring.index(kv[0]))
+        },
+        "value_at_zero": str(table.value_at_zero),
+        "validated": table.validated,
+        "bottom": table.is_bottom,
+    }
+
+
+def name_corpus():
+    """The valuation corpus, the specimen rings and their products, the
+    quotient corpus, every small polynomial quotient and a nested product."""
+    return (valuation_corpus() + specimen_rings() + specimen_products()
+            + [base.quotient_ring(b) for base, b in quotient_corpus()]
+            + list(poly_rings()) + [ProductRing([ProductRing([Zmod(2), Zmod(3)]), Zmod(4)])])
+
+
+def shuffled(values, rng):
+    """The same map with its entries in a random order."""
+    return dict(rng.sample(list(values.items()), len(values)))
+
+
+class TestWritePath:
+    def test_element_names_are_the_formatted_elements(self):
+        for ring in name_corpus():
+            names = ring.element_names()
+            assert names == list(map(ring.format_element, ring.elements)), ring.name
+            assert ring.element_names() is names  # kept on the ring
+
+    def test_units_of_principal_rings_build_no_ideal(self, monkeypatch):
+        rings = [ring for ring in valuation_corpus() + specimen_rings() if ring._known_principal]
+        expected = [frozenset(x for x, ideal in ring.principal_ideals().items()
+                              if ring.one in ideal) for ring in rings]
+        fresh = [ring for ring in valuation_corpus()[::10] if ring._known_principal]
+        scans = [scanned_units(ring) for ring in fresh]
+
+        def forbidden(self):
+            raise AssertionError("principal_ideals() called")
+        monkeypatch.setattr(FiniteRing, "principal_ideals", forbidden)
+        for ring, units in zip(rings + fresh, expected + scans):
+            assert ring.units() == units, ring.name
+
+    def test_table_to_dict_matches_the_per_element_writer(self):
+        """Bottom, length, omega-relabelled and perturbed tables, the last
+        three with one value object per element, in shuffled order."""
+        rng = random.Random(17)
+        for ring in valuation_corpus()[::3] + specimen_rings():
+            bottom = bottom_euclidean(ring)
+            variants = _table_variants(bottom.values, rng) + [_length_values(ring)]
+            for values in variants:
+                values = shuffled(values, rng)
+                top = max(values.values()).successor()
+                for table in (EuclideanTable(ring, values, top, validated=False),
+                              EuclideanTable(ring, values, top, validated=True, is_bottom=True)):
+                    written = table_to_dict(table)
+                    assert json.dumps(written) == json.dumps(old_table_to_dict(table)), ring.name
+            assert json.dumps(table_to_dict(bottom)) == json.dumps(old_table_to_dict(bottom))
+
+    def test_table_to_dict_on_rings_that_are_not_principal(self):
+        rng = random.Random(18)
+        for ring in specimen_products():
+            values = {x: Ordinal(rng.randint(0, 3)) for x in ring.elements if x != ring.zero}
+            table = EuclideanTable(ring, shuffled(values, rng), Ordinal(4), validated=False)
+            assert json.dumps(table_to_dict(table)) == json.dumps(old_table_to_dict(table))
