@@ -306,8 +306,8 @@ def _cmd_model_poly(args):
     model = windowed_bottom_polynomials(args.q, report_degree=degree)
     cert = model.certificate
     by_degree = {}
-    for p, v in model.values.items():
-        by_degree.setdefault(len(p) - 1, set()).add(v)
+    for length, v in set(zip(map(len, model.values), model.values.values())):
+        by_degree.setdefault(length - 1, set()).add(v)
     report = {
         "input": {"q": args.q, "report_degree": degree},
         "values_by_degree": {str(d): sorted(vs) for d, vs in sorted(by_degree.items())},

@@ -218,6 +218,18 @@ def _localized_divide(primes: Sequence[int], a_num: int, a_den: int, b_num: int,
     return None
 
 
+class _Filled(dict):
+    """A dict that fills each missing key from ``fill`` when it is read."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
                                  seed: int = 0, height: int = 50) -> SampledCheck:
     """Randomized division check for the exponent-sum function.
@@ -228,6 +240,15 @@ def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
     more than MAX_SAMPLES of them stop with :class:`ResourceError`.  They
     are the draws of ``randint(-height, height)`` and ``randint(1, height)``
     on ``random.Random(seed)``, made by the same rejection of random bits.
+
+    The division of a by b depends only on m, the product of the p^v_p(b),
+    and on abar = a_num / a_den mod m, so each outcome is kept per (m, abar)
+    and :func:`_localized_divide` runs once per pair.  Three tables live
+    for one call: m per numerator of b (at most 2 * height entries), the
+    outcome per (m, abar) (at most min(samples, height^2) entries), and
+    whether each draw of random bits is an admissible denominator (a list
+    of 2^bit_length(height) entries when that is at most 4 * samples, else
+    only the draws made).
     """
     primes = _check_primes(primes)
     if samples < 0:
@@ -240,15 +261,24 @@ def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
     radical = math.prod(primes)
     span = 2 * height + 1
     num_bits, den_bits = span.bit_length(), height.bit_length()
+    def admit(bits: int) -> bool:  # den = bits + 1 is redrawn above height or sharing a prime
+        return bits < height and math.gcd(bits + 1, radical) == 1
+
+    # the verdicts are a list while it is no longer than the draws it serves
+    size = 1 << den_bits
+    admissible = list(map(admit, range(size))) if size <= 4 * samples else _Filled(admit)
+    # m per numerator of b, and whether the division fails per (m, abar)
+    modulus = _Filled(lambda b_num: math.prod(p ** _multiplicity(b_num, p) for p in primes))
+    failed: Dict[Tuple[int, int], bool] = {}
 
     def sample_element() -> Tuple[int, int]:
         num = getrandbits(num_bits)
         while num >= span:
             num = getrandbits(num_bits)
-        while True:  # a draw of height or more is redrawn, as is a den sharing a prime
-            den = getrandbits(den_bits) + 1
-            if den <= height and math.gcd(den, radical) == 1:
-                return num - height, den
+        bits = getrandbits(den_bits)
+        while not admissible[bits]:
+            bits = getrandbits(den_bits)
+        return num - height, bits + 1
 
     failures = []
     for _ in range(samples):
@@ -256,7 +286,12 @@ def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
         b_num, b_den = sample_element()
         while b_num == 0:
             b_num, b_den = sample_element()
-        if _localized_divide(primes, a_num, a_den, b_num) is None:
+        m = modulus[b_num]
+        key = (m, a_num * pow(a_den, -1, m) % m)
+        fails = failed.get(key)
+        if fails is None:
+            fails = failed[key] = _localized_divide(primes, a_num, a_den, b_num) is None
+        if fails:
             failures.append((Fraction(a_num, a_den), Fraction(b_num, b_den)))
     return SampledCheck(not failures, samples, seed, failures)
 

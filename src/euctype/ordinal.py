@@ -4,8 +4,12 @@ An ordinal is stored as a tuple of ``(exponent, coefficient)`` terms with
 the exponents (themselves ordinals) strictly decreasing and every
 coefficient a positive integer; the empty tuple is 0.  The order of
 ordinals is the tuple order of these normal forms: terms compare exponent
-first, then coefficient, and a proper prefix is smaller.  All operations
-are pure and return new values, so ordinals can be shared freely.
+first, then coefficient, and a proper prefix is smaller.  The sums and
+left subtraction compare exponents as these tuples: a finite exponent
+holds the shared zero exponent, which tuple comparison matches by
+identity, so such exponents compare in C with no call of
+:meth:`Ordinal.__lt__`.  All operations are pure and return new values,
+so ordinals can be shared freely.
 
 Product conventions.  ``a * b`` is the standard ordinal product, the order
 type of b copies of a, so ``omega * 2 == omega + omega`` while
@@ -98,15 +102,20 @@ class Ordinal:
         other = _ordinal(other)
         if not other.terms:
             return self
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return other
         lead = other.terms[0][0]
-        # terms of self with exponent below the lead of other are absorbed
-        kept = [t for t in self.terms if lead < t[0]]
-        if len(kept) < len(self.terms) and self.terms[len(kept)][0] == lead:
-            merged = (lead, self.terms[len(kept)][1] + other.terms[0][1])
-            return _normal(tuple(kept) + (merged,) + other.terms[1:])
-        return _normal(tuple(kept) + other.terms)
+        lead_terms = lead.terms
+        # the terms of self with exponent at most the lead of other are
+        # absorbed; they form a tail, found from the last term
+        k = len(terms)
+        while k and terms[k - 1][0].terms <= lead_terms:
+            k -= 1
+        if k < len(terms) and terms[k][0].terms == lead_terms:
+            merged = (lead, terms[k][1] + other.terms[0][1])
+            return _normal(terms[:k] + (merged,) + other.terms[1:])
+        return _normal(terms[:k] + other.terms)
 
     def __mul__(self, other: OrdinalLike) -> "Ordinal":
         """Standard product: the order type of ``other`` copies of ``self``."""
@@ -151,7 +160,9 @@ omega = Ordinal.from_terms(((Ordinal(1), 1),))
 def omega_power(exponent: OrdinalLike, coefficient: int = 1) -> Ordinal:
     if coefficient == 0:
         return Ordinal(0)
-    return Ordinal.from_terms(((_ordinal(exponent), coefficient),))
+    if coefficient < 1:
+        raise DomainError("CNF coefficients must be positive")
+    return _normal(((_ordinal(exponent), coefficient),))
 
 
 def product_left(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
@@ -169,10 +180,11 @@ def natural_sum(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
     terms, i, j = [], 0, 0
     while i < len(a) and j < len(b):
         (ea, ca), (eb, cb) = a[i], b[j]
-        if ea == eb:
+        ta, tb = ea.terms, eb.terms
+        if ta == tb:
             terms.append((ea, ca + cb))
             i, j = i + 1, j + 1
-        elif eb < ea:
+        elif tb < ta:
             terms.append(a[i])
             i += 1
         else:
@@ -184,50 +196,47 @@ def natural_sum(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
 def left_subtract(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
     """The unique g with a + g == b; defined only for a <= b."""
     a, b = _ordinal(a), _ordinal(b)
-    if not a <= b:
+    at, bt = a.terms, b.terms
+    if bt < at:
         raise DomainError(f"left subtraction undefined: {a} > {b}")
     i = 0
-    while i < len(a.terms) and i < len(b.terms) and a.terms[i] == b.terms[i]:
+    while i < len(at) and i < len(bt) and at[i] == bt[i]:
         i += 1
-    if i == len(a.terms):
-        return _normal(b.terms[i:])
-    ea, ca = a.terms[i]
-    eb, cb = b.terms[i]
-    if ea == eb:
+    if i == len(at):
+        return _normal(bt[i:])
+    ea, ca = at[i]
+    eb, cb = bt[i]
+    if ea.terms == eb.terms:
         # a's tail is absorbed into the replaced coefficient
-        return _normal(((eb, cb - ca),) + b.terms[i + 1:])
+        return _normal(((eb, cb - ca),) + bt[i + 1:])
     # ea < eb: the whole remaining tail of a is absorbed by b's next term
-    return _normal(b.terms[i:])
-
-
-def _numeral(n: int) -> str:
-    """The decimal digits of n; an integer longer than ``str`` writes hits a
-    bound, as a numeral too long for ``int`` does on input."""
-    try:
-        return str(n)
-    except ValueError:
-        raise ResourceError("the result holds an integer of more than "
-                            f"{sys.get_int_max_str_digits()} digits, the limit for printing one")
+    return _normal(bt[i:])
 
 
 def format_ordinal(a: Ordinal) -> str:
-    """Canonical ASCII rendering, e.g. ``w^2*3 + w + 5``."""
+    """Canonical ASCII rendering, e.g. ``w^2*3 + w + 5``.  An integer longer
+    than ``str`` writes hits a bound, as a numeral too long for ``int``
+    does on input."""
     if not a.terms:
         return "0"
     parts = []
-    for (e, c) in a.terms:
-        et = e.terms
-        if not et:
-            parts.append(_numeral(c))
-            continue
-        if len(et) == 1 and not et[0][0].terms:  # a finite exponent
-            n = et[0][1]
-            s = "w" if n == 1 else f"w^{_numeral(n)}"
-        elif et == omega.terms:
-            s = "w^w"
-        else:
-            s = f"w^({format_ordinal(e)})"
-        if c > 1:
-            s += f"*{_numeral(c)}"
-        parts.append(s)
+    try:
+        for (e, c) in a.terms:
+            et = e.terms
+            if not et:
+                parts.append(str(c))
+                continue
+            if len(et) == 1 and not et[0][0].terms:  # a finite exponent
+                n = et[0][1]
+                s = "w" if n == 1 else f"w^{n}"
+            elif et == omega.terms:
+                s = "w^w"
+            else:
+                s = f"w^({format_ordinal(e)})"
+            if c > 1:
+                s += f"*{c}"
+            parts.append(s)
+    except ValueError:
+        raise ResourceError("the result holds an integer of more than "
+                            f"{sys.get_int_max_str_digits()} digits, the limit for printing one")
     return " + ".join(parts)

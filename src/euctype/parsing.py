@@ -33,10 +33,11 @@ import re
 import sys
 from typing import Dict, List, Tuple, Union
 
-from .errors import DomainError, ParseError, ResourceError
+from .errors import DomainError, NotEuclideanRing, ParseError, ResourceError
 from .euclidean import EuclideanTable, bottom_euclidean, division_counterexample
 from .models import RingSpec
-from .ordinal import Ordinal, left_subtract, natural_sum, omega_power, product_left
+from .ordinal import (_ZERO, Ordinal, _normal, left_subtract, natural_sum, omega_power,
+                      product_left)
 from .poset import FinitePoset
 from .rings import (
     FiniteRing,
@@ -105,7 +106,45 @@ class _Scanner:
         return _nat(token)
 
 
+# The text format_ordinal writes for a nonzero ordinal below w^w: terms
+# w^n*c, w^n, w*c and w with n, c >= 2, then a constant c >= 1, joined by
+# exactly " + ", in ASCII digits without leading zeros.  Exponents and
+# coefficients written as 1 are read as well.
+_CNF_TEXT = re.compile(r"(?:w(?:\^[1-9][0-9]*)?(?:\*[1-9][0-9]*)?"
+                       r"(?: \+ w(?:\^[1-9][0-9]*)?(?:\*[1-9][0-9]*)?)*"
+                       r"(?: \+ [1-9][0-9]*)?|[1-9][0-9]*)")
+
+
 def parse_ordinal(src: str) -> Ordinal:
+    """The ordinal an expression names (see the grammar above).
+
+    Text in the form :func:`~euctype.ordinal.format_ordinal` writes below
+    w^w is read in one pass: one ``fullmatch``, then each term straight
+    into the normal form, numerals through :func:`_nat`.  Any other text,
+    and such text whose exponents do not strictly decrease, goes to the
+    recursive descent, which reads canonical text to the same value; a
+    numeral past the digit limit is refused with the same message on both
+    paths, since both read the numerals from left to right.
+    """
+    if _CNF_TEXT.fullmatch(src):
+        terms = []
+        last = None
+        for term in src.split(" + "):
+            if term[0] != "w":  # the constant, last by the pattern
+                terms.append((_ZERO, _nat(term)))
+                continue
+            head, _, coeff = term.partition("*")
+            n = _nat(head[2:]) if len(head) > 1 else 1
+            if last is not None and n >= last:
+                return _parse_expression(src)
+            last = n
+            terms.append((_normal(((_ZERO, n),)), _nat(coeff) if coeff else 1))
+        return _normal(tuple(terms))
+    return _parse_expression(src)
+
+
+def _parse_expression(src: str) -> Ordinal:
+    """The recursive descent over every expression of the grammar."""
     if not src or not src.strip():
         raise ParseError("empty ordinal expression")
     sc = _Scanner(src)
@@ -423,8 +462,10 @@ def table_from_dict(data: dict) -> EuclideanTable:
     is what a written table holds.  A larger one is kept, since a table
     edited to fail the division property may keep its old value at zero.
     The ``validated`` and ``bottom`` flags are claims, checked before they
-    are kept: validated needs the division property, bottom also needs the
-    supremum plus one at zero and the bottom table's values, and keeps validated.
+    are kept: bottom needs the bottom table's values and the supremum plus
+    one at zero, and keeps validated; validated needs the division
+    property, which is checked only when the values are not the bottom
+    table's.
     """
     fields = {"ring": str, "values": dict, "value_at_zero": str}
     if not isinstance(data, dict) or not all(
@@ -465,10 +506,18 @@ def table_from_dict(data: dict) -> EuclideanTable:
             f"value_at_zero {data['value_at_zero']!r} is below the supremum of the values plus one"
         )
     validated = bool(data.get("validated", False))
-    is_bottom = bool(data.get("bottom", False))
-    if validated or is_bottom:
-        euclidean = division_counterexample(ring, values) is None
-        is_bottom = (is_bottom and euclidean and value_at_zero == sup_plus_one
-                     and values == bottom_euclidean(ring).values)
-        validated = (validated and euclidean) or is_bottom
-    return EuclideanTable(ring, values, value_at_zero, validated, is_bottom)
+    # the bottom table is Euclidean, so a table equal to it needs no check
+    equals_bottom = bool(data.get("bottom", False)) and _equals_bottom(ring, values)
+    if validated and not equals_bottom:
+        validated = division_counterexample(ring, values) is None
+    is_bottom = equals_bottom and value_at_zero == sup_plus_one
+    return EuclideanTable(ring, values, value_at_zero, validated or is_bottom, is_bottom)
+
+
+def _equals_bottom(ring: FiniteRing, values: dict) -> bool:
+    """Whether ``values`` are those of the bottom table of ``ring``; false
+    on a ring that has no Euclidean function, and so no bottom table."""
+    try:
+        return values == bottom_euclidean(ring).values
+    except NotEuclideanRing:
+        return False

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from euctype.cli import _dumps, _table_lines, main
 from euctype.euclidean import EuclideanTable, bottom_euclidean, quotient_euclidean, table_to_dict
+from euctype.models import windowed_bottom_polynomials
 from euctype.ordinal import Ordinal, format_ordinal, omega_power
 from euctype.parsing import parse_ring_spec
 from euctype.rings import FiniteRing, ProductRing, Zmod, truncated_bivariate_fixture
@@ -657,3 +658,33 @@ def test_text_tables_match_the_per_element_writer():
             tables.append(EuclideanTable(ring, values, max(values.values()).successor(), False))
         for table in tables:
             assert _table_lines(table.ring, table) == old_table_lines(table.ring, table), spec
+
+
+def old_model_poly_outputs(q, degree):
+    """The text and --json output of model-poly as the former loop over every
+    polynomial built them, kept as the oracle for the grouped pairs."""
+    model = windowed_bottom_polynomials(q, report_degree=degree)
+    by_degree = {}
+    for p, v in model.values.items():
+        by_degree.setdefault(len(p) - 1, set()).add(v)
+    cert = model.certificate
+    report = {
+        "schema_version": 1,
+        "command": "model-poly",
+        "input": {"q": q, "report_degree": degree},
+        "values_by_degree": {str(d): sorted(vs) for d, vs in sorted(by_degree.items())},
+        "stabilization_windows": [cert.window_a, cert.window_b],
+        "note": "units map to 0; the value of a nonzero polynomial is its degree",
+    }
+    lines = [f"stabilized on degree windows {cert.window_a} and {cert.window_b}"]
+    lines += [f"  degree {d}: values {sorted(vs)}" for d, vs in sorted(by_degree.items())]
+    return "\n".join(lines) + "\n", json.dumps(report, indent=2) + "\n"
+
+
+def test_model_poly_matches_the_per_polynomial_loop():
+    for q, degrees in ((2, range(0, 13)), (3, range(0, 8)), (4, range(0, 5)), (7, (0, 1, 3))):
+        for degree in degrees:
+            text, report = old_model_poly_outputs(q, degree)
+            argv = ["model-poly", str(q), "--window", str(degree)]
+            assert run(argv) == (0, text, "")
+            assert run(argv + ["--json"]) == (0, report, "")

@@ -109,6 +109,35 @@ def _fraction_failures(primes, samples, seed, height=50, search=64):
             if _fraction_divide(primes, a, b, search) is None]
 
 
+def _per_sample_check(primes, samples, seed=0, height=50):
+    """The former check, one ``_localized_divide`` call per sample and one
+    gcd per denominator draw, kept as the oracle for the per-call tables."""
+    primes = tuple(sorted(set(primes)))
+    getrandbits = random.Random(seed).getrandbits
+    radical = math.prod(primes)
+    span = 2 * height + 1
+    num_bits, den_bits = span.bit_length(), height.bit_length()
+
+    def sample_element():
+        num = getrandbits(num_bits)
+        while num >= span:
+            num = getrandbits(num_bits)
+        while True:
+            den = getrandbits(den_bits) + 1
+            if den <= height and math.gcd(den, radical) == 1:
+                return num - height, den
+
+    failures = []
+    for _ in range(samples):
+        a_num, a_den = sample_element()
+        b_num, b_den = sample_element()
+        while b_num == 0:
+            b_num, b_den = sample_element()
+        if models._localized_divide(primes, a_num, a_den, b_num) is None:
+            failures.append((Fraction(a_num, a_den), Fraction(b_num, b_den)))
+    return failures
+
+
 class TestWindowedIntegers:
     def test_values(self):
         m = windowed_bottom_integers(report_bound=256)
@@ -271,6 +300,41 @@ class TestLocalization:
                     result = check_localization_euclidean(primes, samples=60, seed=seed,
                                                           height=height)
                     assert result.failures == _fraction_failures(primes, 60, seed, height)
+
+    PRIME_SETS = [(2,), (3, 7), (2, 3, 5, 7), (97,), (2, 3, 5, 7, 11, 13)]
+
+    @pytest.mark.parametrize("search", [0, 64])
+    def test_tables_match_the_per_sample_loop(self, monkeypatch, search):
+        # search=0 makes many divisions fail, so the failures lists are long
+        monkeypatch.setattr(models, "_localized_divide",
+                            functools.partial(_localized_divide, search=search))
+        failed = 0
+        for primes in self.PRIME_SETS:
+            for seed in range(50):
+                for height in [*range(1, 61), 5000]:
+                    result = check_localization_euclidean(primes, samples=12, seed=seed,
+                                                          height=height)
+                    assert result.failures == _per_sample_check(primes, 12, seed, height)
+                    assert result.ok == (not result.failures)
+                    failed += len(result.failures)
+            # 4 * samples >= 2^13: the denominators are read from the list
+            result = check_localization_euclidean(primes, samples=2048, seed=7, height=5000)
+            assert result.failures == _per_sample_check(primes, 2048, 7, 5000)
+        assert (failed > 1000) == (search == 0)
+
+    def test_one_division_per_modulus_and_residue(self, monkeypatch):
+        calls = []
+
+        def counted(primes, a_num, a_den, b_num, search=64):
+            m = math.prod(p ** _fraction_exponent(abs(b_num), p) for p in primes)
+            calls.append((m, a_num * pow(a_den, -1, m) % m))
+            return _localized_divide(primes, a_num, a_den, b_num, search)
+
+        monkeypatch.setattr(models, "_localized_divide", counted)
+        result = check_localization_euclidean((2, 3), samples=5000, seed=1, height=30)
+        assert result.ok and result.failures == []
+        assert len(calls) == len(set(calls)) <= 30 * 30
+        assert len(calls) < 1000
 
     def test_failures_match_the_fraction_code_on_a_short_scan(self, monkeypatch):
         # a scan of 2 * search + 1 remainders fails now and then: both sides

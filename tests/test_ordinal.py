@@ -3,7 +3,7 @@ import functools
 import pytest
 from hypothesis import given, strategies as st
 
-from euctype.errors import DomainError
+from euctype.errors import DomainError, ResourceError
 from euctype.ordinal import (
     Ordinal,
     format_ordinal,
@@ -307,3 +307,79 @@ class TestMergedNaturalSum:
         # the merge, the sum and left subtraction build their terms unchecked
         for x in (natural_sum(a, b), a + b, left_subtract(a, a + b), left_subtract(b, b + a)):
             assert Ordinal.from_terms(x.terms) == x
+
+
+def _scan_add(a, b):
+    """The former ordinary sum, which compared the lead of b with every term
+    of a, kept as the oracle for the scan from the last term."""
+    a, b = (Ordinal(x) if isinstance(x, int) else x for x in (a, b))
+    if not b.terms:
+        return a
+    if not a.terms:
+        return b
+    lead = b.terms[0][0]
+    kept = [t for t in a.terms if lead < t[0]]
+    if len(kept) < len(a.terms) and a.terms[len(kept)][0] == lead:
+        merged = (lead, a.terms[len(kept)][1] + b.terms[0][1])
+        return Ordinal.from_terms(tuple(kept) + (merged,) + b.terms[1:])
+    return Ordinal.from_terms(tuple(kept) + b.terms)
+
+
+def _equal_but_not_identical(a):
+    """``a`` with every exponent rebuilt as a fresh object, so that no tuple
+    comparison can match two exponents by identity."""
+    return Ordinal.from_terms((_equal_but_not_identical(e), c) for e, c in a.terms)
+
+
+class TestTermTupleComparisons:
+    @given(deep_ordinals, deep_or_int)
+    def test_sum_matches_the_former_scan(self, a, b):
+        assert (a + b).terms == _scan_add(a, b).terms
+        if not isinstance(b, int):
+            fresh = _equal_but_not_identical(a) + _equal_but_not_identical(b)
+            assert fresh.terms == _scan_add(a, b).terms
+
+    @given(deep_ordinals, deep_ordinals)
+    def test_left_subtraction_with_fresh_exponents(self, a, g):
+        b = _equal_but_not_identical(a + g)
+        assert a + left_subtract(a, b) == b
+        assert left_subtract(a, b) == left_subtract(a, a + g)
+        assert natural_sum(a, g) == natural_sum(_equal_but_not_identical(a), g)
+
+    def test_left_subtraction_refuses_a_larger_left_side(self):
+        for a, b in ((omega + 1, omega), (omega_power(2), omega * 5), (Ordinal(3), 2)):
+            with pytest.raises(DomainError, match="left subtraction undefined"):
+                left_subtract(a, b)
+
+    def test_comparisons_avoided(self, monkeypatch):
+        # the sum appends a smaller term after one tuple comparison, and the
+        # natural sum and left subtraction compare exponents as tuples only
+        calls = []
+        real = Ordinal.__lt__
+        monkeypatch.setattr(Ordinal, "__lt__", lambda x, y: calls.append(1) or real(x, y))
+        a = omega_power(5, 2) + omega_power(3) + omega * 4
+        b = a + 7
+        assert b.terms[-1] == (Ordinal(0), 7)
+        natural_sum(a, omega_power(4, 2) + omega + 3)
+        left_subtract(a, b)
+        assert calls == []
+
+    def test_omega_power(self):
+        assert omega_power(3, 2) == Ordinal.from_terms(((Ordinal(3), 2),))
+        assert omega_power(omega).terms == ((omega, 1),)
+        assert omega_power(2, 0) == Ordinal(0)
+        with pytest.raises(DomainError, match="CNF coefficients must be positive"):
+            omega_power(2, -1)
+
+
+class TestFormattingBounds:
+    def test_numerals_past_the_printing_limit(self):
+        import sys
+        big = 10 ** sys.get_int_max_str_digits()  # one digit more than str writes
+        message = (f"the result holds an integer of more than {sys.get_int_max_str_digits()} "
+                   "digits, the limit for printing one")
+        for a in (Ordinal(big), omega_power(2, big), omega * big + 1, omega_power(big),
+                  omega_power(omega_power(big)), omega_power(3) + big):
+            with pytest.raises(ResourceError) as info:
+                format_ordinal(a)
+            assert str(info.value) == message

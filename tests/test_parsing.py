@@ -1,9 +1,15 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from euctype.errors import DomainError, ParseError, ResourceError
+from euctype import parsing
+
+from euctype.errors import DomainError, NotEuclideanRing, ParseError, ResourceError
 from euctype.euclidean import (
+    EuclideanTable,
     bottom_euclidean,
+    division_counterexample,
     is_euclidean_function,
     make_table,
     order_type,
@@ -13,6 +19,7 @@ from euctype.models import RingSpec
 from euctype.ordinal import Ordinal, format_ordinal, omega, omega_power
 from euctype.parsing import (
     MAX_POLY_DEGREE,
+    _parse_expression,
     parse_element,
     parse_ordinal,
     parse_poset,
@@ -146,6 +153,71 @@ class TestOrdinalParsing:
             tuple((Ordinal(e), c) for e, c in sorted(merged.items(), reverse=True))
         )
         assert parse_ordinal(format_ordinal(a)) == a
+
+
+def _outcome(read, src):
+    """The value ``read`` gives for ``src``, or the type, text and position of
+    the error it raises."""
+    try:
+        return read(src).terms
+    except (ParseError, ResourceError, DomainError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+# CNF ordinals below w^w, with coefficients and exponents past a machine word
+cnf_below_w_w = st.dictionaries(st.one_of(st.integers(0, 6), st.integers(0, 10 ** 30)),
+                                st.one_of(st.integers(1, 9), st.integers(1, 10 ** 40)),
+                                max_size=5).map(
+    lambda terms: Ordinal.from_terms((Ordinal(e), c) for e, c in sorted(terms.items(),
+                                                                       reverse=True)))
+
+
+class TestCanonicalReader:
+    """The one-pass reader of canonical text against the recursive descent,
+    which stays reachable as ``_parse_expression``."""
+
+    @given(cnf_below_w_w)
+    def test_canonical_text_reads_as_the_descent_reads_it(self, a):
+        text = format_ordinal(a)
+        assert parse_ordinal(text).terms == _parse_expression(text).terms == a.terms
+
+    @given(st.lists(st.sampled_from(["w", "w^2", "w^3*4", "w*5", "7", "0", "w^0*3", "w*0",
+                                     "w^1", "w*1", "007", "w^01", "ω", "w^w", "(w)", "1"]),
+                    min_size=1, max_size=4),
+           st.sampled_from([" + ", "+", " +", "  + ", " # ", "\t+ "]),
+           st.sampled_from(["", "\n", " ", "\t"]))
+    def test_any_join_of_terms_reads_as_the_descent_reads_it(self, terms, joint, tail):
+        src = joint.join(terms) + tail
+        assert _outcome(parse_ordinal, src) == _outcome(_parse_expression, src)
+
+    FALLBACKS = ["w + w^2", "w + w", "w^0*3", "w*0 + 1", "3 + w", "0", "007", "w^01",
+                 "w^\u0662", "\u0663", "w*\uff13", "ω", "ω^2 + 1", "w\n", "w^2 + 1\n",
+                 "w\t+ 1", "w +\t1", "w+1", "w^2*3 + w + 5 ", " w", "w^3 + w^3", "w*2 + 0",
+                 "1 + 2", "w^2 + w^3*4 + 1", "", " ", "w +", "+ w", "w^", "w*"]
+
+    @pytest.mark.parametrize("src", FALLBACKS)
+    def test_other_text_falls_back_unchanged(self, src):
+        assert _outcome(parse_ordinal, src) == _outcome(_parse_expression, src)
+
+    def test_numerals_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        long = "1" * (limit + 1)
+        message = f"a numeral of {limit + 1} digits is longer than the limit of {limit} digits"
+        for src in (long, f"w + {long}", f"w^{long}", f"w*{long}", f"w^{long}*2 + 1",
+                    f"w^2*{long} + w^{long}", f"w + w^2*{long}", f"w^3 + w^5*{long}"):
+            assert _outcome(parse_ordinal, src) == (ResourceError, message, None)
+            assert _outcome(_parse_expression, src) == (ResourceError, message, None)
+        assert parse_ordinal("9" * limit).terms == ((Ordinal(0), int("9" * limit)),)
+
+    def test_canonical_text_takes_no_descent(self, monkeypatch):
+        def refuse(src):
+            raise AssertionError(f"descent on {src!r}")
+
+        monkeypatch.setattr(parsing, "_parse_expression", refuse)
+        for text in ("1", "w", "w*2", "w^2", "w^12*3 + w^4 + w*9 + 17", "w^3*5 + 1"):
+            parse_ordinal(text)
+        with pytest.raises(AssertionError):
+            parse_ordinal("w + w^2")
 
 
 class TestRingSpecParsing:
@@ -437,6 +509,83 @@ class TestTableRoundTrip:
         assert back.validated and back.is_bottom
         d["values"]["2"] = "0"  # no longer Euclidean, so neither claim holds
         back = table_from_dict(d)
+        assert not back.validated and not back.is_bottom
+
+    @staticmethod
+    def _former_flags(data):
+        """The flags as the former reader set them: the division check on
+        every claim, then the comparison with the bottom table."""
+        plain = table_from_dict({**data, "validated": False, "bottom": False})
+        ring, values = plain.ring, plain.values
+        validated, is_bottom = bool(data.get("validated")), bool(data.get("bottom"))
+        if validated or is_bottom:
+            euclidean = division_counterexample(ring, values) is None
+            sup_plus_one = max(values.values()).successor()
+            is_bottom = (is_bottom and euclidean and plain.value_at_zero == sup_plus_one
+                         and values == bottom_euclidean(ring).values)
+            validated = (validated and euclidean) or is_bottom
+        return validated, is_bottom
+
+    @staticmethod
+    def _claimed_tables():
+        """Written tables, each under every combination of the two claims:
+        bottom, relabelled, perturbed and specimen-product tables, with the
+        supremum plus one and a larger value at zero."""
+        rings = [Zmod(12), Zmod(8), ProductRing([Zmod(4), Zmod(9)]),
+                 PolyQuotient(GaloisField(2), (0, 0, 0, 1)),
+                 QuotientRing(Zmod(36), 6), truncated_bivariate_fixture(),
+                 parse_ring_spec("GF(2)[x,y]/(x,y)^2 x Z/3")]
+        for ring in rings:
+            nonzero = [x for x in ring.elements if x != ring.zero]
+            units = ring.units()
+            lengths = {x: Ordinal(ring.element_length(x) if ring.is_principal()
+                                  else int(x not in units)) for x in nonzero}
+            tables = [lengths, {x: omega_power(v.to_int()) for x, v in lengths.items()}]
+            for i in range(0, len(nonzero), max(1, len(nonzero) // 4)):
+                tables.append({**lengths, nonzero[i]: lengths[nonzero[i]] + 1})
+                tables.append({**lengths, nonzero[i]: Ordinal(0)})
+            for values in tables:
+                sup_plus_one = max(values.values()).successor()
+                for top in (sup_plus_one, sup_plus_one + 1):
+                    for validated in (False, True):
+                        for bottom in (False, True):
+                            data = table_to_dict(EuclideanTable(ring, values, top, False))
+                            yield {**data, "validated": validated, "bottom": bottom}
+
+    def test_claims_keep_the_former_flags(self):
+        seen = set()
+        for data in self._claimed_tables():
+            back = table_from_dict(data)
+            flags = (back.validated, back.is_bottom)
+            assert flags == self._former_flags(data), data["ring"]
+            seen.add(flags)
+        assert seen == {(False, False), (True, False), (True, True)}
+
+    def test_a_written_bottom_table_takes_no_division_check(self, monkeypatch):
+        calls = []
+        real = parsing.division_counterexample
+        monkeypatch.setattr(parsing, "division_counterexample",
+                            lambda ring, values: calls.append(ring.name) or real(ring, values))
+        for spec in ("Z/12", "Z/4 x Z/9", "GF(2)[t]/(t^3)", "Z/36/(6)"):
+            back = table_from_dict(table_to_dict(bottom_euclidean(parse_ring_spec(spec))))
+            assert back.validated and back.is_bottom
+        assert calls == []
+        d = self._z4()
+        d["values"]["2"] = "0"  # not the bottom table: the validated claim is checked
+        assert not table_from_dict(d).validated
+        d["bottom"] = False
+        assert not table_from_dict(d).validated
+        assert calls == ["Z/4", "Z/4"]
+
+    def test_a_bottom_claim_on_a_ring_without_a_bottom_table(self):
+        ring = parse_ring_spec("GF(2)[x,y]/(x,y)^2 x Z/3")
+        with pytest.raises(NotEuclideanRing):
+            bottom_euclidean(ring)
+        units = ring.units()
+        values = {x: Ordinal(int(x not in units)) for x in ring.elements if x != ring.zero}
+        data = table_to_dict(EuclideanTable(ring, values, max(values.values()).successor(),
+                                            False))
+        back = table_from_dict({**data, "validated": True, "bottom": True})
         assert not back.validated and not back.is_bottom
 
     def test_symbolic_spec_rejected(self):
