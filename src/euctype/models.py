@@ -246,9 +246,8 @@ def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
     and :func:`_localized_divide` runs once per pair.  Three tables live
     for one call: m per numerator of b (at most 2 * height entries), the
     outcome per (m, abar) (at most min(samples, height^2) entries), and
-    whether each draw of random bits is an admissible denominator (a list
-    of 2^bit_length(height) entries when that is at most 4 * samples, else
-    only the draws made).
+    whether each draw of random bits is an admissible denominator (only
+    the draws made, at most 2^bit_length(height) entries).
     """
     primes = _check_primes(primes)
     if samples < 0:
@@ -261,12 +260,8 @@ def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
     radical = math.prod(primes)
     span = 2 * height + 1
     num_bits, den_bits = span.bit_length(), height.bit_length()
-    def admit(bits: int) -> bool:  # den = bits + 1 is redrawn above height or sharing a prime
-        return bits < height and math.gcd(bits + 1, radical) == 1
-
-    # the verdicts are a list while it is no longer than the draws it serves
-    size = 1 << den_bits
-    admissible = list(map(admit, range(size))) if size <= 4 * samples else _Filled(admit)
+    # den = bits + 1 is redrawn above height or sharing a prime
+    admissible = _Filled(lambda bits: bits < height and math.gcd(bits + 1, radical) == 1)
     # m per numerator of b, and whether the division fails per (m, abar)
     modulus = _Filled(lambda b_num: math.prod(p ** _multiplicity(b_num, p) for p in primes))
     failed: Dict[Tuple[int, int], bool] = {}

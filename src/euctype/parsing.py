@@ -33,7 +33,7 @@ import re
 import sys
 from typing import Dict, List, Tuple, Union
 
-from .errors import DomainError, NotEuclideanRing, ParseError, ResourceError
+from .errors import DomainError, ParseError, ResourceError
 from .euclidean import EuclideanTable, bottom_euclidean, division_counterexample
 from .models import RingSpec
 from .ordinal import (_ZERO, Ordinal, _normal, left_subtract, natural_sum, omega_power,
@@ -516,8 +516,5 @@ def table_from_dict(data: dict) -> EuclideanTable:
 
 def _equals_bottom(ring: FiniteRing, values: dict) -> bool:
     """Whether ``values`` are those of the bottom table of ``ring``; false
-    on a ring that has no Euclidean function, and so no bottom table."""
-    try:
-        return values == bottom_euclidean(ring).values
-    except NotEuclideanRing:
-        return False
+    on a ring that is not principal, which has no Euclidean function."""
+    return ring.is_principal() and values == bottom_euclidean(ring).values

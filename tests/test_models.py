@@ -317,9 +317,6 @@ class TestLocalization:
                     assert result.failures == _per_sample_check(primes, 12, seed, height)
                     assert result.ok == (not result.failures)
                     failed += len(result.failures)
-            # 4 * samples >= 2^13: the denominators are read from the list
-            result = check_localization_euclidean(primes, samples=2048, seed=7, height=5000)
-            assert result.failures == _per_sample_check(primes, 2048, 7, 5000)
         assert (failed > 1000) == (search == 0)
 
     def test_one_division_per_modulus_and_residue(self, monkeypatch):
