@@ -42,7 +42,7 @@ from .models import (
     product_bounds,
     realize_ordinal,
     windowed_bottom_integers,
-    windowed_bottom_polynomials,
+    windowed_polynomial_levels,
 )
 from .ordinal import format_ordinal
 from .parsing import _nat, parse_element, parse_ordinal, parse_ring_spec, table_from_dict
@@ -286,7 +286,7 @@ def _cmd_model_z(args):
     cert = model.certificate
     report = {
         "input": {"report_bound": bound},
-        "values": {str(n): v for n, v in sorted(model.values.items())},
+        "values": dict(zip(map(str, model.values), model.values.values())),
         "stabilization_windows": [cert.window_a, cert.window_b],
         "note": "units map to 0; the count of binary digits of |n| is the value plus one",
     }
@@ -294,29 +294,24 @@ def _cmd_model_z(args):
         f"stabilized on windows {cert.window_a} and {cert.window_b}",
         f"values reported for 1 <= n <= {bound} (symmetric in sign)",
     ]
-    for n in (1, 2, 3, 4, min(bound, 1000), bound):
-        if n <= bound:
-            lines.append(f"  value({n}) = {model.values[n]}")
+    for n in sorted(n for n in {1, 2, 3, 4, min(bound, 1000), bound} if n <= bound):
+        lines.append(f"  value({n}) = {model.values[n]}")
     _emit(args, report, lines)
     return 0
 
 
 def _cmd_model_poly(args):
     degree = args.window
-    model = windowed_bottom_polynomials(args.q, report_degree=degree)
+    model = windowed_polynomial_levels(args.q, report_degree=degree)
     cert = model.certificate
-    by_degree = {}
-    for length, v in set(zip(map(len, model.values), model.values.values())):
-        by_degree.setdefault(length - 1, set()).add(v)
     report = {
         "input": {"q": args.q, "report_degree": degree},
-        "values_by_degree": {str(d): sorted(vs) for d, vs in sorted(by_degree.items())},
+        "values_by_degree": {str(d): [v] for d, v in model.values.items()},
         "stabilization_windows": [cert.window_a, cert.window_b],
         "note": "units map to 0; the value of a nonzero polynomial is its degree",
     }
     lines = [f"stabilized on degree windows {cert.window_a} and {cert.window_b}"]
-    for d, vs in sorted(by_degree.items()):
-        lines.append(f"  degree {d}: values {sorted(vs)}")
+    lines += [f"  degree {d}: values {[v]}" for d, v in model.values.items()]
     _emit(args, report, lines)
     return 0
 

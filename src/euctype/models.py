@@ -41,36 +41,41 @@ class StabilizationCertificate:
 
 @dataclass
 class WindowedBottom:
-    values: Dict[object, int]          # reporting-range element -> value (units at 0)
+    values: Dict[object, int]  # reporting-range element or degree -> value (units at 0)
     certificate: StabilizationCertificate
 
 
 def _integer_window_table(window: int) -> Dict[int, int]:
-    """Least-value assignment on 1..window.
+    """Least-value assignment on 1..window, one level at a time.
 
     The coset test for b consults only elements of magnitude strictly
-    below b: within that range the coset of r modulo b is {r, r-b}, and
-    the value of b is one more than the best value available in its worst
-    coset (0 counting as instantly available).  Values are symmetric in
-    the sign, so only positive representatives are stored.  Level v is a
-    pair of bitsets, ``up`` with bit r set when phi(r) >= v and ``down``
-    the same set mirrored about the window: phi(b) > v exactly when
-    ``up & (down >> (window - b))`` is nonzero.  phi(b) <= b - 1, so
-    window + 1 levels suffice, the top ones empty.
+    below b: within that range the coset of r modulo b is {r, r-b}, so
+    phi(b) >= k + 1 exactly when some r and b - r both have value >= k.
+    Values are symmetric in the sign, so only positive representatives
+    are stored.  The levels are therefore A_0 = [1, window] and
+    A_(k+1) = (A_k + A_k) & [1, window], and phi(b) is the number of
+    levels that hold b, minus 1.
+
+    A level is an integer with one slot of s bits per element, 1 in slot
+    b when b is in the level.  Its square holds in slot b the number of
+    pairs (r, b - r) in the level, at most window < 2^(s-1) because
+    s >= bit_length(window) + 1, so no slot carries; adding 2^(s-1) - 1
+    to every slot then moves each nonzero count to its slot's top bit.
+    s is a whole number of bytes, so phi(b) is the byte of slot b in the
+    sum of A_1, A_2, ...  Every element of A_k is at least 2^k, so the
+    table costs about log2(window) + 1 squares of window * s bits.
     """
-    phi: Dict[int, int] = {}
-    up = [0] * (window + 1)
-    down = [0] * (window + 1)
-    for b in range(1, window + 1):
-        shift = window - b
-        v = 0
-        while up[v] & (down[v] >> shift):
-            v += 1
-        phi[b] = v
-        for level in range(v + 1):
-            up[level] |= 1 << b
-            down[level] |= 1 << shift
-    return phi
+    width = (window.bit_length() + 8) // 8  # bytes per slot
+    s = 8 * width
+    ones = int.from_bytes(bytes(width) + (b"\x01" + bytes(width - 1)) * window, "little")
+    tops = ones << (s - 1)
+    fill = tops - ones  # 2^(s-1) - 1 in every slot of [1, window]
+    level, counts = ones, 0
+    while level:
+        level = ((level * level + fill) & tops) >> (s - 1)
+        counts += level
+    data = counts.to_bytes(width * (window + 1), "little")[width::width]
+    return dict(zip(range(1, window + 1), data))
 
 
 def windowed_bottom_integers(report_bound: int = 1024, start_window: int = 64,
@@ -81,8 +86,10 @@ def windowed_bottom_integers(report_bound: int = 1024, start_window: int = 64,
     plus one.  The value of b reads only values below b, so every window
     of the schedule start_window * growth_factor^k at or above the bound
     gives this report; the certificate names the first such window and
-    the next.  The pass costs O(report_bound^2 * log report_bound / 64)
-    word steps on bitsets; the default max_window caps the bound at 8192.
+    the next.  The pass is about log2(report_bound) + 1 squares of
+    integers of report_bound * s bits, with s = 8 or 16 up to 32767 (see
+    :func:`_integer_window_table`); the default max_window caps the bound
+    at 8192.
     """
     if report_bound < 1:
         raise DomainError("reporting bound must be positive")
@@ -107,34 +114,22 @@ def windowed_bottom_integers(report_bound: int = 1024, start_window: int = 64,
 MAX_POLY_CARRIER = 1 << 18
 
 
-def _poly_window_table(q: int, max_degree: int) -> Dict[Tuple[int, ...], int]:
-    """Least-value assignment on nonzero polynomials of degree <= max_degree.
+def windowed_polynomial_levels(q: int, report_degree: int = 10, start_window: int = 8,
+                               growth_step: int = 4, max_window: int = 64) -> WindowedBottom:
+    """Least Euclidean value of the nonzero polynomials over GF(q) of each
+    degree up to report_degree; ``values`` maps each degree to its value.
 
     A nonzero multiple of b has degree at least deg b, so the only coset
-    member of r below b's degree is r itself: the value of b is one more
-    than the largest value at lower degree (and 0 for units).
-    """
-    phi: Dict[Tuple[int, ...], int] = {}
-    value = 0  # one more than the largest value at lower degree
-    for d in range(max_degree + 1):
-        for lower in itertools.product(range(q), repeat=d):
-            for lead in range(1, q):
-                phi[lower + (lead,)] = value
-        value += 1
-    return phi
-
-
-def windowed_bottom_polynomials(q: int, report_degree: int = 10, start_window: int = 8,
-                                growth_step: int = 4, max_window: int = 64) -> WindowedBottom:
-    """Least Euclidean values on polynomials over GF(q) of degree at most
-    report_degree, in one pass.
-
-    The value of b reads only values at lower degree, so every degree
-    window of the schedule start_window + k * growth_step at or above the
-    report degree gives this report; the certificate names the first such
-    window and the next.  The pass lists q^(report_degree+1) polynomials
-    and stops with :class:`ResourceError` before any work above
-    MAX_POLY_CARRIER = 2^18 of them.
+    member of r below b's degree is r itself: every polynomial of degree
+    d gets one more than the largest value at lower degree (units get 0).
+    So one value per degree is the whole level construction, and no
+    polynomial is listed.  The value of b reads only values at lower
+    degree, so every degree window of the schedule start_window + k *
+    growth_step at or above the report degree gives this report; the
+    certificate names the first such window and the next.  A request
+    whose polynomials, q^(report_degree+1) of them, number more than
+    MAX_POLY_CARRIER = 2^18 stops with :class:`ResourceError`, the bound
+    of :func:`windowed_bottom_polynomials`, which lists them.
     """
     if report_degree < 0:
         raise DomainError("reporting degree must be nonnegative")
@@ -153,8 +148,36 @@ def windowed_bottom_polynomials(q: int, report_degree: int = 10, start_window: i
     if window + growth_step > max_window:
         raise ResourceError(f"reporting degree {report_degree} needs degree windows up to "
                             f"{window + growth_step}, above {max_window}")
-    cert = StabilizationCertificate(window, window + growth_step)
-    return WindowedBottom(_poly_window_table(q, report_degree), cert)
+    values: List[int] = []
+    for _ in range(report_degree + 1):
+        values.append(max(values, default=-1) + 1)
+    return WindowedBottom(dict(enumerate(values)), StabilizationCertificate(
+        window, window + growth_step))
+
+
+def _poly_window_table(q: int, by_degree: Dict[int, int]) -> Dict[Tuple[int, ...], int]:
+    """Every nonzero polynomial over GF(q) of a degree in by_degree, as its
+    coefficient tuple from the constant up, mapped to that degree's value."""
+    phi: Dict[Tuple[int, ...], int] = {}
+    for d, value in by_degree.items():
+        for lower in itertools.product(range(q), repeat=d):
+            for lead in range(1, q):
+                phi[lower + (lead,)] = value
+    return phi
+
+
+def windowed_bottom_polynomials(q: int, report_degree: int = 10, start_window: int = 8,
+                                growth_step: int = 4, max_window: int = 64) -> WindowedBottom:
+    """Least Euclidean values on polynomials over GF(q) of degree at most
+    report_degree, one entry per polynomial.
+
+    The values and the certificate are those of
+    :func:`windowed_polynomial_levels`, which refuses the same requests;
+    this expands its one value per degree to the q^(report_degree+1) - 1
+    nonzero polynomials, at most MAX_POLY_CARRIER = 2^18 of them.
+    """
+    model = windowed_polynomial_levels(q, report_degree, start_window, growth_step, max_window)
+    return WindowedBottom(_poly_window_table(q, model.values), model.certificate)
 
 
 # ---------------------------------------------------------------------------

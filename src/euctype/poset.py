@@ -4,7 +4,9 @@ A poset is given by an element set plus any generating set of strict pairs,
 and is read from those pairs alone; no transitive closure is stored.  The
 least isotone map assigns each element the length of the longest strict
 chain strictly below it, which on a finite poset coincides with the staged
-least-value construction.
+least-value construction.  It is built as that construction is, one level
+at a time: one walk over the generating pairs by rounds (Kahn's algorithm)
+puts each element in the round after its last predecessor.
 """
 
 from __future__ import annotations
@@ -27,30 +29,40 @@ class FinitePoset:
             if lo not in self._elemset or hi not in self._elemset:
                 raise DomainError(f"pair ({lo!r}, {hi!r}) mentions unknown labels")
         self._walked = None  # Kahn order over the generating pairs, predecessors
+        self._rounds: IsotoneMap = {}  # each element's round of that walk
 
     def _walk(self):
         """Kahn order over the generating pairs, and each element's
-        generating predecessors; rejects cycles."""
+        generating predecessors; rejects cycles.  The walk goes by rounds,
+        each element in the round after its last generating predecessor,
+        and keeps each element's round in ``_rounds``."""
         if self._walked is not None:
             return self._walked
         preds: Dict[Hashable, set] = {x: set() for x in self.elements}
-        succs: Dict[Hashable, set] = {x: set() for x in self.elements}
         for lo, hi in self.pairs:
             preds[hi].add(lo)
-            succs[lo].add(hi)
-        indeg = {x: len(preds[x]) for x in self.elements}
-        queue = [x for x in self.elements if indeg[x] == 0]
-        order = []
-        while queue:
-            x = queue.pop()
-            order.append(x)
-            for y in succs[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    queue.append(y)
+        succs: Dict[Hashable, list] = {x: [] for x in self.elements}
+        for hi, lows in preds.items():
+            for lo in lows:
+                succs[lo].append(hi)
+        indeg = {x: len(lows) for x, lows in preds.items()}
+        level = [x for x in self.elements if not indeg[x]]
+        order: list = []
+        rounds: IsotoneMap = {}
+        k = 0
+        while level:
+            rounds.update(dict.fromkeys(level, k))
+            order += level
+            later = []
+            for x in level:
+                for y in succs[x]:
+                    indeg[y] -= 1
+                    if not indeg[y]:
+                        later.append(y)
+            level, k = later, k + 1
         if len(order) != len(self.elements):
             raise DomainError("relation has a cycle; not a strict order")
-        self._walked = order, preds
+        self._walked, self._rounds = (order, preds), rounds
         return self._walked
 
     def less(self, a: Hashable, b: Hashable) -> bool:
@@ -101,15 +113,15 @@ def product_poset(p: FinitePoset, q: FinitePoset) -> FinitePoset:
 
 
 def length_function(p: FinitePoset) -> IsotoneMap:
-    """The pointwise-least isotone map: longest-chain depth below each element."""
+    """The pointwise-least isotone map: longest-chain depth below each element.
+
+    That depth is the element's round in the walk by rounds, since a
+    longest path over the generating pairs is a longest chain of the
+    closure."""
     if not p.elements:
         raise DomainError("length function of the empty poset is undefined")
-    order, preds = p._walk()
-    lam: IsotoneMap = {}
-    # longest path over generating pairs equals longest chain in the closure
-    for x in order:
-        lam[x] = max((lam[y] + 1 for y in preds[x]), default=0)
-    return lam
+    p._walk()
+    return dict(p._rounds)
 
 
 def length(p: FinitePoset) -> int:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from euctype.cli import _dumps, _table_lines, main
 from euctype.euclidean import EuclideanTable, bottom_euclidean, quotient_euclidean, table_to_dict
+from euctype import models
 from euctype.models import windowed_bottom_polynomials
 from euctype.ordinal import Ordinal, format_ordinal, omega_power
 from euctype.parsing import parse_ring_spec
@@ -90,6 +91,14 @@ class TestTextOutput:
         code, out, _ = run(["model-z", "--window", "32"])
         assert code == 0
         assert "value(4) = 2" in out
+
+    def test_model_z_prints_each_sample_once(self):
+        for bound in (1, 2, 3, 4, 5, 100, 999, 1000, 1001, 1024):
+            code, out, _ = run(["model-z", "--window", str(bound)])
+            samples = sorted({n for n in (1, 2, 3, 4, 1000, bound) if n <= bound})
+            assert code == 0
+            assert out.splitlines()[2:] == [f"  value({n}) = {n.bit_length() - 1}"
+                                            for n in samples], bound
 
     def test_seed_echoed(self):
         _, out, _ = run(["model-localize", "2", "--samples", "20", "--seed", "9"])
@@ -662,7 +671,7 @@ def test_text_tables_match_the_per_element_writer():
 
 def old_model_poly_outputs(q, degree):
     """The text and --json output of model-poly as the former loop over every
-    polynomial built them, kept as the oracle for the grouped pairs."""
+    polynomial built them, kept as the oracle for the per-degree report."""
     model = windowed_bottom_polynomials(q, report_degree=degree)
     by_degree = {}
     for p, v in model.values.items():
@@ -681,10 +690,22 @@ def old_model_poly_outputs(q, degree):
     return "\n".join(lines) + "\n", json.dumps(report, indent=2) + "\n"
 
 
-def test_model_poly_matches_the_per_polynomial_loop():
-    for q, degrees in ((2, range(0, 13)), (3, range(0, 8)), (4, range(0, 5)), (7, (0, 1, 3))):
-        for degree in degrees:
+def test_model_poly_matches_the_per_polynomial_loop(monkeypatch):
+    # every prime power q <= 9, at every degree up to the 2^18 polynomials
+    # of model-poly 2 --window 17 and model-poly 4 --window 8; the CLI
+    # reads one value per degree and lists no polynomial
+    def no_listing(*args):
+        raise AssertionError("model-poly listed the polynomials")
+
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        degree = 0
+        while q ** (degree + 1) <= models.MAX_POLY_CARRIER:
             text, report = old_model_poly_outputs(q, degree)
             argv = ["model-poly", str(q), "--window", str(degree)]
-            assert run(argv) == (0, text, "")
-            assert run(argv + ["--json"]) == (0, report, "")
+            with monkeypatch.context() as patch:
+                patch.setattr(models, "_poly_window_table", no_listing)
+                assert run(argv) == (0, text, "")
+                assert run(argv + ["--json"]) == (0, report, "")
+            degree += 1
+        assert run(["model-poly", str(q), "--window", str(degree)]) == (
+            4, "", f"error: GF({q})[t] up to degree {degree} has more than 262144 polynomials\n")

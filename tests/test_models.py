@@ -190,10 +190,16 @@ class TestWindowedIntegers:
 
     def test_bitset_levels_match_the_double_loop(self):
         # the value of b reads only values below b, so the double loop on
-        # 1..1024 holds the oracle for every smaller bound
+        # 1..1024 holds the oracle for every smaller bound.  The slots of
+        # the level sets widen from one byte to two at 128 and to three at
+        # 32768, where the oracle is the bit length, as in the next test
         oracle = _double_loop_window_table(1024)
         for bound in list(range(1, 601)) + [1024]:
             assert _integer_window_table(bound) == {n: oracle[n] for n in range(1, bound + 1)}
+        for bound in (32767, 32768):
+            model = windowed_bottom_integers(report_bound=bound, max_window=1 << 16)
+            assert model.values == {n: n.bit_length() - 1 for n in range(1, bound + 1)}
+            assert model.certificate.window_b == 1 << 16
 
     def test_value_plus_one_is_the_bit_length(self):
         # the claim in the model-z note, up to the largest bound it accepts

@@ -98,10 +98,10 @@ class TestProductPoset:
         assert brookfield_sum_finite(2, 3) == 5
         assert brookfield_sum_finite(7, 11) == 18
 
-    @given(st.integers(0, 12), st.integers(0, 12))
-    @settings(max_examples=30, deadline=None)
-    def test_matches_addition(self, m, n):
-        assert brookfield_sum_finite(m, n) == m + n
+    def test_matches_addition(self):
+        for m in range(31):
+            for n in range(31):
+                assert brookfield_sum_finite(m, n) == m + n, (m, n)
 
 
 def _all_posets(labels):
@@ -214,6 +214,29 @@ def closure_below(p):
     return below
 
 
+def max_over_predecessors(p):
+    """The former length function: a max over each element's generating
+    predecessors, in the order of the Kahn walk."""
+    order, preds = p._walk()
+    lam = {}
+    for x in order:
+        lam[x] = max((lam[y] + 1 for y in preds[x]), default=0)
+    return lam
+
+
+def random_dag(rng, n):
+    """Pairs from a random order of n labels, some of them repeated, and
+    some labels in no pair at all."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.15]
+    pairs += rng.sample(pairs, len(pairs) // 4)
+    rng.shuffle(pairs)
+    elements = list(range(n)) + [f"isolated {i}" for i in range(rng.randint(0, 3))]
+    return FinitePoset(elements, pairs)
+
+
 def closure_monotone(f, p, strict, below):
     """The former isotonicity check: every pair of the closure."""
     for x in p.elements:
@@ -287,6 +310,17 @@ class TestAgainstTheClosure:
                 assert is_weakly_isotone(f, g) == closure_monotone(f, g, False, below)
                 seen[strict] += 1
         assert min(seen.values()) > 20
+
+    def test_length_function(self):
+        rng = random.Random(19)
+        posets = [random_dag(rng, n) for n in range(1, 40) for _ in range(5)]
+        posets += [product_poset(chain(a), chain(b)) for a, b in GRIDS]
+        posets += [product_poset(product_poset(chain(3), antichain("xy")), chain(4)),
+                   product_poset(random_dag(rng, 8), random_dag(rng, 6))]
+        posets += list(small_posets())
+        for p in posets:
+            assert length_function(p) == max_over_predecessors(p), p.pairs
+        assert any(len(set(p.pairs)) < len(p.pairs) for p in posets)
 
     def test_cyclic_relation_raises(self):
         p = FinitePoset([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
