@@ -19,7 +19,8 @@ import functools
 import json
 import re
 import sys
-from typing import List, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, EngineError, NotEuclideanRing
 from .euclidean import (
@@ -52,33 +53,61 @@ SCHEMA_VERSION = 1
 
 
 _CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(separator: str):
+    """The C encoder's ``encode``, with ``separator`` between items."""
+    return json.JSONEncoder(separators=(separator, ": "), check_circular=False).encode
+
+
+def _flat(members) -> bool:
+    """True when no member is a nonempty container.  The set of member
+    types settles, in C, a level of plain scalars however long it is."""
+    return (set(map(type, members)) <= _SCALARS
+            or not any(isinstance(v, _CONTAINERS) and v for v in members))
 
 
 def _dumps(obj, level: int = 0) -> str:
     """Exactly ``json.dumps(obj, indent=2)``, with ``obj`` at nesting depth
     ``level``.  With an indent, json encodes in Python; here a dict or list
     whose members are all scalars or empty goes to the C encoder in one
-    call, with its line break and indent as the item separator, and only
-    the levels above it are joined in Python.  A dict with a key that is
-    not a string is left to json whole."""
+    call, with its line break and indent as the item separator.  A level
+    above such flat levels sends its scalars and its flat members to the
+    C encoder in one list, with the flat members' separator: an encoded
+    scalar holds no line break, so a flat member of n items spans n pieces
+    of the text.  Keys go to json's C string encoder.  A dict with a key
+    that is not a string is left to json whole."""
     if not isinstance(obj, _CONTAINERS) or not obj:
         return json.dumps(obj)
     inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
     is_dict = isinstance(obj, dict)
     members = obj.values() if is_dict else obj
-    # one test per distinct type finds a level with no container at all
-    if (not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, members)))
-            or not any(isinstance(v, _CONTAINERS) and v for v in members)):
-        text = json.dumps(obj, separators=("," + inner, ": "))
+    if _flat(members):
+        text = _encoder("," + inner)(obj)
         return text[0] + inner + text[1:-1] + outer + text[-1]
-    if not is_dict:
-        parts = [_dumps(v, level + 1) for v in obj]
-    elif all(isinstance(k, str) for k in obj):
-        parts = [json.dumps(k) + ": " + _dumps(v, level + 1) for k, v in obj.items()]
-    else:
+    if is_dict and not all(isinstance(k, str) for k in obj):
         return json.dumps(obj, indent=2).replace("\n", outer)
-    brackets = "{}" if is_dict else "[]"
-    return brackets[0] + inner + ("," + inner).join(parts) + outer + brackets[1]
+    deep = [isinstance(v, _CONTAINERS) and v and not _flat(v.values() if isinstance(v, dict) else v)
+            for v in members]
+    child, separator = inner + "  ", "," + inner + "  "
+    pieces = _encoder(separator)([v for v, d in zip(members, deep) if not d])[1:-1].split(separator)
+    parts, k = [], 0
+    for v, d in zip(members, deep):
+        if d:
+            parts.append(_dumps(v, level + 1))
+        elif isinstance(v, _CONTAINERS) and v:
+            text = separator.join(pieces[k:k + len(v)])
+            parts.append(text[0] + child + text[1:-1] + inner + text[-1])
+            k += len(v)
+        else:
+            parts.append(pieces[k])
+            k += 1
+    if is_dict:
+        parts = [key + ": " + part for key, part in zip(map(encode_basestring_ascii, obj), parts)]
+        return "{" + inner + ("," + inner).join(parts) + outer + "}"
+    return "[" + inner + ("," + inner).join(parts) + outer + "]"
 
 
 def _emit(args, report: dict, lines: List[str]) -> None:
@@ -368,8 +397,9 @@ def _cmd_l_euclidean(args):
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused after it."""
+def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The argument parser and the parser of each verb by name, built on
+    the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="euctype",
         description="Euclidean-function tables, ordinal arithmetic, and "
@@ -434,7 +464,27 @@ def _build_parser() -> argparse.ArgumentParser:
             "is the ideal-chain length a Euclidean function?")
     p.add_argument("target", help="'Z', 'GF(q)[t]', or a concrete ring spec")
 
-    return parser
+    return parser, sub.choices
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """The arguments as the full parser reads them, in one argparse pass
+    when ``argv[0]`` names a verb: the full parser would hand the rest to
+    that verb's parser unchanged.  Anything else, and a call that leaves
+    arguments over, goes to the full parser, which then gives its own
+    usage, help and errors."""
+    parser, verbs = _parsers()
+    verb = verbs.get(argv[0]) if argv else None
+    if verb is not None:
+        args, extras = verb.parse_known_args(argv[1:])
+        if not extras:
+            args.verb = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _not_euclidean_report(args, exc: NotEuclideanRing) -> None:
@@ -456,8 +506,7 @@ def _not_euclidean_report(args, exc: NotEuclideanRing) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except NotEuclideanRing as exc:

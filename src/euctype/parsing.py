@@ -157,14 +157,13 @@ def _parse_expression(src: str) -> Ordinal:
 def _expr(sc: _Scanner, depth: int) -> Ordinal:
     if depth > MAX_EXPONENT_DEPTH:
         raise ResourceError(f"parenthesis nesting deeper than {MAX_EXPONENT_DEPTH}")
+    tokens = sc.tokens
     minuends = []  # a chain (-a) + (-b) + ... + c, read without recursion
-    save = sc.i
-    while sc.take("(") and sc.take("-"):
+    while tokens[sc.i] == "(" and tokens[sc.i + 1] == "-":
+        sc.i += 2
         minuends.append(_expr(sc, depth + 1))
         sc.expect(")")
         sc.expect("+")
-        save = sc.i
-    sc.i = save
     value = _sum(sc, depth)
     for minuend in reversed(minuends):
         value = left_subtract(minuend, value)
@@ -172,43 +171,56 @@ def _expr(sc: _Scanner, depth: int) -> Ordinal:
 
 
 def _sum(sc: _Scanner, depth: int) -> Ordinal:
+    tokens = sc.tokens
     value = _product(sc, depth)
     while True:
-        if sc.take("+"):
+        op = tokens[sc.i]
+        if op == "+":
+            sc.i += 1
             value = value + _product(sc, depth)
-        elif sc.take("#"):
+        elif op == "#":
+            sc.i += 1
             value = natural_sum(value, _product(sc, depth))
         else:
             return value
 
 
 def _product(sc: _Scanner, depth: int) -> Ordinal:
+    tokens = sc.tokens
     value = _atom(sc, depth)
-    while sc.take("."):
+    while tokens[sc.i] == ".":
+        sc.i += 1
         value = product_left(value, _atom(sc, depth))
     return value
 
 
+_ONE = Ordinal(1)  # the exponent of a bare w
+
+
 def _atom(sc: _Scanner, depth: int) -> Ordinal:
-    ch = sc.peek()
-    if ch in ("w", "ω"):
-        sc.i += 1
-        exponent = Ordinal(1)
-        if sc.take("^"):
+    tokens, i = sc.tokens, sc.i
+    token = tokens[i]
+    if token == "w" or token == "ω":
+        exponent = _ONE
+        sc.i = i + 1
+        if tokens[i + 1] == "^":
+            sc.i = i + 2
             exponent = _exponent(sc, depth + 1)
         coeff = 1
-        if sc.take("*"):
+        if tokens[sc.i] == "*":
+            sc.i += 1
             coeff = sc.nat()
             if coeff == 0:
                 return Ordinal(0)
-        return omega_power(exponent, coeff)
-    if ch.isdigit():
+        return _normal(((exponent, coeff),))
+    if token[:1].isdigit():
         return Ordinal(sc.nat())
-    if sc.take("("):
+    if token == "(":
+        sc.i = i + 1
         value = _expr(sc, depth + 1)
         sc.expect(")")
         return value
-    raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end of input", sc.where())
+    raise ParseError(f"unexpected {token!r}" if token else "unexpected end of input", sc.where())
 
 
 def _exponent(sc: _Scanner, depth: int) -> Ordinal:

@@ -478,17 +478,20 @@ class FiniteRing:
         cid, reps = self.coset_partition(frozenset(self.ideal_members(key)))
         return functools.partial(map, cid.__getitem__), len(reps)
 
+    def _check_enumeration_bound(self, max_size: int) -> None:
+        if len(self.elements) > max_size:
+            raise ResourceError(
+                f"{self.name} has {len(self.elements)} elements; "
+                f"ideal enumeration is bounded at {max_size}"
+            )
+
     def all_ideals(self, max_size: int = IDEAL_ENUMERATION_BOUND) -> List[FrozenSet]:
         """Every ideal, smallest first, as one list built once per ring.
 
         In a principal ring these are the distinct principal ideals;
         otherwise generated subsets are closed one generator at a time.
         """
-        if len(self.elements) > max_size:
-            raise ResourceError(
-                f"{self.name} has {len(self.elements)} elements; "
-                f"ideal enumeration is bounded at {max_size}"
-            )
+        self._check_enumeration_bound(max_size)
         try:
             return self._ideals
         except AttributeError:
@@ -872,6 +875,14 @@ class ProductRing(FiniteRing):
 
     def valuations(self, key):
         return sum((f.valuations(k) for f, k in zip(self.factors, key)), ())
+
+    def ideal_count(self, max_size: int = IDEAL_ENUMERATION_BOUND) -> int:
+        """The product of the factors' counts: with a 1 in every factor, each
+        ideal is the product of its projections.  A product not known to be
+        principal keeps the bound of :meth:`all_ideals` on its own size."""
+        if not self._known_principal:
+            self._check_enumeration_bound(max_size)
+        return math.prod(f.ideal_count(max_size) for f in self.factors)
 
     def format_element(self, x) -> str:
         return "(" + ", ".join([f.format_element(a) for f, a in zip(self.factors, x)]) + ")"

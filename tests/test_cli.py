@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,6 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from euctype import cli
 from euctype.cli import _dumps, _table_lines, main
 from euctype.euclidean import EuclideanTable, bottom_euclidean, quotient_euclidean, table_to_dict
 from euctype import models
@@ -709,3 +711,95 @@ def test_model_poly_matches_the_per_polynomial_loop(monkeypatch):
             degree += 1
         assert run(["model-poly", str(q), "--window", str(degree)]) == (
             4, "", f"error: GF({q})[t] up to degree {degree} has more than 262144 polynomials\n")
+
+
+# Small report shapes that mix scalars with nested members at one level.
+SMALL_REPORTS = [
+    {"schema_version": 1, "command": "model-poly", "input": {"q": 2, "report_degree": 3},
+     "values_by_degree": {"0": [0], "1": [1], "2": [2], "3": [3]},
+     "stabilization_windows": [3, 4], "note": "units map to 0"},
+    {"schema_version": 1, "command": "model-localize",
+     "input": {"primes": [2, 3], "samples": 50, "seed": 7}, "ok": False, "samples": 50,
+     "seed": 7, "failures": [["3", "5"], ["7", "-2"]]},
+    {"schema_version": 1, "command": "model-localize", "input": {"primes": [5]}, "ok": True,
+     "failures": []},
+    {"schema_version": 1, "command": "ring-analyze", "input": "Z/36", "symbolic": False,
+     "ring": "Z/36", "size": 36, "units": 12, "principal": True, "ideals": 9, "length": 4,
+     "local_factors": ["Z/4", "Z/9"]},
+    {"local_factors": ["Z/4"], "nested": {"a": [1.5, None, " "]}},
+]
+
+
+@pytest.mark.parametrize("report", SMALL_REPORTS)
+def test_dumps_on_small_reports(report):
+    assert _dumps(report) == json.dumps(report, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# one argparse pass per call
+
+
+def exiting_run(argv):
+    """``run``, with the status of an argparse exit in place of the return."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def full_parser_run(argv, monkeypatch):
+    """``exiting_run`` with every argv read by the full parser, the verb's
+    parser reached through it."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+        return exiting_run(argv)
+
+
+WELL_FORMED = [
+    ["ordinal-eval", "w^2 + w*3 + 1"], ["ring-analyze", "Z/12"],
+    ["ring-analyze", "Z x Z/8", "--max-size", "64"], ["euclid-bottom", "Z/8"],
+    ["euclid-quotient", "Z/8", "2"], ["euclid-product", "Z/2", "Z/3"],
+    ["product-bounds", "w", "3"], ["realize", "w*2 + 1"], ["model-z", "--window", "40"],
+    ["model-poly", "2", "--window", "3"],
+    ["model-localize", "2", "3", "--samples", "50", "--seed", "1"], ["l-euclidean", "Z"],
+]
+
+MALFORMED_ARGV = [
+    [], ["-h"], ["--help"], ["frobnicate", "Z/8"], ["ordinal-eval", "-h"],
+    ["ordinal-eval", "--bogus", "w"], ["ordinal-eval", "w", "--bogus"],
+    ["ordinal-eval", "w", "extra"], ["ordinal-eval", "w", "--js"],
+    ["model-z", "--win", "40"], ["model-z", "--window=40"], ["ordinal-eval"],
+    ["euclid-product", "Z/2"], ["model-z", "--window", "many"], ["model-poly", "two"],
+    ["model-localize", "2", "--samples", "1.5"], ["ordinal-eval", "w", "--json", "--json"],
+    ["euclid-quotient", "Z/8", "--", "-2"], ["--", "ordinal-eval", "w"],
+    ["ordinal-eval", "--", "-w"], ["euclid-quotient", "Z/8", "--", "--", "2"],
+    ["ordinal-eval", "w", "--", "extra"], ["model-z", "--", "--window", "3"],
+    ["ordinal-eval", "w +"], ["euclid-bottom", "Z/0"],
+]
+
+
+def test_dispatch_matches_the_full_parser(tmp_path, monkeypatch):
+    table = tmp_path / "z4.json"
+    table.write_text(json.dumps(json.loads(run(["euclid-bottom", "Z/4", "--json"])[1])["table"]))
+    corpus = [argv + tail for argv in WELL_FORMED + [["euclid-verify", str(table)]]
+              for tail in ([], ["--json"])] + MALFORMED_ARGV
+    for argv in corpus:
+        assert exiting_run(argv) == full_parser_run(argv, monkeypatch), argv
+
+
+def test_a_well_formed_call_takes_one_argparse_pass(monkeypatch):
+    passes = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in WELL_FORMED:
+        passes.clear()
+        assert run(argv + ["--json"])[0] == 0
+        assert passes == [f"euctype {argv[0]}"], argv

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from euctype.cli import main
-from euctype.errors import DomainError
+from euctype.errors import DomainError, ResourceError
 from euctype.euclidean import (
     EuclideanTable,
     _bottom_fixed_point,
@@ -818,6 +818,27 @@ class TestValuations:
         for ring in rings:
             assert ring._known_principal, ring.name
             assert ring.ideal_count() == len(ring.all_ideals()), ring.name
+
+    def test_product_ideal_count_from_the_factors(self):
+        """Products with a specimen factor, not known to be principal, count
+        their ideals as the product of the factors' counts."""
+        fixture = truncated_bivariate_fixture()
+        rings = [ProductRing([fixture, Zmod(m)]) for m in (2, 3, 4)]
+        rings += [ProductRing([fixture.quotient_ring("x"), Zmod(m)]) for m in (3, 9)]
+        rings += [ProductRing([ProductRing([Zmod(2), fixture]), Zmod(3)]),
+                  ProductRing([Zmod(3), fixture.quotient_ring("x"), Zmod(3)])]
+        assert {len(ring) for ring in rings} >= {12, 24, 36}
+        for ring in rings:
+            assert not ring._known_principal, ring.name
+            assert ring.ideal_count() == len(ring.all_ideals()), ring.name
+
+    def test_product_ideal_count_keeps_the_bound_on_its_own_size(self):
+        ring = ProductRing([truncated_bivariate_fixture(), Zmod(3)])
+        with pytest.raises(ResourceError, match=r"Z/3 has 24 elements; ideal enumeration "
+                                                r"is bounded at 23$"):
+            ring.ideal_count(23)
+        assert ring.ideal_count(24) == 12
+        assert ProductRing([Zmod(512), Zmod(3)]).ideal_count(20) == 20
 
     def test_rings_without_valuations(self):
         fixture = truncated_bivariate_fixture()

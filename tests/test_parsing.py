@@ -1,3 +1,6 @@
+import importlib
+import pathlib
+import random
 import sys
 
 import pytest
@@ -16,7 +19,8 @@ from euctype.euclidean import (
     table_to_dict,
 )
 from euctype.models import RingSpec
-from euctype.ordinal import Ordinal, format_ordinal, omega, omega_power
+from euctype.ordinal import (Ordinal, format_ordinal, left_subtract, natural_sum, omega,
+                             omega_power, product_left)
 from euctype.parsing import (
     MAX_POLY_DEGREE,
     _parse_expression,
@@ -599,3 +603,107 @@ class TestTableRoundTrip:
                         "value_at_zero": "2"}):
             with pytest.raises(DomainError):
                 table_from_dict(broken)
+
+
+# ---------------------------------------------------------------------------
+# the recursive descent against the oracle values and the per-token reader
+
+BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def oracles(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    return importlib.import_module("oracles")
+
+
+def token_descent(src):
+    """The descent as it read one token at a time through ``_Scanner.take``
+    and ``peek``: the oracle for the reader of the token list."""
+    if not src or not src.strip():
+        raise ParseError("empty ordinal expression")
+    sc = parsing._Scanner(src)
+
+    def expr(depth):
+        if depth > parsing.MAX_EXPONENT_DEPTH:
+            raise ResourceError(f"parenthesis nesting deeper than {parsing.MAX_EXPONENT_DEPTH}")
+        minuends, save = [], sc.i
+        while sc.take("(") and sc.take("-"):
+            minuends.append(expr(depth + 1))
+            sc.expect(")")
+            sc.expect("+")
+            save = sc.i
+        sc.i = save
+        value = product(depth)
+        while True:
+            if sc.take("+"):
+                value = value + product(depth)
+            elif sc.take("#"):
+                value = natural_sum(value, product(depth))
+            else:
+                break
+        for minuend in reversed(minuends):
+            value = left_subtract(minuend, value)
+        return value
+
+    def product(depth):
+        value = atom(depth)
+        while sc.take("."):
+            value = product_left(value, atom(depth))
+        return value
+
+    def atom(depth):
+        ch = sc.peek()
+        if ch in ("w", "ω"):
+            sc.i += 1
+            exponent = Ordinal(1)
+            if sc.take("^"):
+                exponent = parsing._exponent(sc, depth + 1)
+            coeff = 1
+            if sc.take("*"):
+                coeff = sc.nat()
+                if coeff == 0:
+                    return Ordinal(0)
+            return omega_power(exponent, coeff)
+        if ch.isdigit():
+            return Ordinal(sc.nat())
+        if sc.take("("):
+            value = expr(depth + 1)
+            sc.expect(")")
+            return value
+        raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end of input", sc.where())
+
+    value = expr(0)
+    if sc.peek():
+        raise ParseError(f"unexpected {sc.peek()!r}", sc.where())
+    return value
+
+
+def test_descent_reads_the_oracle_expressions(oracles):
+    rng = random.Random(20)
+    for depth in (0, 1, 2, 3, 4):
+        for _ in range(400):
+            tree = oracles.random_expr(rng, depth)
+            text = oracles.expr_text(tree)
+            assert format_ordinal(parse_ordinal(text)) == oracles.expr_value(tree).text(), text
+            assert _parse_expression(text).terms == token_descent(text).terms, text
+
+
+FUZZ_ALPHABET = "w^*+#.()-0123456789 ω"
+
+
+def test_descent_on_random_and_edited_text(oracles):
+    """Random strings over the grammar's characters, and oracle expressions
+    with one character deleted, doubled or replaced: the same value or the
+    same error, message and position as the per-token reader."""
+    rng = random.Random(2020)
+    texts = ["".join(rng.choices(FUZZ_ALPHABET, k=rng.randint(0, 12))) for _ in range(6000)]
+    for _ in range(3000):
+        text = oracles.expr_text(oracles.random_expr(rng, rng.randint(0, 3)))
+        k = rng.randrange(len(text))
+        texts.append(rng.choice([text[:k] + text[k + 1:], text[:k] + text[k] + text[k:],
+                                 text[:k] + rng.choice(FUZZ_ALPHABET) + text[k + 1:]]))
+    texts += ["(" * 32 + "w^2" + ")" * 32, "(" * 31 + "w^2" + ")" * 31,
+              "(" * 32 + "w^²" + ")" * 32, "w^" * 33 + "1", "(-w) + (-1) + w*2"]
+    for text in texts:
+        assert _outcome(_parse_expression, text) == _outcome(token_descent, text), text
