@@ -5,10 +5,10 @@ is always the supremum of the nonzero values plus one.  Tables are either
 validated at construction or explicitly carry ``validated=False``; all
 transforms insist on validated inputs.  Validation is the check of the
 division property.  On Z/n, GF(q)[t]/(f), their products and quotients,
-a table that is a function of the valuation vector is checked on the
-lattice of ideals, the product of the chains 0..k_i, by boxes of
-vectors; every other table is checked exhaustively, by a sweep of the
-carrier.  The product and quotient tables of bottom tables on principal
+a table is checked on the lattice of ideals, the product of the chains
+0..k_i, by boxes of vectors, and only the divisors the boxes leave are
+swept against the carrier; on other rings every divisor is.  The
+product and quotient tables of bottom tables on principal
 rings are validated by equality with the bottom table of their ring,
 which they match at every element (the bottom function of a finite
 principal ring is the sum of its local valuations; Fletcher 1971,
@@ -30,10 +30,11 @@ left are reported as a finding.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from operator import indexOf, itemgetter, lt, mul
+from operator import indexOf, itemgetter, mul
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, NotEuclideanRing
@@ -100,50 +101,74 @@ def _down(bits: int, stride: int, below: int, steps: int) -> int:
     return bits
 
 
-def _boxes_hold(ring: FiniteRing, keys: list, rank: Dict[object, int]) -> bool:
-    """True when the ranks are a function of the valuation vector and that
-    function is Euclidean; False leaves the table to the sweep.
+def _up(bits: int, stride: int, below: int, steps: int) -> int:
+    """The vectors 1 to ``steps`` above ``bits`` along one coordinate (``bits`` left out)."""
+    up = 0
+    for _ in range(steps):
+        bits = (bits & below) << stride
+        up |= bits
+    return up
+
+
+def _uncertified(ring: FiniteRing, keys: list, rank: Dict[object, int]) -> set:
+    """The (key, rank) pairs of the carrier's divisors that the boxes
+    cannot certify; a table with none is Euclidean.
 
     The ring is a product of chain rings of lengths k_i.  For b of vector
     beta and a outside (b) of vector alpha, the vectors met by the coset
     a + (b) form a box, coordinate by coordinate by CRT: gamma_i = alpha_i
-    where alpha_i < beta_i, and beta_i <= gamma_i <= k_i elsewhere.  A
-    function phi of the vector is Euclidean exactly when each such box
-    holds a vector below phi(beta).  Take F, the coordinates where
-    alpha_i = beta_i, and G, the others.  For each rank r, with the vectors
-    as the bits of an integer in mixed radix k_i + 1: those below rank r,
-    closed downwards along F, must cover the vectors of rank r taken
-    strictly downwards along G, for every split with G not empty.  Vectors
-    are grouped by value, not by key: a quotient names one ideal by several
-    keys of its base ring.
+    where alpha_i < beta_i, and beta_i <= gamma_i <= k_i elsewhere.  So b
+    of rank r is safe when each box holds a gamma whose largest rank
+    r+(gamma) is below r, and on a function of the vector only then.  Take
+    G, the coordinates where alpha_i < beta_i, and F, the others.  For each
+    rank r, with the vectors as the bits of an integer in mixed radix
+    k_i + 1: those with r+ below r, closed downwards along F, must cover
+    the vectors carrying rank r taken strictly downwards along G, for every
+    G not empty; the bits left, shifted back up along G, are the vectors
+    that fail at r.  Vectors are grouped by value, not by key: a quotient
+    names one ideal by several keys of its base ring.
     """
     valuations = ring.valuations
-    by_vector: Dict[Tuple[int, ...], int] = {}
-    for key, r in set(zip(keys, map(rank.get, ring.elements))):
+    pairs = set(zip(keys, map(rank.get, ring.elements)))
+    peak: Dict[Tuple[int, ...], int] = {}  # vector -> r+
+    extra = []  # (vector, rank) below r+; empty on a function of the vector
+    for key, r in pairs:
         if r is None:  # the key of zero
             top = valuations(key)
-        elif by_vector.setdefault(valuations(key), r) != r:
-            return False
+        elif (s := peak.setdefault(v := valuations(key), r)) != r:
+            extra.append((v, min(r, s)))
+            peak[v] = max(r, s)
     strides = list(itertools.accumulate((k + 1 for k in top[:-1]), mul, initial=1))
     every = (1 << math.prod(k + 1 for k in top)) - 1
     below = [every ^ (((1 << s) - 1) << k * s) * (every // ((1 << s * (k + 1)) - 1))
              for k, s in zip(top, strides)]  # clear the layer where coordinate i is k_i
-    levels = [0] * (max(by_vector.values()) + 1)
-    for v, r in by_vector.items():
+    levels = [0] * (max(peak.values()) + 1)  # the vectors carrying each rank
+    for v, r in peak.items():
+        levels[r] |= 1 << sum(map(mul, v, strides))
+    peaks = levels.copy()  # the vectors by r+
+    for v, r in extra:
         levels[r] |= 1 << sum(map(mul, v, strides))
     splits = range(1, 1 << len(top))
-    lower = 0  # the vectors of the ranks done
-    for level in levels:
+    lower, failed = 0, {}  # the vectors with r+ below the rank; rank -> the vectors failing
+    for r, level in enumerate(levels):
         closed, strict = [lower], [level]  # indexed by the coordinates taken downwards
         for coords in splits:
             i, rest = (coords & -coords).bit_length() - 1, coords & (coords - 1)
             stride, mask, k = strides[i], below[i], top[i]
             closed.append(_down(closed[rest], stride, mask, k))
             strict.append(_down((strict[rest] >> stride) & mask, stride, mask, k - 1))
-        if any(strict[g] & ~closed[splits[-1] ^ g] for g in splits):
-            return False
-        lower |= level
-    return True
+        for g in splits:
+            fail = strict[g] & ~closed[splits[-1] ^ g]
+            if fail:
+                for i in range(len(top)):
+                    if g >> i & 1:
+                        fail = _up(fail, strides[i], below[i], top[i])
+                failed[r] = failed.get(r, 0) | fail & level
+        lower |= peaks[r]
+    if not failed:
+        return set()
+    return {(key, r) for key, r in pairs
+            if r in failed and failed[r] >> sum(map(mul, valuations(key), strides)) & 1}
 
 
 def division_counterexample(ring: FiniteRing, values: Dict[object, Ordinal]):
@@ -151,56 +176,54 @@ def division_counterexample(ring: FiniteRing, values: Dict[object, Ordinal]):
 
     A pair (a, b) is satisfied iff the coset a + (b) contains 0 or some r
     with value below the value of b.  On a ring whose valuations are
-    arithmetic (``_known_principal``), a table that is a function of the
-    valuation vector is first checked on the product of chains 0..k_i by
-    :func:`_boxes_hold`, at a cost that depends on the number of ideals,
-    not on n; a table it certifies is Euclidean.  Every other table is
-    swept: divisors with the same ideal-class key share their cosets, so
-    each class is swept once with its divisors in rank order.  The cosets
-    met grow with the rank, and a class is done once every coset is met.
-    They are labelled a batch at a time by ``ring.coset_labels``: zero
-    first, then each level of elements of equal rank in one call.  Only a
-    (class, rank) that leaves a coset unmet walks the carrier, labelling it
-    lazily from the last position reached, for the least element outside
-    the cosets met.  On Z/n, GF(q)[t]/(f) and their products a label is
-    arithmetic (x mod d, x mod g, a tuple of those), so the check builds
-    no ideal and adds no elements, at O(classes * n) label reads.  The
-    ideal-class keys of the carrier are kept on the ring
-    (:meth:`FiniteRing.carrier_classes`), so a second check of the same
-    ring computes none; table rings also keep their coset partitions.
+    arithmetic (``_known_principal``), the table is first checked on the
+    product of chains 0..k_i by :func:`_uncertified`, at a cost that
+    depends on the number of ideals, not on n.  A certified divisor holds
+    no counterexample, so only the (class, rank) pairs it leaves are
+    swept; on other rings every pair is.  Each class is swept once with
+    its divisors in rank order.  The cosets met grow with the rank, and a
+    class is done once every coset is met.  They are labelled a batch at a
+    time by ``ring.coset_labels``: zero, then the elements of the ranks
+    below each divisor's in one call.  Only a (class, rank) that leaves a
+    coset unmet walks the carrier, labelling it lazily from the last
+    position reached, for the least element outside the cosets met.  On
+    Z/n, GF(q)[t]/(f) and their products a label is arithmetic (x mod d,
+    x mod g, a tuple of those), so the check builds no ideal, at O(n) label
+    reads per class swept.  The ideal-class keys of the carrier are kept on
+    the ring (:meth:`FiniteRing.carrier_classes`), so a second check of the
+    same ring computes none; table rings also keep their coset partitions.
     """
-    zero, elements, index = ring.zero, ring.elements, ring.index
+    zero, elements = ring.zero, ring.elements
     rank = _ranks(values)
     keys = ring.carrier_classes()
-    if ring._known_principal and _boxes_hold(ring, keys, rank):
+    unsure = (_uncertified(ring, keys, rank) if ring._known_principal else
+              set(zip(keys, map(rank.get, elements))) - {(keys[elements.index(zero)], None)})
+    if not unsure:
         return None
-    levels = [[] for _ in range(max(rank.values(), default=-1) + 1)]
-    for x, r in rank.items():
-        levels[r].append(x)
-    # class key -> rank -> least divisor of that rank in the class
-    classes: Dict[object, Dict[int, object]] = {}
-    for b, key in zip(elements, keys):
-        if b != zero:
-            classes.setdefault(key, {}).setdefault(rank[b], b)
+    # class key -> rank -> index of the least divisor of that rank in the class
+    classes: Dict[object, Dict[int, int]] = {}
+    swept = {key for key, _ in unsure}
+    for i in itertools.compress(range(len(keys)), map(swept.__contains__, keys)):
+        if (pair := (keys[i], rank.get(elements[i]))) in unsure:
+            classes.setdefault(pair[0], {}).setdefault(pair[1], i)
+    by_rank = sorted(rank, key=rank.__getitem__) if max(r for _, r in unsure) else []
     best = None
     for key, divisors in classes.items():
         labels, count = ring.coset_labels(key)
         met = set(labels([zero]))
-        below = pos = 0  # every rank below `below` is met; so is each coset of elements[:pos]
+        done = pos = 0  # the cosets of by_rank[:done] and of elements[:pos] are met
         for rb in sorted(divisors):
-            for level in levels[below:rb]:
-                met.update(labels(level))
-            below = rb
+            end = bisect.bisect_left(by_rank, rb, done, key=rank.__getitem__)
+            met.update(labels(by_rank[done:end]))
+            done = end
             if len(met) == count:
                 break  # every coset is met for this rank and all above it
             # the first False of the lazy membership map is the least unmet element
             pos += indexOf(map(met.__contains__, labels(elements[pos:])), False)
-            pair = (pos, index(divisors[rb]))
+            pair = (pos, divisors[rb])
             if best is None or pair < best:
                 best = pair
-    if best is None:
-        return None
-    return elements[best[0]], elements[best[1]]
+    return None if best is None else (elements[best[0]], elements[best[1]])
 
 
 def is_euclidean_function(table: EuclideanTable):
@@ -211,8 +234,7 @@ def is_euclidean_function(table: EuclideanTable):
 
 def make_table(ring: FiniteRing, values: Dict[object, Ordinal]) -> EuclideanTable:
     """The table of ``values``, validated exhaustively."""
-    nonzero = {x for x in ring.elements if x != ring.zero}
-    if set(values) != nonzero:
+    if set(values) != set(ring.elements) - {ring.zero}:
         raise DomainError("table must assign exactly the nonzero elements")
     cex = division_counterexample(ring, values)
     if cex is not None:
@@ -289,9 +311,8 @@ def _bottom_fixed_point(ring: FiniteRing) -> EuclideanTable:
             classes.setdefault(pids[x], []).append(x)
 
     partitions = {ideal: ring.coset_partition(ideal) for ideal in classes}
-    unsat: Dict[frozenset, set] = {}
-    for ideal, (cid, reps) in partitions.items():
-        unsat[ideal] = set(range(len(reps))) - {cid[zero]}
+    unsat = {ideal: set(range(len(reps))) - {cid[zero]}
+             for ideal, (cid, reps) in partitions.items()}
 
     assigned: Dict[object, int] = {}
     remaining = set(classes)
@@ -390,11 +411,8 @@ def quotient_euclidean(table: EuclideanTable, b) -> EuclideanTable:
     _require_validated(table)
     ring = table.ring
     quot = ring.quotient_ring(b)
-    values = {}
-    for xbar in quot.elements:
-        if xbar == quot.zero:
-            continue
-        values[xbar] = min(table.values[m] for m in quot.coset(xbar))
+    values = {xbar: min(table.values[m] for m in quot.coset(xbar))
+              for xbar in quot.elements if xbar != quot.zero}
     known = bottom_euclidean(quot) if table.is_bottom else None
     return _certified_table(quot, values, known)
 
@@ -405,11 +423,7 @@ def nagata_product(t1: EuclideanTable, t2: EuclideanTable) -> PairTable:
     _require_validated(t1)
     _require_validated(t2)
     ring = ProductRing([t1.ring, t2.ring])
-    values = {}
-    for x in ring.elements:
-        if x == ring.zero:
-            continue
-        values[x] = (t1.value(x[0]), t2.value(x[1]))
+    values = {x: (t1.value(x[0]), t2.value(x[1])) for x in ring.elements if x != ring.zero}
     return PairTable(ring, values, (t1, t2))
 
 
@@ -497,11 +511,8 @@ def residual_euclidean(table: EuclideanTable, factor: int = 1) -> EuclideanTable
         raise DomainError("factor index must be 0 or 1")
     fac = ring.factors[factor]
     base = table.values[ring.inject(factor, fac.one)]
-    values = {}
-    for y in fac.elements:
-        if y == fac.zero:
-            continue
-        values[y] = left_subtract(base, table.values[ring.inject(factor, y)])
+    values = {y: left_subtract(base, table.values[ring.inject(factor, y)])
+              for y in fac.elements if y != fac.zero}
     return make_table(fac, values)
 
 

@@ -29,6 +29,7 @@ a :class:`ParseError`.
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from typing import Dict, List, Tuple, Union
@@ -329,23 +330,25 @@ def _join(concrete: List[FiniteRing]) -> FiniteRing:
     return concrete[0] if len(concrete) == 1 else ProductRing(concrete)
 
 
-def _parse_factors(src: str, depth: int = 0) -> Tuple[List[FiniteRing], List[str]]:
+def _parse_factors(src: str, depth: int = 0,
+                   product: bool = True) -> Tuple[List[FiniteRing], List[str]]:
     """The concrete and the symbolic factors of a spec, in order; ``depth``
-    counts the parentheses and quotient suffixes around it."""
+    counts the parentheses and quotient suffixes around it, and ``product``
+    is False on a factor already split off a product."""
     if depth > MAX_EXPONENT_DEPTH:
         raise ResourceError(f"ring spec nesting deeper than {MAX_EXPONENT_DEPTH}")
     src = src.strip()
     group = _last_group(src)
     if group > 1 and src[group - 1] == "/":
-        concrete, symbolic = _parse_factors(src[:group - 1], depth + 1)
+        concrete, symbolic = _parse_factors(src[:group - 1], depth + 1, product)
         if not symbolic:
             base = _join(concrete)
             return [QuotientRing(base, parse_element(base, src[group + 1:-1]))], []
-    parts = split_top_level(src, r"\s+x\s+")
+    parts = split_top_level(src, r"\s+x\s+") if product else [src]
     if len(parts) > 1:
         concrete, symbolic = [], []
         for part in parts:
-            c, s = _parse_factors(part, depth)
+            c, s = _parse_factors(part, depth, product=False)
             # a concrete product in parentheses stays one factor; symbolic
             # specs are flat products anyway
             concrete.extend(c if s else [_join(c)])
@@ -372,10 +375,13 @@ def _last_group(src: str) -> int:
     return -1
 
 
+_top_level_pattern = functools.lru_cache(maxsize=None)(lambda sep: re.compile(r"[()]|" + sep))
+
+
 def split_top_level(src: str, separator: str) -> List[str]:
     """Split at the matches of the ``separator`` pattern outside parentheses."""
     pieces, depth, start = [], 0, 0
-    for m in re.finditer(r"[()]|" + separator, src):
+    for m in _top_level_pattern(separator).finditer(src):
         token = m.group()
         if token == "(":
             depth += 1

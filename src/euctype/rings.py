@@ -59,6 +59,8 @@ from .poset import FinitePoset
 
 IDEAL_ENUMERATION_BOUND = 512
 TRIAL_DIVISION_BOUND = 10 ** 7
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3317044064679887385961981  # the least strong pseudoprime to them all
 
 
 # ---------------------------------------------------------------------------
@@ -1058,11 +1060,22 @@ def truncated_bivariate_fixture() -> TableRing:
 # CRT decomposition
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin (n - 1 = 2^s d, d odd: a^d = 1 or a^(2^j d) = n - 1 for
+    some j < s), exact for 41 < n < MILLER_RABIN_LIMIT (Jiang and Deng 2014)."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    return all(x == 1 or n - 1 in itertools.accumulate(range(1, s), lambda y, _: y * y % n,
+                                                        initial=x)
+               for x in (pow(a, (n - 1) >> s, n) for a in MILLER_RABIN_BASES))
+
+
 def _least_prime_factor(n: int) -> int:
-    """The least prime factor of n >= 2, by trial division up to
-    TRIAL_DIVISION_BOUND; a larger n with no factor up to it is refused."""
+    """The least prime factor of n >= 2: n if :func:`_is_prime` says so, else
+    by trial division up to TRIAL_DIVISION_BOUND; a larger n with no factor
+    up to it is refused."""
     root = math.isqrt(n)
-    p = next((d for d in range(2, min(root, TRIAL_DIVISION_BOUND) + 1) if n % d == 0), n)
+    top = 1 if root > 1 << 16 and n < MILLER_RABIN_LIMIT and _is_prime(n) else root
+    p = next((d for d in range(2, min(top, TRIAL_DIVISION_BOUND) + 1) if n % d == 0), n)
     if p == n and root > TRIAL_DIVISION_BOUND:
         raise ResourceError(f"{n} has no prime factor up to {TRIAL_DIVISION_BOUND}, "
                             "where trial division stops")

@@ -137,6 +137,14 @@ class TestValidation:
         with pytest.raises(DomainError):
             divide(bottom_euclidean(Zmod(4)), 1, 0)
 
+    def test_divide_on_a_table_that_is_not_euclidean(self):
+        # every value 0 on Z/6: 1 - 2q is odd, so no remainder is 0 or below 0
+        table = EuclideanTable(Zmod(6), {x: Ordinal(0) for x in range(1, 6)}, Ordinal(1),
+                               validated=False)
+        with pytest.raises(DomainError, match=r"^table on Z/6 is not Euclidean at \(1, 2\)$"):
+            divide(table, 1, 2)
+        assert divide(table, 1, 1).remainder == 0
+
 
 def _perturbed_tables(ring, rng, count):
     """Validated Euclidean tables above the bottom one."""
@@ -376,6 +384,12 @@ class TestNagata:
         assert max(v.to_int() for v in c.values.values()) == 3
         assert c.value_at_zero == 4
         assert order_type(bottom_euclidean(pt.ring)) == 4
+
+    def test_pair_value_at_zero(self):
+        t1, t2 = bottom_euclidean(Zmod(4)), bottom_euclidean(Zmod(9))
+        pt = nagata_product(t1, t2)
+        assert pair_value(pt, (0, 0)) == (t1.value_at_zero, t2.value_at_zero) == (2, 2)
+        assert pair_value(pt, (0, 3)) == (Ordinal(2), Ordinal(1))
 
     def test_division_by_zero(self):
         pt = nagata_product(bottom_euclidean(Zmod(2)), bottom_euclidean(Zmod(2)))

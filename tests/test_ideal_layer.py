@@ -245,6 +245,145 @@ class TestClassSweep:
             assert division_counterexample(ring, bottom_euclidean(ring).values) is None
 
 
+def coset_label_keys(monkeypatch, ring):
+    """The list of the keys ``ring.coset_labels`` is called with from now
+    on; the calls a product makes on its factors are not counted."""
+    calls = []
+    for cls in (FiniteRing, Zmod, PolyQuotient, ProductRing, QuotientRing):
+        if "coset_labels" in vars(cls):
+            def counted(self, key, method=vars(cls)["coset_labels"]):
+                if self is ring:
+                    calls.append(key)
+                return method(self, key)
+            monkeypatch.setattr(cls, "coset_labels", counted)
+    return calls
+
+
+def failing_pairs(ring, values):
+    """The (key, rank) of every divisor b with some a that has no quotient,
+    from the coset partition of each (b)."""
+    rank = _ranks(values)
+    out = set()
+    for b in values:
+        cid, reps = ring.coset_partition(ring.principal_ideal(b))
+        met = {cid[ring.zero]} | {cid[x] for x, r in rank.items() if r < rank[b]}
+        if len(met) < len(reps):
+            out.add((ring.ideal_class(b), rank[b]))
+    return out
+
+
+class TestCertificateSweep:
+    """Where a vector carries several ranks, the box certificate still
+    certifies every (vector, rank) whose boxes all hold a vector of lower
+    largest rank; only the pairs it leaves are swept."""
+
+    RINGS = [Zmod(720), Zmod(243), ProductRing([Zmod(8), Zmod(27)]), poly(3, 0, 0, 0, 1),
+             ProductRing([Zmod(4), poly(3, 1, 0, 1), Zmod(5)]),
+             Zmod(36).quotient_ring(6), Zmod(180).quotient_ring(30)]
+
+    def test_raised_values_on_the_least_ideals_are_certified(self, monkeypatch):
+        # a vector one step below the vector of zero is the least vector of
+        # no box, so raising a value there moves no box below its divisor
+        rng = random.Random(24)
+        tables = 0
+        for ring in self.RINGS:
+            bottom = bottom_euclidean(ring).values
+            vector = vector_of(ring)
+            top = vector[ring.zero]
+            least = [x for x in bottom
+                     if sum(top) - sum(vector[x]) == 1
+                     and sum(vector[y] == vector[x] for y in bottom) > 1]
+            assert least, ring.name
+            raised = []
+            for x in rng.sample(least, min(4, len(least))):
+                values = dict(bottom)
+                values[x] = bottom[x] + rng.randint(1, 3)
+                raised.append(values)
+            calls = coset_label_keys(monkeypatch, ring)
+            assert [division_counterexample(ring, values) for values in raised] == \
+                [None] * len(raised), ring.name
+            assert calls == [], ring.name
+            monkeypatch.undo()
+            # and the sweep agrees that these tables are Euclidean
+            for values in raised:
+                assert class_sweep_division_counterexample(ring, values) is None, ring.name
+            tables += len(raised)
+        assert tables >= 2 * len(self.RINGS)
+
+    def test_a_lowered_value_sweeps_only_its_own_class(self, monkeypatch):
+        rng = random.Random(25)
+        refuted = 0
+        for ring in self.RINGS:
+            bottom = bottom_euclidean(ring).values
+            cases = []
+            non_units = [x for x in bottom if bottom[x].to_int()]
+            for x in rng.sample(non_units, min(6, len(non_units))):
+                values = dict(bottom)
+                values[x] = Ordinal(rng.randrange(bottom[x].to_int()))
+                cases.append((x, values, class_sweep_division_counterexample(ring, values)))
+            calls = coset_label_keys(monkeypatch, ring)
+            for x, values, expected in cases:
+                calls.clear()
+                assert division_counterexample(ring, values) == expected, ring.name
+                # one call on the class of x; none where the boxes certify it
+                assert calls == [ring.ideal_class(x)] or (expected is None and calls == []), \
+                    ring.name
+                refuted += expected is not None
+            monkeypatch.undo()
+        assert refuted > 2 * len(self.RINGS)
+
+    def test_perturbed_tables_match_both_sweeps(self):
+        # one and two moved values, and random tables, on rings small enough
+        # for the quadratic scan; the quotients name one vector by two keys
+        rng = random.Random(26)
+        rings = TestClassSweep.RINGS + [Zmod(36).quotient_ring(6), Zmod(180).quotient_ring(30)]
+        assert any(len(set(ring.carrier_classes())) > len(set(vector_of(ring).values()))
+                   for ring in rings)
+        failing = 0
+        for ring in rings:
+            bottom = bottom_euclidean(ring).values
+            nonzero = list(bottom)
+            tables = []
+            for moved in (1, 1, 2, 2):
+                values = dict(bottom)
+                for x in rng.sample(nonzero, moved):
+                    values[x] = Ordinal(max(0, values[x].to_int() + rng.choice((-2, -1, 1, 2))))
+                tables.append(values)
+            top = rng.randint(2, 5)
+            tables += [{x: Ordinal(rng.randrange(top)) for x in nonzero} for _ in range(2)]
+            for values in tables:
+                cex = division_counterexample(ring, values)
+                assert cex == old_division_counterexample(ring, values), ring.name
+                assert cex == class_sweep_division_counterexample(ring, values), ring.name
+                failing += cex is not None
+        assert failing > len(rings)
+
+    def test_the_pairs_left_are_exact_on_functions_of_the_vector(self):
+        # on a function of the vector every pair left holds a counterexample;
+        # on any table every pair holding one is left
+        from euctype.euclidean import _uncertified
+
+        rng = random.Random(27)
+        checked = 0
+        for ring in valuation_corpus()[::9]:
+            if len(ring.elements) > 64:
+                continue
+            bottom = bottom_euclidean(ring).values
+            vector = vector_of(ring)
+            keys = ring.carrier_classes()
+            value = {v: Ordinal(rng.randrange(4)) for v in set(vector.values())}
+            function = {x: value[vector[x]] for x in bottom}
+            moved = dict(bottom)
+            for x in rng.sample(list(bottom), min(2, len(bottom))):
+                moved[x] = Ordinal(rng.randrange(4))
+            for values, exact in ((bottom, True), (function, True), (moved, False)):
+                left = _uncertified(ring, keys, _ranks(values))
+                failing = failing_pairs(ring, values)
+                assert (left == failing) if exact else (left >= failing), ring.name
+                checked += bool(failing)
+        assert checked > 20
+
+
 def class_sweep_division_counterexample(ring, values):
     """The sweep that coset labels replaced: one coset partition per
     distinct principal ideal, built by adding the ideal to every element."""
@@ -497,16 +636,22 @@ def vector_of(ring):
     return {x: ring.valuations(ring.ideal_class(x)) for x in ring.elements}
 
 
+def every_pair(ring, keys, rank):
+    """The (key, rank) pair of every nonzero element: the certificate that
+    certifies nothing."""
+    return {(key, r) for key, r in zip(keys, map(rank.get, ring.elements)) if r is not None}
+
+
 def sweep_only(ring, values):
     """``division_counterexample`` with the box certificate turned off."""
     from euctype import euclidean
 
-    certificate = euclidean._boxes_hold
-    euclidean._boxes_hold = lambda *args: False
+    certificate = euclidean._uncertified
+    euclidean._uncertified = every_pair
     try:
         return division_counterexample(ring, values)
     finally:
-        euclidean._boxes_hold = certificate
+        euclidean._uncertified = certificate
 
 
 class TestValuationBoxes:
@@ -517,7 +662,7 @@ class TestValuationBoxes:
     def certified(ring, values):
         from euctype import euclidean
 
-        return euclidean._boxes_hold(ring, ring.carrier_classes(), _ranks(values))
+        return not euclidean._uncertified(ring, ring.carrier_classes(), _ranks(values))
 
     def test_the_certificate_matches_the_sweep_on_the_valuation_corpus(self):
         rng = random.Random(19)
@@ -583,7 +728,7 @@ class TestValuationBoxes:
             bottom = bottom_euclidean(ring).values
             for values in _table_variants(bottom, rng):
                 cases.append((ring, values, class_sweep_division_counterexample(ring, values)))
-        monkeypatch.setattr(euclidean, "_boxes_hold",
+        monkeypatch.setattr(euclidean, "_uncertified",
                             lambda ring, *args: pytest.fail(f"certificate on {ring.name}"))
         for ring, values, expected in cases:
             assert division_counterexample(ring, values) == expected, ring.name

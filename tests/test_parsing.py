@@ -273,6 +273,19 @@ class TestRingSpecParsing:
         assert ProductRing([inner, Zmod(4)]).name == "(Z/2 x Z/3) x Z/4"
         assert ProductRing([Zmod(2), Zmod(3), Zmod(4)]).name == "Z/2 x Z/3 x Z/4"
 
+    def test_a_spec_is_split_once(self, monkeypatch):
+        # a factor split off a product is not split again; a product in
+        # parentheses is split once more, inside them
+        calls = []
+        split = parsing.split_top_level
+        monkeypatch.setattr(parsing, "split_top_level",
+                            lambda src, sep: calls.append(src) or split(src, sep))
+        for spec, splits in (("GF(2)[t] x Z/9 x Z/5", 1), ("Z x Z/4", 1), ("Z/12", 1),
+                             ("(Z/2 x Z/3) x Z/4", 2), ("Z/4 x (Z/2 x (Z x Z/3))", 3)):
+            calls.clear()
+            parse_ring_spec(spec)
+            assert len(calls) == splits, (spec, calls)
+
     def test_errors(self):
         with pytest.raises(ParseError):
             parse_ring_spec("")

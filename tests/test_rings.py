@@ -8,6 +8,7 @@ from euctype.errors import DomainError, ResourceError
 from euctype.models import _check_primes
 from euctype.parsing import parse_ring_spec
 from euctype.rings import (
+    MILLER_RABIN_LIMIT,
     GaloisField,
     PolyQuotient,
     ProductRing,
@@ -15,6 +16,7 @@ from euctype.rings import (
     Zmod,
     _digits,
     _int_factor,
+    _is_prime,
     _least_prime_factor,
     _monic_polys,
     _poly_multiplicity,
@@ -418,6 +420,30 @@ class TestFactoringOracles:
             else:
                 with pytest.raises(DomainError, match=f"^{n} is not prime$"):
                     _check_primes([n])
+
+    def test_miller_rabin_against_a_sieve_and_pseudoprimes(self):
+        for n, fac in _sieved_factorizations(5000).items():
+            if n > 41:
+                assert _is_prime(n) == (fac == {n: 1}), n
+        # strong pseudoprimes to the bases 2..23 and 2..37, Carmichael numbers
+        # and a product of two primes
+        for n in (3825123056546413051, 318665857834031151167461, 561, 41041, 825265,
+                  1000000007 * 998244353):
+            assert not _is_prime(n), n
+        assert _is_prime(2 ** 61 - 1) and _is_prime(10 ** 20 + 39)
+        # the least strong pseudoprime to all thirteen bases: the bound is strict
+        assert _is_prime(MILLER_RABIN_LIMIT)
+
+    def test_large_primes_take_no_trial_division(self, monkeypatch):
+        assert _least_prime_factor(100000000000031) == 100000000000031
+        assert _least_prime_factor(3 * (2 ** 61 - 1)) == 3
+        assert _least_prime_factor(1000003 * 1000033) == 1000003
+        with pytest.raises(ResourceError, match="^100000000000000000039 has no prime factor "
+                                                "up to 10000000, where trial division stops$"):
+            _least_prime_factor(10 ** 20 + 39)
+        monkeypatch.setattr(rings, "TRIAL_DIVISION_BOUND", 10)
+        with pytest.raises(ResourceError, match="no prime factor up to 10,"):
+            _least_prime_factor(2 ** 61 - 1)
 
     def test_trial_division_stops_at_its_bound(self, monkeypatch):
         monkeypatch.setattr(rings, "TRIAL_DIVISION_BOUND", 10)
