@@ -119,11 +119,12 @@ def _emit(args, report: dict, lines: List[str]) -> None:
             print(line)
 
 
-def _require_finite(ring) -> FiniteRing:
+def _finite_ring(spec: str) -> FiniteRing:
+    """The concrete ring that ``spec`` names; a spec with a symbolic factor
+    is refused under its own text."""
+    ring = parse_ring_spec(spec)
     if isinstance(ring, RingSpec):
-        raise DomainError(
-            f"'{ring}' contains symbolic factors; a concrete finite ring is required"
-        )
+        raise DomainError(f"'{spec}' contains symbolic factors; a concrete finite ring is required")
     return ring
 
 
@@ -197,7 +198,7 @@ def _table_lines(ring, table) -> List[str]:
 
 
 def _cmd_euclid_bottom(args):
-    ring = _require_finite(parse_ring_spec(args.spec))
+    ring = _finite_ring(args.spec)
     table = bottom_euclidean(ring)
     e = order_type(table)
     report = {
@@ -236,7 +237,7 @@ def _cmd_euclid_verify(args):
 
 
 def _cmd_euclid_quotient(args):
-    ring = _require_finite(parse_ring_spec(args.spec))
+    ring = _finite_ring(args.spec)
     b = parse_element(ring, args.element)
     table = bottom_euclidean(ring)
     quot = quotient_euclidean(table, b)
@@ -254,8 +255,8 @@ def _cmd_euclid_quotient(args):
 
 
 def _cmd_euclid_product(args):
-    r1 = _require_finite(parse_ring_spec(args.spec1))
-    r2 = _require_finite(parse_ring_spec(args.spec2))
+    r1 = _finite_ring(args.spec1)
+    r2 = _finite_ring(args.spec2)
     t1 = bottom_euclidean(r1)
     t2 = bottom_euclidean(r2)
     pt = nagata_product(t1, t2)
@@ -383,7 +384,7 @@ def _cmd_l_euclidean(args):
         }
         _emit(args, report, [f"{target} is not length-Euclidean: {w.description}"])
         return 0
-    ring = _require_finite(parse_ring_spec(target))
+    ring = _finite_ring(target)
     ok, cex = check_l_euclidean(ring)
     report = {"input": target, "ring": ring.name, "l_euclidean": ok}
     lines = [f"ring: {ring.name}", f"length function is Euclidean: {ok}"]
@@ -493,10 +494,7 @@ def _not_euclidean_report(args, exc: NotEuclideanRing) -> None:
         "finding": "not-euclidean",
         "ring": ring.name,
         "stuck": [ring.format_element(x) for x in exc.stuck],
-        "assigned_levels": {
-            ring.format_element(x): v
-            for x, v in sorted(exc.partial.items(), key=lambda kv: ring.index(kv[0]))
-        },
+        "assigned_levels": {ring.format_element(x): v for x, v in exc.partial.items()},
     }
     lines = [
         f"finding: {ring.name} admits no Euclidean function",

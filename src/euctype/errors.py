@@ -17,10 +17,11 @@ class DomainError(EngineError):
 
 
 class NotEuclideanRing(EngineError):
-    """The bottom fixed point stalled: the ring admits no Euclidean function.
+    """The ring is not principal, so it admits no Euclidean function.
 
-    ``stuck`` holds the nonzero elements that could not be assigned a
-    value; ``partial`` holds the levels assigned before the stall.
+    ``stuck`` holds the nonzero elements that Motzkin's construction never
+    puts on a level; ``partial`` holds the level of every other nonzero
+    element.  Both are in carrier order.
     """
 
     exit_code = 3

@@ -22,10 +22,12 @@ the coordinate shift of :func:`pair_divide`, and the bottom table lies
 above it since it lies above the ideal-chain length (Motzkin 1949;
 Samuel 1971).  Each value is then read from the ideal class of x alone.
 A Euclidean ring is principal, so a finite ring that is not principal
-admits no Euclidean function.  There a breadth-first fixed point that
-assigns whole levels at a time (level 0 is exactly the units) stalls:
-a round assigns nothing while nonzero elements remain, and the elements
-left are reported as a finding.
+admits no Euclidean function.  There the finding names the elements that
+Motzkin's levels never reach, read from the same vectors (those of x that
+are no unit at some local factor with a maximal ideal that is not
+principal), and the level of every other element.  Isotonicity and
+minimization also run on the vectors: (a) lies in (b) exactly when
+v(a) >= v(b).
 """
 
 from __future__ import annotations
@@ -34,12 +36,11 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from operator import indexOf, itemgetter, mul
+from operator import indexOf, itemgetter, le, lt, mul
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, NotEuclideanRing
 from .ordinal import Ordinal, left_subtract, natural_sum
-from .poset import is_isotone, is_weakly_isotone
 from .rings import FiniteRing, ProductRing
 
 
@@ -282,62 +283,42 @@ def bottom_euclidean(ring: FiniteRing) -> EuclideanTable:
     valuations, and the value at zero the sum of the local lengths: one
     ideal-class key per element and one valuation tuple per key, with no
     ring operation on the keyed rings.  A ring that is not principal
-    admits no Euclidean function; it goes through
-    :func:`_bottom_fixed_point`, which raises :class:`NotEuclideanRing`
-    with the elements where the fixed point stalls.
+    admits no Euclidean function, and :func:`_not_euclidean` names the
+    elements that get no value.
     """
     if not ring.is_principal():
-        return _bottom_fixed_point(ring)
-    valuations, keys = ring.valuations, ring.carrier_classes()
-    by_key = {key: Ordinal(sum(valuations(key))) for key in dict.fromkeys(keys)}
-    values = dict(zip(ring.elements, map(by_key.__getitem__, keys)))
-    top = values.pop(ring.zero)  # the sum of the local lengths
-    return EuclideanTable(ring, values, top, validated=True, is_bottom=True)
+        raise _not_euclidean(ring)
+    top = Ordinal(ring.element_length(ring.zero))  # the sum of the local lengths
+    return EuclideanTable(ring, _length_values(ring), top, validated=True, is_bottom=True)
 
 
-def _bottom_fixed_point(ring: FiniteRing) -> EuclideanTable:
-    """Least Euclidean table by the level-at-a-time fixed point.
+def _by_class(ring: FiniteRing, f) -> Dict[object, object]:
+    """x -> f(the ideal-class key of x), in carrier order, with f called once
+    per key, so elements of one class share one value object."""
+    keys = ring.carrier_classes()
+    by_key = {key: f(key) for key in dict.fromkeys(keys)}
+    return dict(zip(ring.elements, map(by_key.__getitem__, keys)))
 
-    An element b enters the current level when every coset of (b) already
-    meets {0} plus the previously assigned elements.  The value of b only
-    depends on the ideal (b), so the rounds operate on ideal classes.
-    Raises :class:`NotEuclideanRing` when the fixed point stalls.
-    """
-    zero = ring.zero
-    pids = ring.principal_ideals()
-    classes: Dict[frozenset, list] = {}
-    for x in ring.elements:
-        if x != zero:
-            classes.setdefault(pids[x], []).append(x)
 
-    partitions = {ideal: ring.coset_partition(ideal) for ideal in classes}
-    unsat = {ideal: set(range(len(reps))) - {cid[zero]}
-             for ideal, (cid, reps) in partitions.items()}
+def _not_euclidean(ring: FiniteRing) -> NotEuclideanRing:
+    """The finding on a ring that is not principal, from one vector of
+    :meth:`FiniteRing._local_vector` per ideal-class key.  Motzkin's levels
+    never reach x where ex lies in m_e, for a local factor eR whose maximal
+    ideal m_e is not principal: for a in m_e outside (ex) at e and 0
+    elsewhere, a + (x) stays in m_e at e, where every element of a level
+    is a unit.  Any other x generates each such eR, so it takes its level
+    in the principal part: the sum of its valuations."""
+    chain = [principal for *_, principal in ring._local_split()]
 
-    assigned: Dict[object, int] = {}
-    remaining = set(classes)
-    level = 0
-    while remaining:
-        ready = [ideal for ideal in remaining if not unsat[ideal]]
-        if not ready:
-            stuck = sorted((x for i in remaining for x in classes[i]), key=ring.index)
-            raise NotEuclideanRing(ring, stuck, assigned)
-        newly = []
-        for ideal in ready:
-            for x in classes[ideal]:
-                assigned[x] = level
-                newly.append(x)
-            remaining.discard(ideal)
-        for ideal in remaining:
-            cid = partitions[ideal][0]
-            live = unsat[ideal]
-            for x in newly:
-                live.discard(cid[x])
-        level += 1
+    def level(key):  # None where x is stuck
+        v = ring._local_vector(key)
+        return None if any(i and not p for i, p in zip(v, chain)) else sum(v)
 
-    shared = [Ordinal(v) for v in range(level)]  # one value object per level
-    values = {x: shared[v] for x, v in assigned.items()}
-    return EuclideanTable(ring, values, Ordinal(level), validated=True, is_bottom=True)
+    levels = _by_class(ring, level)
+    del levels[ring.zero]
+    stuck = [x for x, v in levels.items() if v is None]
+    partial = {x: v for x, v in levels.items() if v is not None}
+    return NotEuclideanRing(ring, stuck, partial)
 
 
 def order_type(table: EuclideanTable) -> Ordinal:
@@ -358,16 +339,19 @@ def _require_validated(table: EuclideanTable):
 
 def isotone_minimization(table: EuclideanTable) -> EuclideanTable:
     """Largest divisibility-isotone Euclidean table below the input:
-    each x is sent to the least value on the nonzero multiples of x."""
+    each x is sent to the least value on the nonzero multiples of x.  On a
+    Euclidean table that is the least value on the associates of x, the
+    elements of its valuation vector: were other multiples below them all,
+    x divided by the least of those, y, would leave x - qy, a nonzero
+    multiple of x below y."""
     _require_validated(table)
     ring = table.ring
-    zero = ring.zero
-    pids = ring.principal_ideals()
-    least = {  # one minimum per ideal class
-        ideal: min(table.values[y] for y in ideal if y != zero)
-        for ideal in {pids[x] for x in table.values}
-    }
-    new_values = {x: least[pids[x]] for x in table.values}
+    vector = _by_class(ring, ring.valuations)
+    least: Dict[Tuple[int, ...], Ordinal] = {}
+    for x, value in table.values.items():
+        v = vector[x]
+        least[v] = min(least.get(v, value), value)
+    new_values = {x: least[vector[x]] for x in table.values}
     out = make_table(ring, new_values)
     out.is_bottom = table.is_bottom and new_values == table.values
     return out
@@ -375,27 +359,29 @@ def isotone_minimization(table: EuclideanTable) -> EuclideanTable:
 
 def _divisibility_monotone(table: EuclideanTable, strict: bool) -> bool:
     # Isotonicity on the ordered quotient by association, in both modes:
-    # associates must share a value, and the class values must rise along
-    # the ring's ideal order.  The zero ideal takes the value at zero, which
-    # lies above every other value, so the map is total and the zero ideal
-    # never decides the answer.  This is the reading under which a
-    # Euclidean table is isotone iff it is weakly isotone.
-    ring = table.ring
-    pids = ring.principal_ideals()
-    value: Dict[frozenset, Ordinal] = {pids[ring.zero]: table.value_at_zero}
+    # associates (equal vectors) must share a value, and the values must
+    # rise along each step v -> v + e_i: (a) lies in (b) exactly when
+    # v(a) >= v(b) at every coordinate, and the steps generate that order.
+    # The vector of zero is left out: the value at zero lies above every
+    # other value, so no step into it decides the answer.  This is the
+    # reading under which a Euclidean table is isotone iff it is weakly
+    # isotone.
+    _require_validated(table)
+    vector = _by_class(table.ring, table.ring.valuations)
+    value: Dict[Tuple[int, ...], Ordinal] = {}
     for x, v in table.values.items():
-        if value.setdefault(pids[x], v) != v:
+        if value.setdefault(vector[x], v) != v:
             return False
-    return (is_isotone if strict else is_weakly_isotone)(value, ring._ideal_order())
+    rise = lt if strict else le
+    return all(rise(value[v], value[w]) for v in value for i in range(len(v))
+               if (w := v[:i] + (v[i] + 1,) + v[i + 1:]) in value)
 
 
 def is_isotone_euclidean(table: EuclideanTable) -> bool:
-    _require_validated(table)
     return _divisibility_monotone(table, strict=True)
 
 
 def is_weakly_isotone_euclidean(table: EuclideanTable) -> bool:
-    _require_validated(table)
     return _divisibility_monotone(table, strict=False)
 
 
@@ -517,8 +503,12 @@ def residual_euclidean(table: EuclideanTable, factor: int = 1) -> EuclideanTable
 
 
 def _length_values(ring: FiniteRing) -> Dict[object, Ordinal]:
-    """x -> ideal-chain length on the nonzero elements of a principal ring."""
-    return {x: Ordinal(ring.element_length(x)) for x in ring.elements if x != ring.zero}
+    """x -> ideal-chain length, the sum of the local valuations, on the
+    nonzero elements of a principal ring: the values of its bottom table."""
+    valuations = ring.valuations
+    values = _by_class(ring, lambda key: Ordinal(sum(valuations(key))))
+    del values[ring.zero]
+    return values
 
 
 def check_l_euclidean(ring: FiniteRing):

@@ -35,15 +35,14 @@ coefficients when g is a power of t, and in a product the factors' labels
 of the transposed batch, zipped back into tuples), so the division check
 builds no ideal there.  ``coset_partition(I)`` splits the carrier into
 the cosets once per ideal, by adding I to the elements.  Table rings and
-quotients label their cosets from it, the bottom-table fixed point of
-table rings reads it, and a quotient R/(b) takes its elements (the least
-member of each coset), projection and cosets from the partition of R by
-(b).  Each ring class owns the rest of what is ring-specific: its
-element syntax (``format_element`` and its inverse ``parse_element``,
-with the names of the whole carrier kept by ``element_names``, built in
-one batch on products and polynomial quotients) and, on the keyed
-rings, its CRT split into local rings (``local_factors``); other rings
-split into the quotients R/(1 - e).
+quotients label their cosets from it, and a quotient R/(b) takes its
+elements (the least member of each coset), projection and cosets from
+the partition of R by (b).  Each ring class owns the rest of what is
+ring-specific: its element syntax (``format_element`` and its inverse
+``parse_element``, with the names of the whole carrier kept by
+``element_names``, built in one batch on products and polynomial
+quotients) and, on the keyed rings, its CRT split into local rings
+(``local_factors``); other rings split into the quotients R/(1 - e).
 """
 
 from __future__ import annotations
@@ -55,9 +54,9 @@ import operator
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ParseError, ResourceError
-from .poset import FinitePoset
 
 IDEAL_ENUMERATION_BOUND = 512
+CARRIER_BOUND = 1 << 22  # GF(2)[t]/(t^22); a carrier is a tuple of its elements
 TRIAL_DIVISION_BOUND = 10 ** 7
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_LIMIT = 3317044064679887385961981  # the least strong pseudoprime to them all
@@ -301,6 +300,12 @@ def _undigits(digs: Sequence[int], p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # ring interface
+
+
+def _check_carrier(name: str, size: int) -> None:
+    """Refuses a carrier of more than CARRIER_BOUND elements, before it is built."""
+    if size > CARRIER_BOUND:
+        raise ResourceError(f"{name} has {size} elements; carriers are bounded at {CARRIER_BOUND}")
 
 
 class FiniteRing:
@@ -564,15 +569,18 @@ class FiniteRing:
         in the local factors R_i of the ring, in the order of
         :meth:`local_factors`, with the length k_i of R_i for the key of
         zero.  A quotient keeps the local factors it collapses, at 0.  This
-        default reads :meth:`_local_split`: v_e(x) = log_q(|eR| / |e(x)|),
-        as |m^v| = q^(k - v) in the chain ring eR, kept per key."""
-        try:
-            return self._valuations[key]
-        except AttributeError:
-            self._valuations = {}
-        except KeyError:
-            pass
-        self._require_principal()
+        default reads :meth:`_local_vector`, kept per key."""
+        cache = self.__dict__.setdefault("_valuations", {})
+        if key not in cache:
+            self._require_principal()
+            cache[key] = self._local_vector(key)
+        return cache[key]
+
+    def _local_vector(self, key) -> Tuple[int, ...]:
+        """log_q(|eR| / |e(x)|) for each factor eR of :meth:`_local_split`,
+        principal or not, where (x) is the ideal with class key ``key``: the
+        valuation v_e(x) in a chain ring eR, as |m^v| = q^(k - v) there, and
+        in any factor 0 exactly when ex is a unit of eR."""
         members, mul = list(self.ideal_members(key)), self.mul
         out = []
         for e, size, q, _ in self._local_split():
@@ -580,19 +588,12 @@ class FiniteRing:
             while ratio > 1:
                 ratio, v = ratio // q, v + 1
             out.append(v)
-        out = self._valuations[key] = tuple(out)
-        return out
+        return tuple(out)
 
     def element_length(self, x) -> int:
         """Longest strictly increasing chain of ideals from (x) up to R in a
         principal ring: the sum of the local valuations of x."""
         return sum(self.valuations(self.ideal_class(x)))
-
-    def _ideal_order(self) -> FinitePoset:
-        """Distinct principal ideals, each below the ideals it properly contains."""
-        distinct = list(dict.fromkeys(self.principal_ideals().values()))
-        return FinitePoset(distinct, [(big, small) for big in distinct
-                                      for small in distinct if small < big])
 
     def quotient_ring(self, b) -> "QuotientRing":
         return QuotientRing(self, b)
@@ -621,9 +622,10 @@ class Zmod(FiniteRing):
         if n < 2:
             raise DomainError(f"Z/{n} has fewer than two elements")
         self.n = n
+        self.name = f"Z/{n}"
+        _check_carrier(self.name, n)
         self.elements = tuple(range(n))
         self.zero, self.one = 0, 1
-        self.name = f"Z/{n}"
         self._known_principal = True
 
     def add(self, x, y):
@@ -681,10 +683,11 @@ class PolyQuotient(FiniteRing):
         self.field = field
         self.modulus = modulus
         self.deg = len(modulus) - 1
+        self.name = f"{field.name}[t]/({format_poly(modulus)})"
+        _check_carrier(self.name, field.size ** self.deg)
         self.elements = tuple(itertools.product(range(field.size), repeat=self.deg))
         self.zero = (0,) * self.deg
         self.one = (1,) + (0,) * (self.deg - 1)
-        self.name = f"{field.name}[t]/({format_poly(modulus)})"
         self._known_principal = True
         # f = t^e * f' with f' prime to t, for the ideal-class keys
         self._t_exp = next(i for i, c in enumerate(modulus) if c)
@@ -827,15 +830,16 @@ class ProductRing(FiniteRing):
         if not factors:
             raise DomainError("a product ring needs at least one factor")
         self.factors = tuple(factors)
-        self.elements = tuple(itertools.product(*(f.elements for f in factors)))
-        self.zero = tuple(f.zero for f in factors)
-        self.one = tuple(f.one for f in factors)
         # a factor that is itself a product or a quotient is parenthesized,
         # so that the name parses back to the same nesting
         self.name = " x ".join(
             f"({f.name})" if isinstance(f, (ProductRing, QuotientRing)) else f.name
             for f in factors
         )
+        _check_carrier(self.name, math.prod(map(len, factors)))
+        self.elements = tuple(itertools.product(*(f.elements for f in factors)))
+        self.zero = tuple(f.zero for f in factors)
+        self.one = tuple(f.one for f in factors)
         kp = [f._known_principal for f in factors]
         self._known_principal = True if all(v is True for v in kp) else None
 

@@ -11,7 +11,6 @@ import pytest
 
 from euctype.errors import NotEuclideanRing
 from euctype.euclidean import (
-    _bottom_fixed_point,
     bottom_euclidean,
     collapse_pair_table,
     division_counterexample,
@@ -44,6 +43,8 @@ from euctype.rings import (
     Zmod,
     truncated_bivariate_fixture,
 )
+
+from ideal_oracles import _bottom_fixed_point
 
 
 def gf(q, *modulus):

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from euctype import cli
 from euctype.cli import _dumps, _table_lines, main
 from euctype.euclidean import EuclideanTable, bottom_euclidean, quotient_euclidean, table_to_dict
-from euctype import models
+from euctype import models, rings
 from euctype.models import windowed_bottom_polynomials
 from euctype.ordinal import Ordinal, format_ordinal, omega_power
 from euctype.parsing import parse_ring_spec
@@ -31,17 +32,21 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def fresh_run(argv):
+def fresh_run(argv, address_space=None):
     """(exit status, stdout, stderr) and seconds of the CLI in a new interpreter,
-    so that no field or ring built by another test is cached."""
+    so that no field or ring built by another test is cached.  With
+    ``address_space`` (bytes) the interpreter gets that RLIMIT_AS, so a
+    carrier that is built after all ends in a MemoryError, not in swap."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(GOLDEN_DIR.parent.parent / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     script = "import sys; from euctype.cli import main; sys.exit(main(sys.argv[1:]))"
+    limit = None if address_space is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
-                          text=True, timeout=60)
+                          text=True, timeout=60, preexec_fn=limit)
     return (proc.returncode, proc.stdout, proc.stderr), time.perf_counter() - t0
 
 
@@ -356,6 +361,40 @@ def test_symbolic_spec_with_a_non_principal_factor():
         code, out, err = run(["ring-analyze", "Z x GF(2)[x,y]/(x,y)^2", *extra])
         assert (code, out) == (2, "")
         assert err == "error: GF(2)[x,y]/(x,y)^2 is not a principal ring\n"
+
+
+class TestCarrierBound:
+    def test_large_carriers_are_refused_in_a_fresh_process(self):
+        # each of these ended in a MemoryError traceback (exit 1) under a
+        # 2 GB address space, the last after 8 s
+        for argv, name, size in (
+                (["ring-analyze", "Z/1000000007"], "Z/1000000007", 1000000007),
+                (["ring-analyze", "Z x Z/1000000007"], "Z/1000000007", 1000000007),
+                (["euclid-bottom", "Z/1000000007 x Z/2"], "Z/1000000007", 1000000007),
+                (["ring-analyze", "GF(2)[t]/(t^40)"], "GF(2)[t]/(t^40)", 1 << 40),
+                (["euclid-bottom", "Z/4096 x Z/2048"], "Z/4096 x Z/2048", 1 << 23)):
+            (code, out, err), elapsed = fresh_run(argv, address_space=1 << 30)
+            assert (code, out) == (4, "")
+            assert err == f"error: {name} has {size} elements; carriers are bounded at 4194304\n"
+            assert elapsed < 1.0
+
+    def test_rings_at_the_bound_answer(self, monkeypatch):
+        monkeypatch.setattr(rings, "CARRIER_BOUND", 16)
+        for spec in ("Z/16", "GF(2)[t]/(t^4)", "GF(4)[t]/(t^2)", "Z/4 x Z/4", "Z/16/(4)"):
+            assert run(["euclid-bottom", spec])[0] == 0, spec
+        for spec, size in (("Z/17", 17), ("GF(2)[t]/(t^5)", 32), ("GF(17)[t]/(t)", 17),
+                           ("Z/4 x Z/5", 20), ("GF(2)[t]/(t^2) x Z/8", 32)):
+            assert run(["euclid-bottom", spec]) == (
+                4, "", f"error: {spec} has {size} elements; carriers are bounded at 16\n")
+
+
+def test_symbolic_factors_are_refused_under_the_spec_given():
+    message = "contains symbolic factors; a concrete finite ring is required\n"
+    for argv, spec in ((["euclid-bottom", "Z x Z/3"], "Z x Z/3"),
+                       (["euclid-quotient", "GF(2)[t] x Z/9", "(0, 3)"], "GF(2)[t] x Z/9"),
+                       (["euclid-product", "Z/4", "Z/5 x GF(3)[t]"], "Z/5 x GF(3)[t]"),
+                       (["l-euclidean", " Z x GF(2)[t]/(t^3) "], "Z x GF(2)[t]/(t^3)")):
+        assert run(argv) == (2, "", f"error: '{spec}' {message}")
 
 
 def test_ring_analyze_closes_the_ideals_once(monkeypatch):

@@ -40,6 +40,8 @@ from euctype.rings import (
     truncated_bivariate_fixture,
 )
 
+from ideal_oracles import _class_pair_oracle, _minimization_oracle, _monotone_oracle
+
 
 def gf2t2():
     return PolyQuotient(GaloisField(2), (0, 0, 1))
@@ -216,54 +218,12 @@ class TestMinimization:
             isotone_minimization(t)
 
 
-def _monotone_oracle(table, strict):
-    """The double loop over every pair of carrier elements: x dividing y."""
-    ring = table.ring
-    for x, vx in table.values.items():
-        for y, vy in table.values.items():
-            if y == x or not ring.divides(x, y):
-                continue
-            if strict:
-                if ring.divides(y, x):
-                    if vx != vy:
-                        return False
-                elif not vx < vy:
-                    return False
-            elif not vx <= vy:
-                return False
-    return True
-
-
-def _minimization_oracle(table):
-    """Each x sent to the least value on the nonzero multiples of x."""
-    ring = table.ring
-    return {x: min(table.values[y] for y in ring.principal_ideal(x) if y != ring.zero)
-            for x in table.values}
-
-
-def _class_pair_oracle(table, strict):
-    """The loop over every pair of ideal classes that the predicates ran
-    before they read the ring's ideal order: a proper inclusion
-    (y) < (x) needs value(x) < value(y), or <= in weak mode."""
-    pids = table.ring.principal_ideals()
-    value = {}
-    for x, v in table.values.items():
-        if value.setdefault(pids[x], v) != v:
-            return False
-    for big, vb in value.items():
-        for small, vs in value.items():
-            if small < big and not (vb < vs if strict else vb <= vs):
-                return False
-    return True
-
-
 class TestIsotoneOnIdealClasses:
     RINGS = [Zmod(n) for n in range(2, 41)] + [
         gf2t2(), PolyQuotient(GaloisField(2), (0, 0, 0, 1)),
         PolyQuotient(GaloisField(3), (0, 0, 1)), PolyQuotient(GaloisField(2), (1, 1, 0, 1)),
         ProductRing([Zmod(2), Zmod(4)]), ProductRing([Zmod(4), Zmod(9)]),
         ProductRing([Zmod(3), Zmod(3)]), ProductRing([Zmod(2), gf2t2()]),
-        truncated_bivariate_fixture(),
     ]
 
     def _tables(self, ring, rng):
@@ -299,13 +259,20 @@ class TestIsotoneOnIdealClasses:
                 count += 1
         assert count > 500 and min(seen.values()) > 50
 
+    @staticmethod
+    def _specimen_quotients():
+        """Principal rings on the specimen, where every vector is read from
+        the carrier: a local quotient, two that are not local, and products."""
+        fixture = truncated_bivariate_fixture()
+        specimen = fixture.quotient_ring("x")
+        return [specimen, ProductRing([specimen, Zmod(3)]), ProductRing([specimen, Zmod(4)]),
+                ProductRing([fixture, Zmod(3)]).quotient_ring(("x", 0)),
+                ProductRing([fixture, Zmod(4)]).quotient_ring(("y", 0))]
+
     def test_predicates_match_the_class_pairs(self):
         rng = random.Random(13)
-        specimen = truncated_bivariate_fixture().quotient_ring("x")
-        rings = self.RINGS + [specimen, ProductRing([specimen, Zmod(3)]),
-                              ProductRing([specimen, Zmod(4)])]
         seen = {True: 0, False: 0}
-        for ring in rings:
+        for ring in self.RINGS + self._specimen_quotients():
             for t in self._tables(ring, rng):
                 strict = is_isotone_euclidean(t)
                 assert strict == _class_pair_oracle(t, True), ring.name
@@ -315,9 +282,18 @@ class TestIsotoneOnIdealClasses:
 
     def test_minimization_matches_the_double_loop(self):
         rng = random.Random(12)
-        for ring in self.RINGS[:-1]:
+        for ring in self.RINGS + self._specimen_quotients():
             for t in [bottom_euclidean(ring)] + _perturbed_tables(ring, rng, 3):
                 assert isotone_minimization(t).values == _minimization_oracle(t)
+
+    def test_predicates_refuse_a_ring_that_is_not_principal(self):
+        # no table on it passes make_table or table_from_dict, so the
+        # validated flag here is forged
+        ring = truncated_bivariate_fixture()
+        t = self._tables(ring, random.Random(14))[0]
+        for predicate in (is_isotone_euclidean, is_weakly_isotone_euclidean, isotone_minimization):
+            with pytest.raises(DomainError, match=r"\(x,y\)\^2 is not a principal ring$"):
+                predicate(t)
 
 
 class TestMonotoneComposition:
@@ -528,6 +504,17 @@ class TestResidual:
         t = bottom_euclidean(Zmod(4))
         with pytest.raises(DomainError):
             residual_euclidean(t, 0)
+
+    def test_requires_two_factors(self):
+        for ring in (Zmod(12), ProductRing([Zmod(2), Zmod(3), Zmod(2)]), ProductRing([Zmod(4)])):
+            with pytest.raises(DomainError, match="^residual table needs a two-factor product ring$"):
+                residual_euclidean(bottom_euclidean(ring), 0)
+
+    def test_factor_index_is_0_or_1(self):
+        t = bottom_euclidean(ProductRing([Zmod(2), Zmod(3)]))
+        for factor in (2, -1):
+            with pytest.raises(DomainError, match="^factor index must be 0 or 1$"):
+                residual_euclidean(t, factor)
 
 
 class TestLengthFunction:

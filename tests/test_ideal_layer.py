@@ -19,15 +19,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from euctype.cli import main
-from euctype.errors import DomainError, ResourceError
+from euctype.errors import DomainError, NotEuclideanRing, ResourceError
 from euctype.euclidean import (
     EuclideanTable,
-    _bottom_fixed_point,
     _length_values,
     _ranks,
     bottom_euclidean,
     collapse_pair_table,
     division_counterexample,
+    is_isotone_euclidean,
+    is_weakly_isotone_euclidean,
+    isotone_minimization,
     nagata_product,
     quotient_euclidean,
     table_to_dict,
@@ -45,6 +47,8 @@ from euctype.rings import (
     poly_mod,
     truncated_bivariate_fixture,
 )
+
+from ideal_oracles import _bottom_fixed_point, _class_pair_oracle, _minimization_oracle
 
 
 def scanned_ideals(ring):
@@ -174,6 +178,22 @@ class TestNoMultiplication:
             table = bottom_euclidean(ring)
             assert len(table.values) == len(ring.elements) - 1
             assert table.value(ring.one) == Ordinal(0)
+
+    def test_isotonicity_and_minimization_read_only_the_valuations(self, rings, monkeypatch):
+        def forbidden(name):
+            def call(self, *args):
+                raise AssertionError(f"{name} called on {self.name}")
+            return call
+
+        tables = [bottom_euclidean(ring) for ring in rings]
+        for cls in (Zmod, PolyQuotient, ProductRing, QuotientRing):
+            for name in ("add", "mul"):
+                monkeypatch.setattr(cls, name, forbidden(name))
+        for name in ("principal_ideals", "coset_partition"):
+            monkeypatch.setattr(FiniteRing, name, forbidden(name))
+        for table in tables:
+            assert is_isotone_euclidean(table) and is_weakly_isotone_euclidean(table)
+            assert isotone_minimization(table).values == table.values
 
 
 def old_division_counterexample(ring, values):
@@ -833,7 +853,6 @@ class TestCosetLayer:
 
     def test_quotient_reuses_the_partition_of_the_bottom_table(self):
         ring = Zmod(36)
-        _bottom_fixed_point(ring)
         cid, _ = ring.coset_partition(ring.principal_ideal(6))
         assert ring.quotient_ring(6)._cid is cid
 
@@ -1010,19 +1029,129 @@ class TestValuations:
             assert copied.values == bottom.values, ring.name
             assert copied.value_at_zero == bottom.value_at_zero, ring.name
 
+    def test_isotonicity_on_vectors_equals_the_class_pairs(self):
+        # the bottom table, and a forged one with random values per class
+        rng = random.Random(9)
+        rings = valuation_corpus()[::3]
+        seen = {True: 0, False: 0}
+        for ring in rings:
+            bottom = bottom_euclidean(ring)
+            assert isotone_minimization(bottom).values == _minimization_oracle(bottom), ring.name
+            by_key = {}
+            values = {x: by_key.setdefault(ring.ideal_class(x), Ordinal(rng.randint(0, 6)))
+                      for x in bottom.values}
+            forged = EuclideanTable(ring, values, max(values.values()).successor(), True)
+            for t in (bottom, forged):
+                strict = is_isotone_euclidean(t)
+                assert strict == _class_pair_oracle(t, True), ring.name
+                assert is_weakly_isotone_euclidean(t) == _class_pair_oracle(t, False), ring.name
+                seen[strict] += 1
+        assert len(rings) > 180 and min(seen.values()) > 40
+
     def test_principal_rings_skip_the_fixed_point(self, monkeypatch):
         from euctype import euclidean
 
         expected = {ring.name: _bottom_fixed_point(ring) for ring in specimen_rings()}
 
         def refuse(ring):
-            raise AssertionError(f"fixed point on the principal ring {ring.name}")
+            raise AssertionError(f"not-Euclidean finding on the principal ring {ring.name}")
 
-        monkeypatch.setattr(euclidean, "_bottom_fixed_point", refuse)
+        monkeypatch.setattr(euclidean, "_not_euclidean", refuse)
         for ring in specimen_rings():
             table = bottom_euclidean(ring)
             assert table.values == expected[ring.name].values, ring.name
             assert table.value_at_zero == expected[ring.name].value_at_zero, ring.name
+
+
+def finding_corpus():
+    """Rings on the specimen S: S, its products with Z/2..Z/16, with S and
+    with chain and split polynomial quotients, three factors up to 512
+    elements, and the quotients of each product by one divisor per ideal
+    class, principal or not."""
+    fixture = truncated_bivariate_fixture()
+    products = [ProductRing([fixture, Zmod(m)]) for m in range(2, 17)]
+    products += [ProductRing([Zmod(3), fixture]), ProductRing([fixture, fixture]),
+                 ProductRing([fixture, poly(3, 0, 0, 1)]), ProductRing([fixture, poly(2, 0, 1, 0, 1)]),
+                 ProductRing([Zmod(9), fixture, Zmod(2)]), ProductRing([fixture, Zmod(4), Zmod(3)]),
+                 ProductRing([fixture, Zmod(64)]), ProductRing([fixture, fixture, Zmod(8)])]
+    quotients = []
+    for ring in products:
+        divisors = {}
+        for b in ring.elements:
+            if b != ring.zero and not ring.is_unit(b):
+                divisors.setdefault(ring.ideal_class(b), b)
+        quotients += [ring.quotient_ring(b) for b in divisors.values()]
+    return [fixture] + products + quotients
+
+
+def oracle_finding(ring):
+    """The finding of the fixed point with its levels in carrier order, as
+    the CLI printed them, or None on a principal ring."""
+    try:
+        _bottom_fixed_point(ring)
+    except NotEuclideanRing as exc:
+        return exc.stuck, dict(sorted(exc.partial.items(), key=lambda kv: ring.index(kv[0])))
+    return None
+
+
+class TestNotEuclideanFinding:
+    def test_finding_equals_the_fixed_point(self):
+        rings = finding_corpus()
+        assert len(rings) > 400 and max(map(len, rings)) == 512
+        findings = 0
+        for ring in rings:
+            expected = oracle_finding(ring)
+            if expected is None:
+                assert_bottom_matches_fixed_point(ring)
+                continue
+            with pytest.raises(NotEuclideanRing) as err:
+                bottom_euclidean(ring)
+            stuck, partial = expected
+            assert err.value.stuck == stuck, ring.name
+            assert list(err.value.partial.items()) == list(partial.items()), ring.name
+            findings += 1
+        assert findings > 100
+
+    def test_finding_builds_no_coset_partition(self, monkeypatch):
+        rings = [ring for ring in finding_corpus() if not ring.is_principal()]
+
+        def forbidden(self, ideal):
+            raise AssertionError(f"coset_partition called on {self.name}")
+
+        monkeypatch.setattr(FiniteRing, "coset_partition", forbidden)
+        for ring in rings:
+            with pytest.raises(NotEuclideanRing):
+                bottom_euclidean(ring)
+
+    @pytest.mark.parametrize("argv", [
+        ["euclid-bottom", "GF(2)[x,y]/(x,y)^2 x Z/6"],
+        ["euclid-bottom", "(GF(2)[x,y]/(x,y)^2 x Z/12)/((0, 2))"],
+        ["euclid-bottom", "Z/4 x GF(2)[x,y]/(x,y)^2 x GF(3)[t]/(t^2)"],
+        ["euclid-quotient", "GF(2)[x,y]/(x,y)^2 x Z/8", "(x, 2)"],
+        ["euclid-product", "Z/4", "GF(2)[x,y]/(x,y)^2 x Z/3"],
+        ["euclid-product", "GF(2)[x,y]/(x,y)^2 x GF(2)[x,y]/(x,y)^2", "Z/4"],
+    ])
+    def test_cli_reports_equal_those_of_the_fixed_point(self, argv, monkeypatch):
+        from euctype import cli
+
+        closed = []
+        for extra in ([], ["--json"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                closed.append((main(argv + extra), out.getvalue()))
+
+        def fixed(ring):
+            if ring.is_principal():
+                return bottom_euclidean(ring)
+            stuck, partial = oracle_finding(ring)
+            raise NotEuclideanRing(ring, stuck, partial)
+
+        monkeypatch.setattr(cli, "bottom_euclidean", fixed)
+        for (code, text), extra in zip(closed, ([], ["--json"])):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv + extra) == code == 3
+            assert out.getvalue() == text
 
 
 class TestCertifiedTables:
