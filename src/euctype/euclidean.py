@@ -192,7 +192,8 @@ def division_counterexample(ring: FiniteRing, values: Dict[object, Ordinal]):
     x mod g, a tuple of those), so the check builds no ideal, at O(n) label
     reads per class swept.  The ideal-class keys of the carrier are kept on
     the ring (:meth:`FiniteRing.carrier_classes`), so a second check of the
-    same ring computes none; table rings also keep their coset partitions.
+    same ring computes none; table rings and quotients, whose labels are
+    coset ids found by addition, keep them per key.
     """
     zero, elements = ring.zero, ring.elements
     rank = _ranks(values)
@@ -397,8 +398,12 @@ def quotient_euclidean(table: EuclideanTable, b) -> EuclideanTable:
     _require_validated(table)
     ring = table.ring
     quot = ring.quotient_ring(b)
-    values = {xbar: min(table.values[m] for m in quot.coset(xbar))
-              for xbar in quot.elements if xbar != quot.zero}
+    cid, least = quot._cid, {}
+    for x, v in table.values.items():
+        i = cid[x]
+        if i not in least or v < least[i]:
+            least[i] = v
+    values = {xbar: least[i] for i, xbar in enumerate(quot.elements) if xbar != quot.zero}
     known = bottom_euclidean(quot) if table.is_bottom else None
     return _certified_table(quot, values, known)
 

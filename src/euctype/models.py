@@ -121,9 +121,9 @@ def windowed_polynomial_levels(q: int, report_degree: int = 10, start_window: in
 
     A nonzero multiple of b has degree at least deg b, so the only coset
     member of r below b's degree is r itself: every polynomial of degree
-    d gets one more than the largest value at lower degree (units get 0).
-    So one value per degree is the whole level construction, and no
-    polynomial is listed.  The value of b reads only values at lower
+    d gets one more than the largest value at lower degree (units get 0),
+    which is d.  So one value per degree is the whole level construction,
+    and no polynomial is listed.  The value of b reads only values at lower
     degree, so every degree window of the schedule start_window + k *
     growth_step at or above the report degree gives this report; the
     certificate names the first such window and the next.  A request
@@ -148,11 +148,8 @@ def windowed_polynomial_levels(q: int, report_degree: int = 10, start_window: in
     if window + growth_step > max_window:
         raise ResourceError(f"reporting degree {report_degree} needs degree windows up to "
                             f"{window + growth_step}, above {max_window}")
-    values: List[int] = []
-    for _ in range(report_degree + 1):
-        values.append(max(values, default=-1) + 1)
-    return WindowedBottom(dict(enumerate(values)), StabilizationCertificate(
-        window, window + growth_step))
+    values = {d: d for d in range(report_degree + 1)}
+    return WindowedBottom(values, StabilizationCertificate(window, window + growth_step))
 
 
 def _poly_window_table(q: int, by_degree: Dict[int, int]) -> Dict[Tuple[int, ...], int]:

@@ -33,16 +33,18 @@ elements at a time, and counts the cosets: by arithmetic on the keyed
 rings (x mod d in Z/n, x mod g in GF(q)[t]/(f), which is a slice of the
 coefficients when g is a power of t, and in a product the factors' labels
 of the transposed batch, zipped back into tuples), so the division check
-builds no ideal there.  ``coset_partition(I)`` splits the carrier into
-the cosets once per ideal, by adding I to the elements.  Table rings and
-quotients label their cosets from it, and a quotient R/(b) takes its
-elements (the least member of each coset), projection and cosets from
-the partition of R by (b).  Each ring class owns the rest of what is
+builds no ideal there.  Table rings and quotients split the carrier into
+the cosets once per key, by adding I to the elements, and label each
+coset by its id.  These labels are the only way the library reads
+cosets: a quotient R/(b) labels the carrier of R once by the cosets of
+(b) and takes its elements (the least member of each coset) and its
+projection from the labels.  Each ring class owns the rest of what is
 ring-specific: its element syntax (``format_element`` and its inverse
 ``parse_element``, with the names of the whole carrier kept by
 ``element_names``, built in one batch on products and polynomial
 quotients) and, on the keyed rings, its CRT split into local rings
-(``local_factors``); other rings split into the quotients R/(1 - e).
+(``local_factors``: the factors, and a function from an element to its
+coordinates in them); other rings split into the quotients R/(1 - e).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import DomainError, ParseError, ResourceError
 
@@ -308,6 +310,11 @@ def _check_carrier(name: str, size: int) -> None:
         raise ResourceError(f"{name} has {size} elements; carriers are bounded at {CARRIER_BOUND}")
 
 
+def _own_coordinate(x) -> Tuple:
+    """The coordinates of x in a ring that is its own single local factor."""
+    return (x,)
+
+
 class FiniteRing:
     """Base class: subclasses set elements/zero/one/name and add/mul/neg."""
 
@@ -330,7 +337,7 @@ class FiniteRing:
 
     # subclasses that are principal by construction set this True; they are
     # the rings whose local valuations are computed by arithmetic.
-    _known_principal: Optional[bool] = None
+    _known_principal = False
 
     def __len__(self):
         return len(self.elements)
@@ -455,35 +462,27 @@ class FiniteRing:
             self._pids = pids
             return pids
 
-    def coset_partition(self, ideal: FrozenSet) -> Tuple[Dict[object, int], List]:
-        """The cosets x + I of an ideal I, built once per ideal: a map from
-        each element to the id of its coset, and the least element of each
-        coset, with ids in the carrier order of those least elements."""
-        try:
-            return self._cosets[ideal]
-        except AttributeError:
-            self._cosets = {}
-        except KeyError:
-            pass
-        add = self.add
-        cid: Dict[object, int] = {}
-        reps = []
-        for x in self.elements:
-            if x not in cid:
-                for i in ideal:
-                    cid[add(x, i)] = len(reps)
-                reps.append(x)
-        self._cosets[ideal] = cid, reps
-        return cid, reps
-
     def coset_labels(self, key) -> Tuple[Callable[[Sequence], Iterator], int]:
         """A batch labeller and the number of cosets of I, the principal
         ideal with class key ``key``: ``labels(xs)`` yields a label of the
         coset x + I for each x of the sequence ``xs``, in order.  This
-        default reads :meth:`coset_partition`; the keyed rings compute the
+        default splits the carrier once per key by adding I to the elements
+        and labels each coset by its id, the ids counting the cosets in the
+        carrier order of their least members; the keyed rings compute the
         labels by arithmetic, without building I."""
-        cid, reps = self.coset_partition(frozenset(self.ideal_members(key)))
-        return functools.partial(map, cid.__getitem__), len(reps)
+        cache = self.__dict__.setdefault("_cosets", {})
+        if key not in cache:
+            ideal, add = frozenset(self.ideal_members(key)), self.add
+            cid: Dict[object, int] = {}
+            count = 0
+            for x in self.elements:
+                if x not in cid:
+                    for i in ideal:
+                        cid[add(x, i)] = count
+                    count += 1
+            cache[key] = cid, count
+        cid, count = cache[key]
+        return functools.partial(map, cid.__getitem__), count
 
     def _check_enumeration_bound(self, max_size: int) -> None:
         if len(self.elements) > max_size:
@@ -537,7 +536,7 @@ class FiniteRing:
     def is_principal(self) -> bool:
         """True iff every ideal is principal: by construction, or when the
         maximal ideal of every local factor eR is principal."""
-        return bool(self._known_principal) or all(principal for *_, principal in self._local_split())
+        return self._known_principal or all(principal for *_, principal in self._local_split())
 
     def _require_principal(self):
         if not self.is_principal():
@@ -601,20 +600,21 @@ class FiniteRing:
     # -- CRT decomposition -------------------------------------------------
 
     def local_factors(self):
-        """Split into local factors; returns (locals, iso) with iso: x -> coords.
+        """Split into local factors; returns (locals, coords), where the
+        function ``coords`` maps x to its tuple of local coordinates.
 
         Multiplying the local factors back together gives a ring isomorphic
-        to this one, the isomorphism being exactly ``iso``.  This default
+        to this one, the isomorphism being exactly ``coords``.  This default
         takes the quotients R/(1 - e), isomorphic to eR, for the primitive
-        idempotents e of :meth:`_local_split`; a local ring is its own
-        single factor.
+        idempotents e of :meth:`_local_split`, with their projections as
+        coordinates; a local ring is its own single factor.
         """
         self._require_principal()
         split = self._local_split()
         if len(split) == 1:
-            return [self], {x: (x,) for x in self.elements}
+            return [self], _own_coordinate
         parts = [self.quotient_ring(self.sub(self.one, e)) for e, *_ in split]
-        return parts, {x: tuple(part.projection(x) for part in parts) for x in self.elements}
+        return parts, lambda x: tuple(part.projection(x) for part in parts)
 
 
 class Zmod(FiniteRing):
@@ -666,8 +666,7 @@ class Zmod(FiniteRing):
 
     def local_factors(self):
         moduli = [p ** k for p, k in sorted(_int_factor(self.n).items())]
-        iso = {x: tuple(x % m for m in moduli) for x in self.elements}
-        return [Zmod(m) for m in moduli], iso
+        return [Zmod(m) for m in moduli], lambda x: tuple(x % m for m in moduli)
 
 
 class PolyQuotient(FiniteRing):
@@ -798,14 +797,14 @@ class PolyQuotient(FiniteRing):
         F = self.field
         fac = poly_factor(F, self.modulus)
         if len(fac) == 1:  # a local ring is its own single factor
-            return [self], {x: (x,) for x in self.elements}
+            return [self], _own_coordinate
         parts = []
         for g in sorted(fac):
             ge = (1,)
             for _ in range(fac[g]):
                 ge = poly_mul(F, ge, g)
             parts.append(PolyQuotient(F, ge))
-        return parts, {x: tuple(part.reduce(x) for part in parts) for x in self.elements}
+        return parts, lambda x: tuple(part.reduce(x) for part in parts)
 
 
 def format_poly(coeffs: Sequence[int]) -> str:
@@ -840,8 +839,7 @@ class ProductRing(FiniteRing):
         self.elements = tuple(itertools.product(*(f.elements for f in factors)))
         self.zero = tuple(f.zero for f in factors)
         self.one = tuple(f.one for f in factors)
-        kp = [f._known_principal for f in factors]
-        self._known_principal = True if all(v is True for v in kp) else None
+        self._known_principal = all(f._known_principal for f in factors)
 
     def add(self, x, y):
         return tuple(f.add(a, b) for f, a, b in zip(self.factors, x, y))
@@ -910,19 +908,9 @@ class ProductRing(FiniteRing):
         return tuple(f.parse_element(piece.strip()) for f, piece in zip(self.factors, pieces))
 
     def local_factors(self):
-        locals_: List[FiniteRing] = []
-        factor_isos = []
-        for f in self.factors:
-            locs, iso = f.local_factors()
-            locals_.extend(locs)
-            factor_isos.append(iso)
-        combined = {}
-        for x in self.elements:
-            coords: Tuple = ()
-            for coord, iso in zip(x, factor_isos):
-                coords += iso[coord]
-            combined[x] = coords
-        return locals_, combined
+        splits = [f.local_factors() for f in self.factors]
+        locals_ = [loc for locs, _ in splits for loc in locs]
+        return locals_, lambda x: sum((coords(a) for (_, coords), a in zip(splits, x)), ())
 
     def inject(self, i: int, value) -> Tuple:
         """The element with ``value`` in factor i and 0 elsewhere."""
@@ -930,38 +918,33 @@ class ProductRing(FiniteRing):
 
 
 class QuotientRing(FiniteRing):
-    """R/(b) on the least elements of the cosets of (b), read from the coset
-    partition of the base ring."""
+    """R/(b) on the least elements of the cosets of (b), labelled once on
+    the base carrier by its :meth:`~FiniteRing.coset_labels`; the coset ids
+    ``_cid`` follow the carrier order of the least members.  On a keyed
+    base no ideal is built and no ring operation is made."""
 
     def __init__(self, base: FiniteRing, b):
-        ideal = frozenset(base.ideal_members(base.ideal_class(b)))  # (b) alone
-        if len(ideal) == len(base.elements):
+        labels, count = base.coset_labels(base.ideal_class(b))
+        if count == 1:
             raise DomainError(
                 f"quotient of {base.name} by the unit ideal ({base.format_element(b)}) "
                 "has one element"
             )
         self.base = base
         self.modulus_element = b
-        self._cid, reps = base.coset_partition(ideal)
-        self.elements = tuple(reps)
+        labelled = list(labels(base.elements))
+        # read backwards, so the last write for a label is its least member
+        least = dict(zip(reversed(labelled), reversed(base.elements)))
+        ids = dict(zip(dict.fromkeys(labelled), itertools.count()))
+        self.elements = tuple(map(least.__getitem__, ids))
+        self._cid = dict(zip(base.elements, map(ids.__getitem__, labelled)))
         self.zero = self.projection(base.zero)
         self.one = self.projection(base.one)
         self.name = f"{base.name}/({base.format_element(b)})"
-        self._known_principal = True if base._known_principal else None
+        self._known_principal = base._known_principal
 
     def projection(self, x):
         return self.elements[self._cid[x]]
-
-    def coset(self, xbar) -> Tuple:
-        """The members of the coset of xbar, in carrier order."""
-        try:
-            members = self._members
-        except AttributeError:
-            members = self._members = [[] for _ in self.elements]
-            cid = self._cid
-            for x in self.base.elements:
-                members[cid[x]].append(x)
-        return tuple(members[self._cid[xbar]])
 
     def add(self, x, y):
         return self.elements[self._cid[self.base.add(x, y)]]
@@ -1002,15 +985,18 @@ class QuotientRing(FiniteRing):
         if not self.base._known_principal:
             return super().local_factors()
         # R/(b) splits as the product of the R_i/(b_i) where b_i is no unit
-        locs, iso = self.base.local_factors()
-        b = iso[self.modulus_element]
+        locs, base_coords = self.base.local_factors()
+        b = base_coords(self.modulus_element)
         kept = [i for i, loc in enumerate(locs) if not loc.is_unit(b[i])]
         if len(kept) == 1:
-            return [self], {x: (x,) for x in self.elements}
+            return [self], _own_coordinate
         parts = [locs[i].quotient_ring(b[i]) for i in kept]
-        iso = {x: tuple(part.projection(iso[x][i]) for i, part in zip(kept, parts))
-               for x in self.elements}
-        return parts, iso
+
+        def coords(x):
+            at = base_coords(x)
+            return tuple(part.projection(at[i]) for i, part in zip(kept, parts))
+
+        return parts, coords
 
 
 class TableRing(FiniteRing):
@@ -1104,5 +1090,6 @@ def _multiplicity(n: int, p: int) -> int:
 
 
 def crt_decompose(ring: FiniteRing):
-    """The split of ``ring`` into local factors: see :meth:`FiniteRing.local_factors`."""
+    """The local factors of ``ring`` and the function that maps an element
+    to its coordinates in them: see :meth:`FiniteRing.local_factors`."""
     return ring.local_factors()

@@ -1,12 +1,14 @@
 """Reference oracles over the frozensets of ``principal_ideals()``.
 
-The library reads a ring through its valuation vectors; these are the
-carrier-level constructions the vector code is tested against.
-``_bottom_fixed_point`` is Motzkin's construction run level by level on
-the cosets of each principal ideal: on a principal ring it gives the
-bottom table, and on any other ring it stalls and raises the finding.
-The other three are the isotonicity and minimization of a table, on
-pairs of elements and on pairs of ideals.
+The library reads a ring through its valuation vectors and its coset
+labels; these are the carrier-level constructions the vector and label
+code is tested against.  ``coset_partition`` splits the carrier into the
+cosets of an ideal by addition.  ``_bottom_fixed_point`` is Motzkin's
+construction run level by level on those cosets for each principal
+ideal: on a principal ring it gives the bottom table, and on any other
+ring it stalls and raises the finding.  The other three are the
+isotonicity and minimization of a table, on pairs of elements and on
+pairs of ideals.
 """
 
 from typing import Dict
@@ -15,6 +17,20 @@ from euctype.errors import NotEuclideanRing
 from euctype.euclidean import EuclideanTable
 from euctype.ordinal import Ordinal
 from euctype.rings import FiniteRing
+
+
+def coset_partition(ring: FiniteRing, ideal: frozenset):
+    """The cosets x + I of an ideal I, by adding I to the elements: a map
+    from each element to the id of its coset, and the least element of each
+    coset, with ids in the carrier order of those least elements."""
+    cid: Dict[object, int] = {}
+    reps = []
+    for x in ring.elements:
+        if x not in cid:
+            for i in ideal:
+                cid[ring.add(x, i)] = len(reps)
+            reps.append(x)
+    return cid, reps
 
 
 def _bottom_fixed_point(ring: FiniteRing) -> EuclideanTable:
@@ -32,7 +48,7 @@ def _bottom_fixed_point(ring: FiniteRing) -> EuclideanTable:
         if x != zero:
             classes.setdefault(pids[x], []).append(x)
 
-    partitions = {ideal: ring.coset_partition(ideal) for ideal in classes}
+    partitions = {ideal: coset_partition(ring, ideal) for ideal in classes}
     unsat = {ideal: set(range(len(reps))) - {cid[zero]}
              for ideal, (cid, reps) in partitions.items()}
 

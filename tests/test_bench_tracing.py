@@ -14,7 +14,8 @@ import pytest
 import euctype.cli
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench"
-ARGVS = (["ordinal-eval", "w+1"], ["euclid-quotient", "Z/8", "2"], ["model-z", "--window", "40"])
+ARGVS = (["ordinal-eval", "w+1"], ["euclid-quotient", "Z/8", "2"], ["model-z", "--window", "40"],
+         ["ring-analyze", "GF(2)[x,y]/(x,y)^2"])
 
 
 @pytest.mark.parametrize("kind", ["spans", "ops"])

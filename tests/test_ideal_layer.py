@@ -30,6 +30,7 @@ from euctype.euclidean import (
     is_isotone_euclidean,
     is_weakly_isotone_euclidean,
     isotone_minimization,
+    make_table,
     nagata_product,
     quotient_euclidean,
     table_to_dict,
@@ -48,7 +49,12 @@ from euctype.rings import (
     truncated_bivariate_fixture,
 )
 
-from ideal_oracles import _bottom_fixed_point, _class_pair_oracle, _minimization_oracle
+from ideal_oracles import (
+    _bottom_fixed_point,
+    _class_pair_oracle,
+    _minimization_oracle,
+    coset_partition,
+)
 
 
 def scanned_ideals(ring):
@@ -172,7 +178,7 @@ class TestNoMultiplication:
         for cls in (Zmod, PolyQuotient, ProductRing, QuotientRing):
             for name in ("add", "mul"):
                 monkeypatch.setattr(cls, name, forbidden(name))
-        for name in ("principal_ideals", "coset_partition"):
+        for name in ("principal_ideals", "coset_labels"):
             monkeypatch.setattr(FiniteRing, name, forbidden(name))
         for ring in rings:
             table = bottom_euclidean(ring)
@@ -189,7 +195,7 @@ class TestNoMultiplication:
         for cls in (Zmod, PolyQuotient, ProductRing, QuotientRing):
             for name in ("add", "mul"):
                 monkeypatch.setattr(cls, name, forbidden(name))
-        for name in ("principal_ideals", "coset_partition"):
+        for name in ("principal_ideals", "coset_labels"):
             monkeypatch.setattr(FiniteRing, name, forbidden(name))
         for table in tables:
             assert is_isotone_euclidean(table) and is_weakly_isotone_euclidean(table)
@@ -283,9 +289,13 @@ def failing_pairs(ring, values):
     """The (key, rank) of every divisor b with some a that has no quotient,
     from the coset partition of each (b)."""
     rank = _ranks(values)
+    partitions = {}
     out = set()
     for b in values:
-        cid, reps = ring.coset_partition(ring.principal_ideal(b))
+        ideal = ring.principal_ideal(b)
+        if ideal not in partitions:
+            partitions[ideal] = coset_partition(ring, ideal)
+        cid, reps = partitions[ideal]
         met = {cid[ring.zero]} | {cid[x] for x, r in rank.items() if r < rank[b]}
         if len(met) < len(reps):
             out.add((ring.ideal_class(b), rank[b]))
@@ -419,7 +429,7 @@ def class_sweep_division_counterexample(ring, values):
             classes.setdefault(pids[b], {}).setdefault(rank[b], b)
     best = None
     for ideal, divisors in classes.items():
-        cid, reps = ring.coset_partition(ideal)
+        cid, reps = coset_partition(ring, ideal)
         hit = [False] * len(reps)
         hit[cid[zero]] = True
         met = first_unmet = 0
@@ -486,7 +496,7 @@ class TestCosetLabels:
         for ring in rings:
             for key in class_keys(ring):
                 labels, count = ring.coset_labels(key)
-                cid, reps = ring.coset_partition(frozenset(ring.ideal_members(key)))
+                cid, reps = coset_partition(ring, frozenset(ring.ideal_members(key)))
                 got = list(labels(ring.elements))
                 pairs = set(zip(got, (cid[x] for x in ring.elements)))
                 assert count == len(reps), ring.name
@@ -525,7 +535,7 @@ class TestCosetLabels:
                      poly(2, 0, 0, 0, 1).quotient_ring((0, 1, 0))):
             for key in class_keys(ring):
                 labels, count = ring.coset_labels(key)
-                cid, reps = ring.coset_partition(frozenset(ring.ideal_members(key)))
+                cid, reps = coset_partition(ring, frozenset(ring.ideal_members(key)))
                 assert count == len(reps), ring.name
                 assert list(labels(ring.elements)) == [cid[x] for x in ring.elements], ring.name
 
@@ -646,7 +656,7 @@ class TestCosetLabels:
 
         for cls in (Zmod, PolyQuotient, ProductRing):
             monkeypatch.setattr(cls, "add", forbidden("add"))
-        for name in ("principal_ideals", "coset_partition"):
+        for name in ("principal_ideals", "coset_labels"):
             monkeypatch.setattr(FiniteRing, name, forbidden(name))
         for ring, values, expected in cases:
             assert division_counterexample(ring, values) == expected, ring.name
@@ -831,8 +841,21 @@ def quotient_corpus():
             yield base, b
 
 
+def raised_euclidean_table(ring, rng):
+    """A validated table: the bottom table with the values of a few random
+    elements raised, each raise kept only where the table stays Euclidean."""
+    values = dict(bottom_euclidean(ring).values)
+    for x in rng.sample(list(values), min(6, len(values))):
+        old, values[x] = values[x], Ordinal(values[x].to_int() + rng.randint(1, 3))
+        if division_counterexample(ring, values) is not None:
+            values[x] = old
+    return make_table(ring, values)
+
+
 class TestCosetLayer:
     def test_quotient_rings_against_brute_force(self):
+        rng = random.Random(23)
+        tables = {}
         pairs = 0
         for base, b in quotient_corpus():
             quot = base.quotient_ring(b)
@@ -840,21 +863,56 @@ class TestCosetLayer:
             assert list(quot.elements) == reps, quot.name
             for x in base.elements:
                 assert quot.projection(x) == proj[x], quot.name
-            for xbar in quot.elements:
-                assert quot.coset(xbar) == cosets[xbar], quot.name
             pairs += 1
+            if not base.is_principal():
+                continue  # no table on it is Euclidean
+            if base not in tables:
+                tables[base] = raised_euclidean_table(base, rng)
+            table = tables[base]
+            # the pushed table takes the least value over each coset
+            assert quotient_euclidean(table, b).values == {
+                xbar: min(table.values[m] for m in cosets[xbar])
+                for xbar in reps if xbar != quot.zero}, quot.name
         assert pairs > 60
+        raised = [t for t in tables.values() if t.values != bottom_euclidean(t.ring).values]
+        assert len(raised) > 10
 
     def test_partition_ids_follow_the_carrier_order(self):
         for base, b in quotient_corpus():
-            cid, reps = base.coset_partition(base.principal_ideal(b))
+            cid, reps = coset_partition(base, base.principal_ideal(b))
             assert [cid[r] for r in reps] == list(range(len(reps)))
             assert all(base.index(reps[cid[x]]) <= base.index(x) for x in base.elements)
+            assert base.quotient_ring(b)._cid == cid
 
-    def test_quotient_reuses_the_partition_of_the_bottom_table(self):
-        ring = Zmod(36)
-        cid, _ = ring.coset_partition(ring.principal_ideal(6))
-        assert ring.quotient_ring(6)._cid is cid
+    def test_quotients_make_no_ring_operation_on_keyed_bases(self, monkeypatch):
+        cases = [(Zmod(720), 12), (Zmod(36), 0), (Zmod(49), 7),
+                 (poly(3, 0, 0, 0, 1), (0, 1, 0)),                    # t^3, a chain
+                 (poly(2, 0, 0, 0, 0, 1), (0, 0, 0, 1)),
+                 (poly(2, 0, 1, 1, 0, 1, 1), (1, 1, 1, 0, 0)),        # t (t^2 + t + 1)^2
+                 (poly(3, 2, 0, 1), (1, 1)),                          # (t - 1)(t + 1)
+                 (ProductRing([Zmod(8), Zmod(27)]), (2, 3)),
+                 (ProductRing([Zmod(4), poly(3, 1, 0, 1), Zmod(5)]), (2, (0, 0), 0)),
+                 (ProductRing([ProductRing([Zmod(2), Zmod(3)]), Zmod(4)]), ((0, 1), 2))]
+        expected = []
+        for ring, b in cases:
+            reps, _, cosets = brute_cosets(ring, b)
+            bottom = bottom_euclidean(ring).values
+            expected.append((reps, {xbar: min(bottom[m] for m in cosets[xbar])
+                                    for xbar in reps if xbar != ring.zero}))
+
+        def forbidden(name):
+            def call(self, *args):
+                raise AssertionError(f"{name} called on {self.name}")
+            return call
+
+        for cls in (Zmod, PolyQuotient, ProductRing):
+            for name in ("add", "mul"):
+                monkeypatch.setattr(cls, name, forbidden(name))
+        monkeypatch.setattr(FiniteRing, "coset_labels", forbidden("coset_labels"))
+        for (ring, b), (reps, values) in zip(cases, expected):
+            assert list(ring.quotient_ring(b).elements) == reps, ring.name
+            pushed = quotient_euclidean(bottom_euclidean(ring), b)
+            assert pushed.values == values and pushed.validated, pushed.ring.name
 
 
 def _random_quotient(ring, rng):
@@ -1115,10 +1173,10 @@ class TestNotEuclideanFinding:
     def test_finding_builds_no_coset_partition(self, monkeypatch):
         rings = [ring for ring in finding_corpus() if not ring.is_principal()]
 
-        def forbidden(self, ideal):
-            raise AssertionError(f"coset_partition called on {self.name}")
+        def forbidden(self, key):
+            raise AssertionError(f"coset_labels called on {self.name}")
 
-        monkeypatch.setattr(FiniteRing, "coset_partition", forbidden)
+        monkeypatch.setattr(FiniteRing, "coset_labels", forbidden)
         for ring in rings:
             with pytest.raises(NotEuclideanRing):
                 bottom_euclidean(ring)

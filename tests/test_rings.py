@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -231,12 +232,10 @@ class TestProductAndQuotient:
     def test_cosets_partition(self):
         R = Zmod(12)
         Q = R.quotient_ring(3)
-        seen = set()
         for xbar in Q.elements:
-            members = Q.coset(xbar)
-            assert xbar in members
-            seen.update(members)
-        assert seen == set(R.elements)
+            members = [x for x in R.elements if Q.projection(x) == xbar]
+            assert xbar in members and len(members) == 4
+        assert set(map(Q.projection, R.elements)) == set(Q.elements)
 
 
 class TestFixture:
@@ -264,13 +263,13 @@ class TestFixture:
 
 class TestCRT:
     def _check_iso(self, ring):
-        locals_, iso = crt_decompose(ring)
+        locals_, coords = crt_decompose(ring)
         product = ProductRing(locals_) if len(locals_) > 1 else locals_[0]
 
         def wrap(x):
-            return iso[x] if len(locals_) > 1 else iso[x][0]
+            return coords(x) if len(locals_) > 1 else coords(x)[0]
 
-        assert len(set(iso.values())) == len(ring.elements)
+        assert len(set(map(coords, ring.elements))) == len(ring.elements)
         for x in ring.elements:
             for y in ring.elements:
                 assert wrap(ring.add(x, y)) == product.add(wrap(x), wrap(y))
@@ -311,7 +310,9 @@ class TestCRT:
     def test_principal_quotient_of_the_specimen(self):
         # GF(2)[x,y]/(x,y)^2/(x) is GF(2)[y]/(y^2): principal and local
         quot = truncated_bivariate_fixture().quotient_ring("x")
-        assert crt_decompose(quot) == ([quot], {x: (x,) for x in quot.elements})
+        locals_, coords = crt_decompose(quot)
+        assert locals_ == [quot] and [coords(x) for x in quot.elements] == [
+            (x,) for x in quot.elements]
         self._check_iso(ProductRing([quot, Zmod(3)]))
         assert [r.name for r in crt_decompose(ProductRing([quot, Zmod(3)]))[0]] == [
             "GF(2)[x,y]/(x,y)^2/(x)", "Z/3"]
@@ -324,6 +325,22 @@ class TestCRT:
             locals_, _ = crt_decompose(mixed)
             assert [len(loc) for loc in locals_] == sizes
             assert [len(parse_ring_spec(loc.name)) for loc in locals_] == sizes
+
+    def test_coordinates_are_a_bijection_onto_the_product(self):
+        fixture = truncated_bivariate_fixture()
+        quot = fixture.quotient_ring("x")
+        rings = [Zmod(12), Zmod(30), Zmod(8), PolyQuotient(GaloisField(2), (0, 1, 1)),
+                 ProductRing([Zmod(6), Zmod(10)]), Zmod(360).quotient_ring(12),
+                 ProductRing([Zmod(8), Zmod(27)]).quotient_ring((2, 3)),
+                 Zmod(12).quotient_ring(4), quot, ProductRing([quot, Zmod(3)]),
+                 ProductRing([fixture, Zmod(3)]).quotient_ring(("x", 0)),
+                 ProductRing([fixture, Zmod(4)]).quotient_ring(("y", 0))]
+        for ring in rings:
+            locals_, coords = crt_decompose(ring)
+            image = list(map(coords, ring.elements))
+            assert len(set(image)) == len(ring.elements), ring.name
+            assert set(image) == set(itertools.product(*(loc.elements for loc in locals_))), \
+                ring.name
 
 
 class TestBounds:
