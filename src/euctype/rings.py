@@ -20,7 +20,12 @@ ring is principal exactly when each local factor eR (e a primitive
 idempotent) is a chain ring R_i, of length k_i (Hungerford 1968), and
 ``valuations(key)`` maps a key to the valuation v_i of the ideal in each
 R_i (k_i for the zero ideal): element lengths and bottom tables are
-their sums.  The keyed rings read them off the key.  Rings built on
+their sums.  The keyed rings read them off the key: in Z/n the
+multiplicity of each prime in gcd(x, n), and in GF(q)[t]/(f), with
+f = t^e * f' and f' prime to t, the count of leading zero coefficients
+of the key for t, so only the factors of f' are divided out; a chain
+quotient GF(q)[t]/(t^k) factors and divides nothing, and keys a batch
+with one bisection of each element.  Rings built on
 table-presented ones scan the carrier for their keys (the test oracle
 for the keyed rings) and once for the primitive idempotents.
 Enumerating the ideals of a non-principal ring closes sums of ideals and
@@ -49,6 +54,7 @@ coordinates in them); other rings split into the quotients R/(1 - e).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -658,6 +664,9 @@ class Zmod(FiniteRing):
             primes = self._primes = sorted(_int_factor(self.n))
         return tuple(_multiplicity(d, p) for p in primes)
 
+    def _build_names(self) -> List[str]:
+        return list(map(str, self.elements))  # format_element is str
+
     def parse_element(self, src: str):
         try:
             return int(src) % self.n
@@ -691,6 +700,11 @@ class PolyQuotient(FiniteRing):
         # f = t^e * f' with f' prime to t, for the ideal-class keys
         self._t_exp = next(i for i, c in enumerate(modulus) if c)
         self._cofactor = modulus[self._t_exp:]
+        if self._cofactor == (1,):
+            # x has at least k leading zeros exactly when x < t^(k-1) as a
+            # tuple, so the keys t^d, ..., t^0 past the first are thresholds
+            self._chain_keys = [(0,) * v + (1,) for v in range(self.deg, -1, -1)]
+            self._thresholds = self._chain_keys[1:]
 
     def _pad(self, coeffs) -> Tuple[int, ...]:
         coeffs = tuple(coeffs)
@@ -709,10 +723,21 @@ class PolyQuotient(FiniteRing):
 
     def ideal_class(self, x):
         """The monic gcd(x, f) = t^min(v, e) * gcd(x, f'), where v counts the
-        leading zero coefficients of x; the power of t needs no division."""
+        leading zero coefficients of x; the power of t needs no division,
+        and on a chain quotient (f' = 1, e = d) the key is t^v alone."""
         v = next((i for i, c in enumerate(x) if c), self.deg)
         rest = poly_gcd(self.field, x, self._cofactor) if len(self._cofactor) > 1 else (1,)
         return (0,) * min(v, self._t_exp) + rest
+
+    def ideal_classes(self, xs):
+        """On a chain quotient (f' = 1) the key t^v of each x, from one
+        ``bisect_right`` of x against the thresholds t^(d-1), ..., t^0,
+        which counts the d - v of them at or below x; other moduli need
+        gcd(x, f') and key each x by :meth:`ideal_class`."""
+        if len(self._cofactor) > 1:
+            return list(map(self.ideal_class, xs))
+        rank = functools.partial(bisect.bisect_right, self._thresholds)
+        return list(map(self._chain_keys.__getitem__, map(rank, xs)))
 
     def ideal_members(self, g):
         # g divides f, so the multiples g*h with deg h < deg f - deg g are
@@ -749,13 +774,21 @@ class PolyQuotient(FiniteRing):
 
     def valuations(self, g):
         """The multiplicity in the monic gcd g of each irreducible factor
-        of f, in sorted order."""
+        of f, in sorted order: t first when it divides f, as every other
+        monic irreducible has a nonzero constant term.  That of t is the
+        count of leading zeros of g; only the factors of f' are divided
+        out, so a chain quotient GF(q)[t]/(t^k) factors and divides nothing."""
         F = self.field
         try:
             irreducibles = self._irreducibles
         except AttributeError:
-            irreducibles = self._irreducibles = sorted(poly_factor(F, self.modulus))
-        return tuple(_poly_multiplicity(F, g, p)[0] for p in irreducibles)
+            irreducibles = [(0, 1)] if self._t_exp else []
+            if len(self._cofactor) > 1:
+                irreducibles += sorted(poly_factor(F, self._cofactor))
+            self._irreducibles = irreducibles
+        v = next(i for i, c in enumerate(g) if c)  # the power of t in g
+        return tuple(v if p == (0, 1) else _poly_multiplicity(F, g[v:], p)[0]
+                     for p in irreducibles)
 
     def reduce(self, coeffs) -> Tuple[int, ...]:
         """Canonical representative of an arbitrary coefficient tuple."""

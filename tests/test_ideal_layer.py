@@ -36,6 +36,7 @@ from euctype.euclidean import (
     table_to_dict,
 )
 from euctype.ordinal import Ordinal, omega_power
+from euctype import rings as rings_module
 from euctype.parsing import parse_element, parse_ring_spec, table_from_dict
 from euctype.rings import (
     FiniteRing,
@@ -45,6 +46,8 @@ from euctype.rings import (
     QuotientRing,
     TableRing,
     Zmod,
+    _poly_multiplicity,
+    poly_factor,
     poly_mod,
     truncated_bivariate_fixture,
 )
@@ -200,6 +203,70 @@ class TestNoMultiplication:
         for table in tables:
             assert is_isotone_euclidean(table) and is_weakly_isotone_euclidean(table)
             assert isotone_minimization(table).values == table.values
+
+
+def key_corpus():
+    """Every monic modulus of degree at most 4 over GF(2), GF(3) and GF(4):
+    chains t^k, moduli prime to t and mixed t^e * f'; and two longer chains."""
+    for q in (2, 3, 4):
+        F = GaloisField(q)
+        for d in range(1, 5):
+            for lower in itertools.product(range(q), repeat=d):
+                yield PolyQuotient(F, lower + (1,))
+    yield poly(2, *(0,) * 9, 1)
+    yield poly(9, 0, 0, 0, 1)
+
+
+class TestChainKeys:
+    def test_bulk_keys_equal_the_keys_of_each_element(self):
+        rng = random.Random(24)
+        for ring in key_corpus():
+            keys = dict(zip(ring.elements, map(ring.ideal_class, ring.elements)))
+            assert ring.carrier_classes() == list(keys.values()), ring.name
+            batch = rng.choices(ring.elements, k=len(ring.elements) // 2 + 7)
+            assert ring.ideal_classes(batch) == list(map(keys.__getitem__, batch)), ring.name
+            assert ring.ideal_classes([]) == []
+
+    def test_valuations_equal_the_division_by_each_factor(self):
+        for ring in key_corpus():
+            F = ring.field
+            irreducibles = sorted(poly_factor(F, ring.modulus))
+            for key in dict.fromkeys(ring.carrier_classes()):
+                expected = tuple(_poly_multiplicity(F, key, p)[0] for p in irreducibles)
+                assert ring.valuations(key) == expected, (ring.name, key)
+
+    def test_chain_quotients_divide_nothing(self, monkeypatch):
+        """Built first; then keys, valuations, bottom tables, units and
+        lengths on GF(q)[t]/(t^k), on a chain quotient times Z/n and on a
+        quotient of one make no polynomial division."""
+        rings = [
+            poly(2, *(0,) * 11, 1),
+            poly(9, 0, 0, 0, 1),
+            ProductRing([poly(3, 0, 0, 0, 1), Zmod(12)]),
+            poly(2, *(0,) * 7, 1).quotient_ring((0, 0, 0, 1, 0, 0, 0)),
+        ]
+
+        def forbidden(*args):
+            raise AssertionError("poly_divmod called")
+
+        monkeypatch.setattr(rings_module, "poly_divmod", forbidden)
+        for ring in rings:
+            keys = ring.carrier_classes()
+            assert len(keys) == len(ring.elements)
+            vectors = {key: ring.valuations(key) for key in dict.fromkeys(keys)}
+            table = bottom_euclidean(ring)
+            assert table.value(ring.one) == Ordinal(0)
+            assert ring.units() == frozenset(x for x, key in zip(ring.elements, keys)
+                                             if not any(vectors[key]))
+            assert [ring.element_length(x) for x in ring.elements] \
+                == [sum(vectors[key]) for key in keys]
+
+    def test_zmod_names_need_no_format_element(self, monkeypatch):
+        def forbidden(self, x):
+            raise AssertionError("format_element called")
+
+        monkeypatch.setattr(FiniteRing, "format_element", forbidden)
+        assert Zmod(360).element_names() == list(map(str, range(360)))
 
 
 def old_division_counterexample(ring, values):

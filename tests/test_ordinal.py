@@ -80,6 +80,15 @@ class TestComparison:
         assert Ordinal(3) < 4
         assert omega > 10 ** 9
 
+    def test_other_types_are_not_ordinals(self):
+        assert Ordinal(3).__eq__("3") is NotImplemented
+        assert (Ordinal(3) == "3") is False
+        with pytest.raises(TypeError):
+            Ordinal(3) < "3"
+
+    def test_repr_names_the_normal_form(self):
+        assert repr(omega) == "Ordinal[w]"
+
     @given(ordinals, ordinals)
     def test_trichotomy(self, a, b):
         assert (a < b) + (a == b) + (b < a) == 1
