@@ -164,13 +164,13 @@ def _cmd_ring_analyze(args):
         "symbolic": False,
         "ring": ring.name,
         "size": len(ring),
-        "units": len(ring.units()),
+        "units": ring.unit_count(),
         "principal": principal,
         "ideals": ring.ideal_count(args.max_size),
     }
     lines = [
         f"ring: {ring.name}",
-        f"size: {len(ring)}   units: {len(ring.units())}",
+        f"size: {len(ring)}   units: {report['units']}",
         f"principal: {principal}   ideals: {report['ideals']}",
     ]
     if principal:

@@ -238,6 +238,20 @@ def _localized_divide(primes: Sequence[int], a_num: int, a_den: int, b_num: int,
     return None
 
 
+def _smooth_moduli(primes: Sequence[int], height: int, budget: int):
+    """The products m <= height of powers of the primes, or None when their
+    sum exceeds budget; the enumeration stops as soon as it does."""
+    moduli, total = [1], 1
+    for p in primes:
+        for m in moduli[:]:
+            m *= p
+            while m <= height and total <= budget:
+                moduli.append(m)
+                total += m
+                m *= p
+    return moduli if total <= budget else None
+
+
 class _Filled(dict):
     """A dict that fills each missing key from ``fill`` when it is read."""
 
@@ -252,22 +266,24 @@ class _Filled(dict):
 
 def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
                                  seed: int = 0, height: int = 50) -> SampledCheck:
-    """Randomized division check for the exponent-sum function.
+    """Division check for the exponent-sum function on ``samples`` sampled
+    pairs (a, b), with every failing pair reported.
 
-    Never a proof: reports the sampled coverage, and every returned
-    witness can be reverified independently.  Samples are integer pairs
-    (numerator, denominator) and each division scans at most 129 integers;
-    more than MAX_SAMPLES of them stop with :class:`ResourceError`.  They
-    are the draws of ``randint(-height, height)`` and ``randint(1, height)``
-    on ``random.Random(seed)``, made by the same rejection of random bits.
+    Samples are integer pairs (numerator, denominator), more than
+    MAX_SAMPLES of them stop with :class:`ResourceError`.  They are the
+    draws of ``randint(-height, height)`` and ``randint(1, height)`` on
+    ``random.Random(seed)``, made by the same rejection of random bits.
 
-    The division of a by b depends only on m, the product of the p^v_p(b),
-    and on abar = a_num / a_den mod m, so each outcome is kept per (m, abar)
-    and :func:`_localized_divide` runs once per pair.  Three tables live
-    for one call: m per numerator of b (at most 2 * height entries), the
-    outcome per (m, abar) (at most min(samples, height^2) entries), and
-    whether each draw of random bits is an admissible denominator (only
-    the draws made, at most 2^bit_length(height) entries).
+    The division of a by b depends only on the key (m, abar), where m, the
+    product of the p^v_p(b), is a product of powers of the primes up to
+    height, and abar = a_num / a_den mod m: :func:`_localized_divide`
+    scans at most 129 remainders abar + k m, and every r = abar (mod m)
+    leaves a - r b divisible by m.  When the keys number no more than
+    ``samples`` (they are the sum of those m), every key is decided first,
+    from a = abar: if none fails, every pair the samples could hold
+    divides, the report is the same for every seed, and nothing is drawn.
+    Otherwise the samples are drawn and their failures listed, with the
+    outcome kept per key, so each key is decided once more at most.
     """
     primes = _check_primes(primes)
     if samples < 0:
@@ -276,6 +292,10 @@ def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
         raise ResourceError(f"{samples} samples requested; the check is bounded at {MAX_SAMPLES}")
     if height < 1:
         raise DomainError("the sample height must be at least 1")
+    moduli = _smooth_moduli(primes, height, samples)
+    if moduli is not None and all(_localized_divide(primes, abar, 1, m) is not None
+                                  for m in moduli for abar in range(m)):
+        return SampledCheck(True, samples, seed, [])
     getrandbits = random.Random(seed).getrandbits
     radical = math.prod(primes)
     span = 2 * height + 1

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -316,6 +317,20 @@ def _check_carrier(name: str, size: int) -> None:
         raise ResourceError(f"{name} has {size} elements; carriers are bounded at {CARRIER_BOUND}")
 
 
+def _build_carrier(elements: Iterable) -> Tuple:
+    """``tuple(elements)`` with the cyclic collector paused: the tuples of a
+    carrier are then scanned by one collection after the build, not by the
+    thousand or more that building a large one would trigger.  The
+    caller's collector state is restored."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return tuple(elements)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _own_coordinate(x) -> Tuple:
     """The coordinates of x in a ring that is its own single local factor."""
     return (x,)
@@ -389,14 +404,27 @@ class FiniteRing:
             pass
         if self._known_principal:
             keys = self.carrier_classes()
-            unit_keys = {key for key in dict.fromkeys(keys) if not any(self.valuations(key))}
             self._units = frozenset(itertools.compress(self.elements,
-                                                       map(unit_keys.__contains__, keys)))
+                                                       map(self._unit_keys(keys).__contains__,
+                                                           keys)))
         else:
             one = self.one
             self._units = frozenset(x for x, ideal in self.principal_ideals().items()
                                     if one in ideal)
         return self._units
+
+    def unit_count(self) -> int:
+        """The number of units.  On a ring known to be principal, the count
+        of carrier keys with the zero valuation vector, with no set of units
+        built."""
+        if self._known_principal:
+            keys = self.carrier_classes()
+            return sum(map(self._unit_keys(keys).__contains__, keys))
+        return len(self.units())
+
+    def _unit_keys(self, keys) -> set:
+        """The distinct keys of ``keys`` with the zero valuation vector."""
+        return {key for key in dict.fromkeys(keys) if not any(self.valuations(key))}
 
     def is_unit(self, x) -> bool:
         return x in self.units()
@@ -630,7 +658,7 @@ class Zmod(FiniteRing):
         self.n = n
         self.name = f"Z/{n}"
         _check_carrier(self.name, n)
-        self.elements = tuple(range(n))
+        self.elements = _build_carrier(range(n))
         self.zero, self.one = 0, 1
         self._known_principal = True
 
@@ -693,7 +721,7 @@ class PolyQuotient(FiniteRing):
         self.deg = len(modulus) - 1
         self.name = f"{field.name}[t]/({format_poly(modulus)})"
         _check_carrier(self.name, field.size ** self.deg)
-        self.elements = tuple(itertools.product(range(field.size), repeat=self.deg))
+        self.elements = _build_carrier(itertools.product(range(field.size), repeat=self.deg))
         self.zero = (0,) * self.deg
         self.one = (1,) + (0,) * (self.deg - 1)
         self._known_principal = True
@@ -869,7 +897,7 @@ class ProductRing(FiniteRing):
             for f in factors
         )
         _check_carrier(self.name, math.prod(map(len, factors)))
-        self.elements = tuple(itertools.product(*(f.elements for f in factors)))
+        self.elements = _build_carrier(itertools.product(*(f.elements for f in factors)))
         self.zero = tuple(f.zero for f in factors)
         self.one = tuple(f.one for f in factors)
         self._known_principal = all(f._known_principal for f in factors)

@@ -1129,6 +1129,22 @@ class TestValuations:
         assert ring.ideal_count(24) == 12
         assert ProductRing([Zmod(512), Zmod(3)]).ideal_count(20) == 20
 
+    def test_unit_count_equals_the_unit_set(self):
+        # a ring known to be principal counts its units without the set, and
+        # leaves no set behind; the others count the set
+        counted = 0
+        for ring in valuation_corpus() + specimen_products() + specimen_rings():
+            fresh = "_units" not in vars(ring)
+            count = ring.unit_count()
+            if fresh and ring._known_principal:
+                assert "_units" not in vars(ring), ring.name
+                counted += 1
+            assert count == len(ring.units()) == ring.unit_count(), ring.name
+        assert counted > 400
+        for ring in specimen_products():
+            if not ring._known_principal:
+                assert ring.unit_count() == len(scanned_units(ring)), ring.name
+
     def test_rings_without_valuations(self):
         fixture = truncated_bivariate_fixture()
         for ring in (fixture, ProductRing([Zmod(3), fixture])):

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -309,21 +310,92 @@ class TestLocalization:
 
     PRIME_SETS = [(2,), (3, 7), (2, 3, 5, 7), (97,), (2, 3, 5, 7, 11, 13)]
 
+    @staticmethod
+    def _key_moduli(primes, height):
+        """The m <= height that are products of powers of the primes, by a scan."""
+        return [m for m in range(1, height + 1)
+                if math.prod(p ** _fraction_exponent(m, p) for p in primes) == m]
+
+    def _key_count(self, primes, height):
+        """The number of keys (m, abar) with m <= height."""
+        return sum(self._key_moduli(primes, height))
+
     @pytest.mark.parametrize("search", [0, 64])
     def test_tables_match_the_per_sample_loop(self, monkeypatch, search):
-        # search=0 makes many divisions fail, so the failures lists are long
+        # search=0 makes many divisions fail, so the failures lists are long.
+        # Besides 12 samples, one count below the key count, where keys are
+        # decided as they are drawn, and one equal to it, where every key is
+        # decided first: on every seed where the keys number at most 30, on
+        # seeds 0-2 up to 10^4 keys
         monkeypatch.setattr(models, "_localized_divide",
                             functools.partial(_localized_divide, search=search))
-        failed = 0
+        sides, failed = set(), 0
         for primes in self.PRIME_SETS:
-            for seed in range(50):
-                for height in [*range(1, 61), 5000]:
-                    result = check_localization_euclidean(primes, samples=12, seed=seed,
-                                                          height=height)
-                    assert result.failures == _per_sample_check(primes, 12, seed, height)
-                    assert result.ok == (not result.failures)
-                    failed += len(result.failures)
+            for height in [*range(1, 61), 5000]:
+                keys = self._key_count(primes, height)
+                for seed in range(50):
+                    counts = [12]
+                    if keys <= 30 or (seed < 3 and keys <= 10_000):
+                        counts += [keys - 1, keys]
+                    for samples in counts:
+                        result = check_localization_euclidean(primes, samples=samples,
+                                                              seed=seed, height=height)
+                        assert result.failures == _per_sample_check(primes, samples, seed,
+                                                                    height)
+                        assert result.ok == (not result.failures)
+                        assert result.samples == samples and result.seed == seed
+                        sides.add((samples >= keys, result.ok))
+                        failed += len(result.failures)
         assert (failed > 1000) == (search == 0)
+        assert sides == ({(False, True), (True, True), (False, False), (True, False)}
+                         if search == 0 else {(False, True), (True, True)})
+
+    @pytest.mark.parametrize("search", [0, 64])
+    def test_decided_keys_match_the_fraction_code(self, monkeypatch, search):
+        monkeypatch.setattr(models, "_localized_divide",
+                            functools.partial(_localized_divide, search=search))
+        for primes in self.PRIME_SETS:
+            for height in (1, 2, 7, 12, 30, 60, 5000):
+                keys = self._key_count(primes, height)
+                if keys > 1200:
+                    continue
+                for seed in range(3):
+                    for samples in (keys - 1, keys, keys + 1):
+                        result = check_localization_euclidean(primes, samples=samples,
+                                                              seed=seed, height=height)
+                        assert result.failures == _fraction_failures(primes, samples, seed,
+                                                                     height, search)
+
+    def test_key_moduli_are_the_products_of_prime_powers(self):
+        for primes in self.PRIME_SETS:
+            for height in [*range(1, 61), 5000]:
+                keys = self._key_count(primes, height)
+                moduli = models._smooth_moduli(primes, height, keys)
+                assert sorted(moduli) == self._key_moduli(primes, height)
+                assert models._smooth_moduli(primes, height, keys - 1) is None
+
+    def test_no_draw_when_every_key_divides(self, monkeypatch):
+        def refuse(seed):
+            raise AssertionError("a random generator was made")
+
+        monkeypatch.setattr(models.random, "Random", refuse)
+        for primes, height in [((2,), 1), ((2, 3), 30), ((2, 3, 5, 7), 50), ((97,), 5000)]:
+            keys = self._key_count(primes, height)
+            for samples in (keys, keys + 1, models.MAX_SAMPLES):
+                assert check_localization_euclidean(primes, samples=samples, seed=3,
+                                                    height=height) == models.SampledCheck(
+                    True, samples, 3, [])
+            with pytest.raises(AssertionError, match="random generator"):
+                check_localization_euclidean(primes, samples=keys - 1, height=height)
+
+    def test_huge_height_enumerates_no_range(self):
+        # the powers of 2 up to 10^12 sum past 10 after four of them, so the
+        # keys are never listed and the ten samples are drawn
+        start = time.perf_counter()
+        result = check_localization_euclidean([2], samples=10, height=10 ** 12)
+        assert result.ok and result.samples == 10
+        assert models._smooth_moduli((2,), 10 ** 12, 10) is None
+        assert time.perf_counter() - start < 1.0
 
     def test_one_division_per_modulus_and_residue(self, monkeypatch):
         calls = []

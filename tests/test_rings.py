@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -358,6 +359,49 @@ class TestBounds:
     def test_element_length_needs_principal(self):
         with pytest.raises(DomainError):
             truncated_bivariate_fixture().element_length("x")
+
+
+@pytest.fixture
+def collector_state():
+    """Puts the cyclic collector back as the test found it."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+class TestCarrierBuild:
+    """Carriers are built with the cyclic collector paused, and the caller's
+    collector state is left as it was."""
+
+    def test_the_collector_state_is_restored(self, collector_state):
+        F = GaloisField(3)
+        builds = [lambda: Zmod(360), lambda: PolyQuotient(F, (0, 0, 0, 1)),
+                  lambda: ProductRing([Zmod(4), PolyQuotient(F, (1, 0, 1))]),
+                  lambda: parse_ring_spec("GF(2)[t]/(t^5) x Z/6")]
+        for enabled in (True, False, True):
+            (gc.enable if enabled else gc.disable)()
+            for build in builds:
+                ring = build()
+                assert gc.isenabled() == enabled, ring.name
+                assert len(ring.elements) == len(set(ring.elements)) > 1, ring.name
+
+    def test_the_collector_is_paused_during_the_build(self, collector_state):
+        seen = []
+
+        def elements(fail):
+            seen.append(gc.isenabled())
+            yield 0
+            if fail:
+                raise ValueError("stop")
+
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert rings._build_carrier(elements(False)) == (0,)
+            assert gc.isenabled() == enabled
+            with pytest.raises(ValueError, match="stop"):
+                rings._build_carrier(elements(True))
+            assert gc.isenabled() == enabled
+        assert seen == [False] * 4
 
 
 # ---------------------------------------------------------------------------
