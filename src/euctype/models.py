@@ -78,18 +78,21 @@ def _integer_window_table(window: int) -> Dict[int, int]:
     return dict(zip(range(1, window + 1), data))
 
 
+MAX_WINDOW = 1 << 14
+
+
 def windowed_bottom_integers(report_bound: int = 1024, start_window: int = 64,
-                             growth_factor: int = 2, max_window: int = 1 << 14) -> WindowedBottom:
+                             growth_factor: int = 2) -> WindowedBottom:
     """Least Euclidean values on 1 <= n <= report_bound, in one pass.
 
     Units get value 0; the count of binary digits of |n| is this value
     plus one.  The value of b reads only values below b, so every window
     of the schedule start_window * growth_factor^k at or above the bound
     gives this report; the certificate names the first such window and
-    the next.  The pass is about log2(report_bound) + 1 squares of
-    integers of report_bound * s bits, with s = 8 or 16 up to 32767 (see
-    :func:`_integer_window_table`); the default max_window caps the bound
-    at 8192.
+    the next.  A next window above MAX_WINDOW = 2^14 stops with
+    :class:`ResourceError`: under the default schedule, a bound above
+    8192.  The pass is about log2(report_bound) + 1 squares of integers
+    of report_bound * s bits, s = 8 or 16 (:func:`_integer_window_table`).
     """
     if report_bound < 1:
         raise DomainError("reporting bound must be positive")
@@ -98,10 +101,10 @@ def windowed_bottom_integers(report_bound: int = 1024, start_window: int = 64,
     window = max(start_window, 2)
     while window < report_bound:
         window *= growth_factor
-    if window * growth_factor > max_window:
+    if window * growth_factor > MAX_WINDOW:
         raise ResourceError(
             f"reporting bound {report_bound} needs windows up to "
-            f"{window * growth_factor}, above {max_window}"
+            f"{window * growth_factor}, above {MAX_WINDOW}"
         )
     cert = StabilizationCertificate(window, window * growth_factor)
     return WindowedBottom(_integer_window_table(report_bound), cert)
@@ -114,8 +117,7 @@ def windowed_bottom_integers(report_bound: int = 1024, start_window: int = 64,
 MAX_POLY_CARRIER = 1 << 18
 
 
-def windowed_polynomial_levels(q: int, report_degree: int = 10, start_window: int = 8,
-                               growth_step: int = 4, max_window: int = 64) -> WindowedBottom:
+def windowed_polynomial_levels(q: int, report_degree: int = 10) -> WindowedBottom:
     """Least Euclidean value of the nonzero polynomials over GF(q) of each
     degree up to report_degree; ``values`` maps each degree to its value.
 
@@ -124,17 +126,14 @@ def windowed_polynomial_levels(q: int, report_degree: int = 10, start_window: in
     d gets one more than the largest value at lower degree (units get 0),
     which is d.  So one value per degree is the whole level construction,
     and no polynomial is listed.  The value of b reads only values at lower
-    degree, so every degree window of the schedule start_window + k *
-    growth_step at or above the report degree gives this report; the
-    certificate names the first such window and the next.  A request
-    whose polynomials, q^(report_degree+1) of them, number more than
-    MAX_POLY_CARRIER = 2^18 stops with :class:`ResourceError`, the bound
-    of :func:`windowed_bottom_polynomials`, which lists them.
+    degree, so every degree window of the schedule 8 + 4k at or above the
+    report degree gives this report; the certificate names the first such
+    window and the next.  A request whose polynomials, q^(report_degree+1)
+    of them, number more than MAX_POLY_CARRIER = 2^18 stops with
+    :class:`ResourceError`: :func:`windowed_bottom_polynomials` lists them.
     """
     if report_degree < 0:
         raise DomainError("reporting degree must be nonnegative")
-    if growth_step < 1:
-        raise DomainError("degree window step must be positive")
     # q >= 2 gives q^19 > 2^18, so the capped exponent decides exactly
     if q >= 2 and q ** min(report_degree + 1, 19) > MAX_POLY_CARRIER:
         raise ResourceError(
@@ -142,39 +141,27 @@ def windowed_polynomial_levels(q: int, report_degree: int = 10, start_window: in
             f"{MAX_POLY_CARRIER} polynomials"
         )
     _prime_power(q)  # GF(q) exists; only its size is needed
-    window = max(start_window, 1)
+    window = 8
     while window < report_degree:
-        window += growth_step
-    if window + growth_step > max_window:
-        raise ResourceError(f"reporting degree {report_degree} needs degree windows up to "
-                            f"{window + growth_step}, above {max_window}")
+        window += 4
     values = {d: d for d in range(report_degree + 1)}
-    return WindowedBottom(values, StabilizationCertificate(window, window + growth_step))
+    return WindowedBottom(values, StabilizationCertificate(window, window + 4))
 
 
-def _poly_window_table(q: int, by_degree: Dict[int, int]) -> Dict[Tuple[int, ...], int]:
-    """Every nonzero polynomial over GF(q) of a degree in by_degree, as its
-    coefficient tuple from the constant up, mapped to that degree's value."""
-    phi: Dict[Tuple[int, ...], int] = {}
-    for d, value in by_degree.items():
-        for lower in itertools.product(range(q), repeat=d):
-            for lead in range(1, q):
-                phi[lower + (lead,)] = value
-    return phi
-
-
-def windowed_bottom_polynomials(q: int, report_degree: int = 10, start_window: int = 8,
-                                growth_step: int = 4, max_window: int = 64) -> WindowedBottom:
+def windowed_bottom_polynomials(q: int, report_degree: int = 10) -> WindowedBottom:
     """Least Euclidean values on polynomials over GF(q) of degree at most
-    report_degree, one entry per polynomial.
+    report_degree, one entry per polynomial: its coefficient tuple from
+    the constant up.
 
     The values and the certificate are those of
     :func:`windowed_polynomial_levels`, which refuses the same requests;
     this expands its one value per degree to the q^(report_degree+1) - 1
     nonzero polynomials, at most MAX_POLY_CARRIER = 2^18 of them.
     """
-    model = windowed_polynomial_levels(q, report_degree, start_window, growth_step, max_window)
-    return WindowedBottom(_poly_window_table(q, model.values), model.certificate)
+    model = windowed_polynomial_levels(q, report_degree)
+    phi = {lower + (lead,): value for d, value in model.values.items()
+           for lower in itertools.product(range(q), repeat=d) for lead in range(1, q)}
+    return WindowedBottom(phi, model.certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +239,6 @@ def _smooth_moduli(primes: Sequence[int], height: int, budget: int):
     return moduli if total <= budget else None
 
 
-class _Filled(dict):
-    """A dict that fills each missing key from ``fill`` when it is read."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
 def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
                                  seed: int = 0, height: int = 50) -> SampledCheck:
     """Division check for the exponent-sum function on ``samples`` sampled
@@ -282,8 +257,8 @@ def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
     ``samples`` (they are the sum of those m), every key is decided first,
     from a = abar: if none fails, every pair the samples could hold
     divides, the report is the same for every seed, and nothing is drawn.
-    Otherwise the samples are drawn and their failures listed, with the
-    outcome kept per key, so each key is decided once more at most.
+    Otherwise the samples are drawn, each pair is divided, and the pairs
+    that fail are listed.
     """
     primes = _check_primes(primes)
     if samples < 0:
@@ -300,18 +275,14 @@ def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
     radical = math.prod(primes)
     span = 2 * height + 1
     num_bits, den_bits = span.bit_length(), height.bit_length()
-    # den = bits + 1 is redrawn above height or sharing a prime
-    admissible = _Filled(lambda bits: bits < height and math.gcd(bits + 1, radical) == 1)
-    # m per numerator of b, and whether the division fails per (m, abar)
-    modulus = _Filled(lambda b_num: math.prod(p ** _multiplicity(b_num, p) for p in primes))
-    failed: Dict[Tuple[int, int], bool] = {}
 
     def sample_element() -> Tuple[int, int]:
         num = getrandbits(num_bits)
         while num >= span:
             num = getrandbits(num_bits)
         bits = getrandbits(den_bits)
-        while not admissible[bits]:
+        # den = bits + 1 is redrawn above height or sharing a prime
+        while bits >= height or math.gcd(bits + 1, radical) != 1:
             bits = getrandbits(den_bits)
         return num - height, bits + 1
 
@@ -321,12 +292,7 @@ def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
         b_num, b_den = sample_element()
         while b_num == 0:
             b_num, b_den = sample_element()
-        m = modulus[b_num]
-        key = (m, a_num * pow(a_den, -1, m) % m)
-        fails = failed.get(key)
-        if fails is None:
-            fails = failed[key] = _localized_divide(primes, a_num, a_den, b_num) is None
-        if fails:
+        if _localized_divide(primes, a_num, a_den, b_num) is None:
             failures.append((Fraction(a_num, a_den), Fraction(b_num, b_den)))
     return SampledCheck(not failures, samples, seed, failures)
 

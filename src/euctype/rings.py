@@ -699,10 +699,16 @@ class Zmod(FiniteRing):
         try:
             return int(src) % self.n
         except ValueError:
+            digits = src[1:] if src[:1] in "+-" else src
+            if digits.isdecimal():  # too long for int: a ResourceError
+                from .parsing import _nat  # parsing imports this module
+                _nat(digits)
             raise ParseError(f"expected an integer element, got {src!r}")
 
     def local_factors(self):
         moduli = [p ** k for p, k in sorted(_int_factor(self.n).items())]
+        if len(moduli) == 1:  # a local ring is its own single factor
+            return [self], _own_coordinate
         return [Zmod(m) for m in moduli], lambda x: tuple(x % m for m in moduli)
 
 
@@ -1048,7 +1054,7 @@ class QuotientRing(FiniteRing):
         # R/(b) splits as the product of the R_i/(b_i) where b_i is no unit
         locs, base_coords = self.base.local_factors()
         b = base_coords(self.modulus_element)
-        kept = [i for i, loc in enumerate(locs) if not loc.is_unit(b[i])]
+        kept = [i for i, loc in enumerate(locs) if any(loc.valuations(loc.ideal_class(b[i])))]
         if len(kept) == 1:
             return [self], _own_coordinate
         parts = [locs[i].quotient_ring(b[i]) for i in kept]

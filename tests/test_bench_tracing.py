@@ -15,6 +15,7 @@ import euctype.cli
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench"
 ARGVS = (["ordinal-eval", "w+1"], ["euclid-quotient", "Z/8", "2"], ["model-z", "--window", "40"],
+         ["model-poly", "2", "--window", "3"], ["model-localize", "2", "--samples", "5"],
          ["ring-analyze", "GF(2)[x,y]/(x,y)^2"])
 
 
@@ -34,6 +35,7 @@ def test_tracer_installs_on_every_wrapped_name(kind, monkeypatch):
     if kind == "spans":
         names = {span[0] for span in tracer.spans}
         assert {"cli.main", "euclidean.bottom_euclidean", "rings.QuotientRing.init",
-                "models.windowed_bottom_integers"} <= names
+                "models.windowed_bottom_integers",
+                "models.check_localization_euclidean"} <= names
     else:
         assert tracer.counts["rings.add"] > 0

@@ -19,7 +19,8 @@ from euctype import models, rings
 from euctype.models import windowed_bottom_polynomials
 from euctype.ordinal import Ordinal, format_ordinal, omega_power
 from euctype.parsing import parse_ring_spec
-from euctype.rings import FiniteRing, ProductRing, Zmod, truncated_bivariate_fixture
+from euctype.rings import (FiniteRing, ProductRing, Zmod, crt_decompose,
+                           truncated_bivariate_fixture)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -300,6 +301,19 @@ class TestParserBounds:
             assert err == ("error: a numeral of 5000 digits is longer than "
                            f"the limit of {sys.get_int_max_str_digits()} digits\n")
 
+    def test_ring_elements_beyond_the_digit_limit(self):
+        # a Z/n element too long for int() is refused like every other numeral
+        limit = sys.get_int_max_str_digits()
+        d = "9" * (limit + 1)
+        message = (f"error: a numeral of {limit + 1} digits is longer than "
+                   f"the limit of {limit} digits\n")
+        for element in (d, "-" + d, "+" + d):
+            assert run(["euclid-quotient", "Z/8", element]) == (4, "", message)
+            assert run(["euclid-quotient", "Z/8 x Z/9", f"(1, {element})"]) == (4, "", message)
+        assert run(["euclid-quotient", "Z/8", "-" + "2" * limit])[0] == 0
+        code, out, err = run(["euclid-quotient", "Z/8", "+-" + d])
+        assert (code, out) == (5, "") and err.startswith("error: expected an integer element")
+
     def test_results_beyond_the_digit_limit(self):
         # each numeral is read, only the sum or product is too long to print
         d = "9" * sys.get_int_max_str_digits()
@@ -525,6 +539,27 @@ def test_ring_analyze_counts_the_ideals_of_a_principal_ring_from_its_valuations(
                                      "length of the zero ideal chain: 10"]
 
 
+def test_ring_analyze_splits_quotients_of_keyed_rings_without_unit_sets(monkeypatch):
+    # a local factor is kept when its coordinate has a nonzero valuation
+    specs = ("Z/360/(12)", "Z/64/(6)", "Z/1024", "Z/8 x Z/27/((2, 3))",
+             "Z/12 x GF(2)[t]/(t^2)/((2, t))", "GF(2)[t]/(t^4+t^2)/(t^3+t^2)",
+             "GF(3)[t]/(t^4+2)/(t+2)")
+    reports = {spec: run(["ring-analyze", spec, "--json"]) for spec in specs}
+
+    def refuse(self):
+        raise AssertionError(f"units called on {self.name}")
+
+    monkeypatch.setattr(FiniteRing, "units", refuse)
+    for spec in specs:
+        assert run(["ring-analyze", spec, "--json"]) == reports[spec], spec
+    assert [json.loads(reports[spec][1])["local_factors"] for spec in specs[:2]] == [
+        ["Z/8/(4)", "Z/9/(3)"], ["Z/64/(6)"]]
+    assert json.loads(reports["GF(2)[t]/(t^4+t^2)/(t^3+t^2)"][1])["local_factors"] == [
+        "GF(2)[t]/(t^2)/(0)", "GF(2)[t]/(t^2+1)/(t+1)"]
+    ring = Zmod(1024)
+    assert crt_decompose(ring)[0] == [ring]  # a prime power is its own local factor
+
+
 class TestSpecimenQuotient:
     def test_principal_quotient_analyzes(self):
         code, out, _ = run(["ring-analyze", "GF(2)[x,y]/(x,y)^2/(x)"])
@@ -744,7 +779,7 @@ def test_model_poly_matches_the_per_polynomial_loop(monkeypatch):
             text, report = old_model_poly_outputs(q, degree)
             argv = ["model-poly", str(q), "--window", str(degree)]
             with monkeypatch.context() as patch:
-                patch.setattr(models, "_poly_window_table", no_listing)
+                patch.setattr(models, "windowed_bottom_polynomials", no_listing)
                 assert run(argv) == (0, text, "")
                 assert run(argv + ["--json"]) == (0, report, "")
             degree += 1

@@ -21,6 +21,7 @@ from euctype.models import (
     realize_ordinal,
     windowed_bottom_integers,
     windowed_bottom_polynomials,
+    windowed_polynomial_levels,
 )
 from euctype.ordinal import Ordinal, natural_sum, omega, omega_power
 
@@ -178,16 +179,19 @@ class TestWindowedIntegers:
     def test_certificate_names_the_schedule(self):
         for args, windows in [((1,), (64, 128)), ((64,), (64, 128)), ((65,), (128, 256)),
                               ((100, 100), (100, 200)), ((10, 3, 3), (27, 81)),
-                              ((100, 64, 2, 256), (128, 256))]:
+                              ((8192,), (8192, 1 << 14)), ((5000, 5000, 3), (5000, 15000))]:
             cert = windowed_bottom_integers(*args).certificate
             assert (cert.window_a, cert.window_b) == windows
 
     def test_resource_bound(self):
-        with pytest.raises(ResourceError):
-            windowed_bottom_integers(report_bound=100, max_window=255)
+        # a next window above MAX_WINDOW = 2^14 is refused
+        assert models.MAX_WINDOW == 1 << 14
         with pytest.raises(ResourceError):
             windowed_bottom_integers(report_bound=8193)  # default cap: 8192
-
+        with pytest.raises(ResourceError):
+            windowed_bottom_integers(report_bound=5000, start_window=5000, growth_factor=4)
+        with pytest.raises(ResourceError):
+            windowed_bottom_integers(report_bound=100, start_window=1 << 14)
 
     def test_bitset_levels_match_the_double_loop(self):
         # the value of b reads only values below b, so the double loop on
@@ -198,9 +202,8 @@ class TestWindowedIntegers:
         for bound in list(range(1, 601)) + [1024]:
             assert _integer_window_table(bound) == {n: oracle[n] for n in range(1, bound + 1)}
         for bound in (32767, 32768):
-            model = windowed_bottom_integers(report_bound=bound, max_window=1 << 16)
-            assert model.values == {n: n.bit_length() - 1 for n in range(1, bound + 1)}
-            assert model.certificate.window_b == 1 << 16
+            table = _integer_window_table(bound)
+            assert table == {n: n.bit_length() - 1 for n in range(1, bound + 1)}
 
     def test_value_plus_one_is_the_bit_length(self):
         # the claim in the model-z note, up to the largest bound it accepts
@@ -218,10 +221,10 @@ class TestWindowedPolynomials:
         assert degrees == set(range(11))
 
     def test_gf3_small(self):
-        m = windowed_bottom_polynomials(3, report_degree=4, start_window=4,
-                                        growth_step=1, max_window=8)
+        m = windowed_bottom_polynomials(3, report_degree=4)
         for p, v in m.values.items():
             assert v == len(p) - 1
+        assert len(m.values) == 3 ** 5 - 1
 
     def test_units_at_zero(self):
         m = windowed_bottom_polynomials(2, report_degree=3)
@@ -229,11 +232,24 @@ class TestWindowedPolynomials:
 
     def test_certificate_names_the_schedule(self):
         for args, windows in [((2, 0), (8, 12)), ((2, 8), (8, 12)), ((2, 9), (12, 16)),
-                              ((3, 10), (12, 16)), ((2, 5, 1, 2), (5, 7))]:
+                              ((3, 10), (12, 16)), ((2, 13), (16, 20))]:
             cert = windowed_bottom_polynomials(*args).certificate
             assert (cert.window_a, cert.window_b) == windows
-        with pytest.raises(ResourceError):
-            windowed_bottom_polynomials(2, report_degree=9, max_window=15)
+            assert windowed_polynomial_levels(*args).certificate == cert
+
+    def test_every_admitted_degree_has_a_bounded_window(self):
+        # the carrier bound refuses degree 18 and above, so the degree
+        # windows stay at most 20 and 24, reached at degree 17 over GF(2)
+        for q in (2, 3, 4, 5, 7, 8, 9, 1 << 18):
+            degree = 0
+            while q ** (degree + 1) <= models.MAX_POLY_CARRIER:
+                cert = windowed_polynomial_levels(q, report_degree=degree).certificate
+                assert degree <= cert.window_a <= 20 and cert.window_b <= 24
+                degree += 1
+            with pytest.raises(ResourceError):
+                windowed_polynomial_levels(q, report_degree=degree)
+        cert = windowed_polynomial_levels(2, report_degree=17).certificate
+        assert (cert.window_a, cert.window_b) == (20, 24)
 
     def test_carrier_bound(self):
         # q^(d+1) polynomials at most: 2^18
@@ -243,7 +259,7 @@ class TestWindowedPolynomials:
         with pytest.raises(DomainError):
             windowed_bottom_polynomials(6, report_degree=2)
         with pytest.raises(DomainError):
-            windowed_bottom_polynomials(2, report_degree=2, growth_step=0)
+            windowed_bottom_polynomials(2, report_degree=-1)
         assert len(windowed_bottom_polynomials(4, report_degree=8).values) == 4 ** 9 - 1
 
 
