@@ -73,41 +73,23 @@ def _dumps(obj, level: int = 0) -> str:
     """Exactly ``json.dumps(obj, indent=2)``, with ``obj`` at nesting depth
     ``level``.  With an indent, json encodes in Python; here a dict or list
     whose members are all scalars or empty goes to the C encoder in one
-    call, with its line break and indent as the item separator.  A level
-    above such flat levels sends its scalars and its flat members to the
-    C encoder in one list, with the flat members' separator: an encoded
-    scalar holds no line break, so a flat member of n items spans n pieces
-    of the text.  Keys go to json's C string encoder.  A dict with a key
+    call, with its line break and indent as the item separator, and any
+    other level joins the texts of its members, each written the same way
+    one level down.  Keys go to json's C string encoder.  A dict with a key
     that is not a string is left to json whole."""
     if not isinstance(obj, _CONTAINERS) or not obj:
         return json.dumps(obj)
     inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
     is_dict = isinstance(obj, dict)
-    members = obj.values() if is_dict else obj
-    if _flat(members):
+    if _flat(obj.values() if is_dict else obj):
         text = _encoder("," + inner)(obj)
         return text[0] + inner + text[1:-1] + outer + text[-1]
-    if is_dict and not all(isinstance(k, str) for k in obj):
+    if not is_dict:
+        return "[" + inner + ("," + inner).join([_dumps(v, level + 1) for v in obj]) + outer + "]"
+    if not all(isinstance(k, str) for k in obj):
         return json.dumps(obj, indent=2).replace("\n", outer)
-    deep = [isinstance(v, _CONTAINERS) and v and not _flat(v.values() if isinstance(v, dict) else v)
-            for v in members]
-    child, separator = inner + "  ", "," + inner + "  "
-    pieces = _encoder(separator)([v for v, d in zip(members, deep) if not d])[1:-1].split(separator)
-    parts, k = [], 0
-    for v, d in zip(members, deep):
-        if d:
-            parts.append(_dumps(v, level + 1))
-        elif isinstance(v, _CONTAINERS) and v:
-            text = separator.join(pieces[k:k + len(v)])
-            parts.append(text[0] + child + text[1:-1] + inner + text[-1])
-            k += len(v)
-        else:
-            parts.append(pieces[k])
-            k += 1
-    if is_dict:
-        parts = [key + ": " + part for key, part in zip(map(encode_basestring_ascii, obj), parts)]
-        return "{" + inner + ("," + inner).join(parts) + outer + "}"
-    return "[" + inner + ("," + inner).join(parts) + outer + "]"
+    parts = [encode_basestring_ascii(k) + ": " + _dumps(v, level + 1) for k, v in obj.items()]
+    return "{" + inner + ("," + inner).join(parts) + outer + "}"
 
 
 def _emit(args, report: dict, lines: List[str]) -> None:
@@ -466,10 +448,6 @@ def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentPars
     p.add_argument("target", help="'Z', 'GF(q)[t]', or a concrete ring spec")
 
     return parser, sub.choices
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
 
 
 def _parse(argv: List[str]) -> argparse.Namespace:

@@ -252,9 +252,10 @@ def _certified_table(ring: FiniteRing, values: Dict[object, Ordinal],
                      known: Optional[EuclideanTable]) -> EuclideanTable:
     """The table of ``values``, validated by equality with the validated
     table ``known`` on the same ring where they agree at every element, and
-    by :func:`make_table` otherwise (``known`` None included)."""
+    by :func:`make_table` otherwise (``known`` None included).  Each caller
+    has just built ``values``, so on equality the table keeps it uncopied."""
     if known is not None and known.ring is ring and known.validated and values == known.values:
-        return EuclideanTable(ring, dict(values), _sup_plus_one(values), validated=True)
+        return EuclideanTable(ring, values, _sup_plus_one(values), validated=True)
     return make_table(ring, values)
 
 

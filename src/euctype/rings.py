@@ -683,14 +683,16 @@ class Zmod(FiniteRing):
     def coset_labels(self, d):
         return functools.partial(map, d.__rmod__), d  # x -> x mod d
 
+    @functools.cached_property
+    def _prime_powers(self) -> List[Tuple[int, int]]:
+        """The (p, k) with p^k exactly dividing n, smallest p first: one
+        local factor Z/p^k each, in the order of :meth:`local_factors`."""
+        return sorted(_int_factor(self.n).items())
+
     def valuations(self, d):
-        """The multiplicity in d = gcd(x, n) of each prime of n, smallest
-        prime first."""
-        try:
-            primes = self._primes
-        except AttributeError:
-            primes = self._primes = sorted(_int_factor(self.n))
-        return tuple(_multiplicity(d, p) for p in primes)
+        """The multiplicity in d = gcd(x, n) of each prime of n, in the
+        order of :attr:`_prime_powers`."""
+        return tuple(_multiplicity(d, p) for p, _ in self._prime_powers)
 
     def _build_names(self) -> List[str]:
         return list(map(str, self.elements))  # format_element is str
@@ -706,7 +708,7 @@ class Zmod(FiniteRing):
             raise ParseError(f"expected an integer element, got {src!r}")
 
     def local_factors(self):
-        moduli = [p ** k for p, k in sorted(_int_factor(self.n).items())]
+        moduli = [p ** k for p, k in self._prime_powers]
         if len(moduli) == 1:  # a local ring is its own single factor
             return [self], _own_coordinate
         return [Zmod(m) for m in moduli], lambda x: tuple(x % m for m in moduli)
@@ -806,23 +808,27 @@ class PolyQuotient(FiniteRing):
 
         return functools.partial(map, label), F.size ** j
 
+    @functools.cached_property
+    def _prime_powers(self) -> List[Tuple[Tuple[int, ...], int]]:
+        """The (g, e) with g^e exactly dividing f, one local factor
+        GF(q)[t]/(g^e) each: t first at e = ``_t_exp`` when it divides f,
+        then the factors of f' in sorted order, as every monic irreducible
+        but t has a nonzero constant term.  Only f' is factored, so a chain
+        quotient GF(q)[t]/(t^k) factors nothing."""
+        out = [((0, 1), self._t_exp)] if self._t_exp else []
+        if len(self._cofactor) > 1:
+            out += sorted(poly_factor(self.field, self._cofactor).items())
+        return out
+
     def valuations(self, g):
         """The multiplicity in the monic gcd g of each irreducible factor
-        of f, in sorted order: t first when it divides f, as every other
-        monic irreducible has a nonzero constant term.  That of t is the
+        of f, in the order of :attr:`_prime_powers`.  That of t is the
         count of leading zeros of g; only the factors of f' are divided
-        out, so a chain quotient GF(q)[t]/(t^k) factors and divides nothing."""
+        out."""
         F = self.field
-        try:
-            irreducibles = self._irreducibles
-        except AttributeError:
-            irreducibles = [(0, 1)] if self._t_exp else []
-            if len(self._cofactor) > 1:
-                irreducibles += sorted(poly_factor(F, self._cofactor))
-            self._irreducibles = irreducibles
         v = next(i for i, c in enumerate(g) if c)  # the power of t in g
         return tuple(v if p == (0, 1) else _poly_multiplicity(F, g[v:], p)[0]
-                     for p in irreducibles)
+                     for p, _ in self._prime_powers)
 
     def reduce(self, coeffs) -> Tuple[int, ...]:
         """Canonical representative of an arbitrary coefficient tuple."""
@@ -862,15 +868,10 @@ class PolyQuotient(FiniteRing):
 
     def local_factors(self):
         F = self.field
-        fac = poly_factor(F, self.modulus)
-        if len(fac) == 1:  # a local ring is its own single factor
+        if len(self._prime_powers) == 1:  # a local ring is its own single factor
             return [self], _own_coordinate
-        parts = []
-        for g in sorted(fac):
-            ge = (1,)
-            for _ in range(fac[g]):
-                ge = poly_mul(F, ge, g)
-            parts.append(PolyQuotient(F, ge))
+        parts = [PolyQuotient(F, functools.reduce(functools.partial(poly_mul, F), [g] * e))
+                 for g, e in self._prime_powers]
         return parts, lambda x: tuple(part.reduce(x) for part in parts)
 
 

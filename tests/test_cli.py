@@ -120,6 +120,7 @@ class TestVerify:
         code, out, _ = run(["euclid-verify", str(path), "--json"])
         assert code == 0
         report = json.loads(out)
+        assert out == json.dumps(report, indent=2) + "\n"
         assert report["euclidean"] is True
 
     def test_bad_table(self, tmp_path):
@@ -131,6 +132,7 @@ class TestVerify:
         code, out, _ = run(["euclid-verify", str(path), "--json"])
         assert code == 0
         report = json.loads(out)
+        assert out == json.dumps(report, indent=2) + "\n"
         assert report["euclidean"] is False
         assert report["counterexample"] == {"a": "1", "b": "2"}
 
@@ -675,10 +677,10 @@ def test_euclid_verify_checks_every_table_once(tmp_path, monkeypatch):
 
 
 def test_cli_defaults_are_stated_once():
-    from euctype.cli import _build_parser
+    from euctype.cli import _parsers
     from euctype.rings import IDEAL_ENUMERATION_BOUND
 
-    parser = _build_parser()
+    parser = _parsers()[0]
     assert parser.parse_args(["ring-analyze", "Z/4"]).max_size == IDEAL_ENUMERATION_BOUND
     assert parser.parse_args(["model-z"]).window == 1024
     assert parser.parse_args(["model-poly", "2"]).window == 10
@@ -828,7 +830,7 @@ def full_parser_run(argv, monkeypatch):
     """``exiting_run`` with every argv read by the full parser, the verb's
     parser reached through it."""
     with monkeypatch.context() as m:
-        m.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+        m.setattr(cli, "_parse", lambda argv: cli._parsers()[0].parse_args(argv))
         return exiting_run(argv)
 
 

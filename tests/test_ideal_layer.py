@@ -1096,10 +1096,19 @@ class TestValuations:
                 assert ring.element_length(x) == chain[ring.principal_ideal(x)], ring.name
 
     def test_lengths_of_zero_follow_the_crt_split(self):
+        """The valuations that are not 0 at zero are those of the local
+        factors, in order: at zero the lengths of the factors, and at every
+        x the valuation of the matching coordinate of x."""
         for ring in valuation_corpus()[::2]:
-            locals_, _ = ring.local_factors()
-            lengths = [k for k in ring.valuations(ring.ideal_class(ring.zero)) if k]
-            assert lengths == [loc.element_length(loc.zero) for loc in locals_], ring.name
+            locals_, coords = ring.local_factors()
+            lengths = ring.valuations(ring.ideal_class(ring.zero))
+            kept = [i for i, k in enumerate(lengths) if k]
+            assert [lengths[i] for i in kept] == [loc.element_length(loc.zero)
+                                                  for loc in locals_], ring.name
+            for x in ring.elements:
+                v = ring.valuations(ring.ideal_class(x))
+                assert [v[i] for i in kept] == [loc.element_length(c) for loc, c
+                                                in zip(locals_, coords(x))], (ring.name, x)
 
     def test_ideal_count_from_the_valuations(self):
         rings = valuation_corpus()
