@@ -17,12 +17,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Tuple
 
-from .errors import DomainError, EngineError, NotEuclideanRing
+from .errors import DomainError, EngineError, NotEuclideanRing, ResourceError
 from .euclidean import (
     bottom_euclidean,
     check_l_euclidean,
@@ -46,7 +45,7 @@ from .models import (
     windowed_polynomial_levels,
 )
 from .ordinal import format_ordinal
-from .parsing import _nat, parse_element, parse_ordinal, parse_ring_spec, table_from_dict
+from .parsing import _GF_PID, _nat, parse_element, parse_ordinal, parse_ring_spec, table_from_dict
 from .rings import IDEAL_ENUMERATION_BOUND, FiniteRing, crt_decompose, format_poly
 
 SCHEMA_VERSION = 1
@@ -92,15 +91,6 @@ def _dumps(obj, level: int = 0) -> str:
     return "{" + inner + ("," + inner).join(parts) + outer + "}"
 
 
-def _emit(args, report: dict, lines: List[str]) -> None:
-    if args.json:
-        report = {"schema_version": SCHEMA_VERSION, "command": args.verb, **report}
-        print(_dumps(report))
-    else:
-        for line in lines:
-            print(line)
-
-
 def _finite_ring(spec: str) -> FiniteRing:
     """The concrete ring that ``spec`` names; a spec with a symbolic factor
     is refused under its own text."""
@@ -111,14 +101,12 @@ def _finite_ring(spec: str) -> FiniteRing:
 
 
 # ---------------------------------------------------------------------------
-# verbs
+# verbs: each returns its report and its text lines; ``main`` writes one
 
 
 def _cmd_ordinal_eval(args):
-    value = parse_ordinal(args.expr)
-    text = format_ordinal(value)
-    _emit(args, {"input": args.expr, "result": text}, [text])
-    return 0
+    text = format_ordinal(parse_ordinal(args.expr))
+    return {"input": args.expr, "result": text}, [text]
 
 
 def _cmd_ring_analyze(args):
@@ -137,8 +125,7 @@ def _cmd_ring_analyze(args):
             f"symbolic ring spec: {parsed}",
             f"order type: {format_ordinal(e)}",
         ]
-        _emit(args, report, lines)
-        return 0
+        return report, lines
     ring = parsed
     principal = ring.is_principal()
     report = {
@@ -162,8 +149,7 @@ def _cmd_ring_analyze(args):
         report["local_factors"] = [loc.name for loc in locals_]
         lines.append("local factors: " + " x ".join(
             f"({loc.name})" if " x " in loc.name else loc.name for loc in locals_))
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
 def _table_lines(ring, table) -> List[str]:
@@ -189,8 +175,7 @@ def _cmd_euclid_bottom(args):
         "order_type": format_ordinal(e),
     }
     lines = [] if args.json else _table_lines(ring, table) + [f"order type: {format_ordinal(e)}"]
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
 def _counterexample(ring, cex, report: dict, lines: List[str]) -> None:
@@ -207,6 +192,8 @@ def _cmd_euclid_verify(args):
             data = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise DomainError(f"cannot read table file {args.file!r}: {exc}")
+    except RecursionError:
+        raise ResourceError(f"table file {args.file!r} nests too deeply to read")
     unclaimed = {"validated": False, "bottom": False}  # checked once, below, whatever they claim
     table = table_from_dict({**data, **unclaimed} if isinstance(data, dict) else data)
     ok, cex = is_euclidean_function(table)
@@ -214,8 +201,7 @@ def _cmd_euclid_verify(args):
     report = {"input": args.file, "ring": ring.name, "euclidean": ok}
     lines = [f"ring: {ring.name}", f"euclidean: {ok}"]
     _counterexample(ring, cex, report, lines)
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
 def _cmd_euclid_quotient(args):
@@ -232,8 +218,7 @@ def _cmd_euclid_quotient(args):
         f"value of {ring.format_element(b)} in the base ring: "
         f"{format_ordinal(table.value(b))}"
     ]
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
 def _cmd_euclid_product(args):
@@ -260,8 +245,7 @@ def _cmd_euclid_product(args):
         f"product order type: {format_ordinal(order_type(product_bottom))}",
         f"collapsed pair table validated: {collapsed.validated}",
     ]
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
 def _cmd_product_bounds(args):
@@ -276,8 +260,7 @@ def _cmd_product_bounds(args):
         f"lower bound (iterated sum): {format_ordinal(lower)}",
         f"upper bound (iterated natural sum): {format_ordinal(upper)}",
     ]
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
 def _cmd_realize(args):
@@ -288,8 +271,7 @@ def _cmd_realize(args):
         "spec": str(spec),
         "order_type": format_ordinal(order_type_of_spec(spec)),
     }
-    _emit(args, report, [str(spec)])
-    return 0
+    return report, [str(spec)]
 
 
 def _cmd_model_z(args):
@@ -308,8 +290,7 @@ def _cmd_model_z(args):
     ]
     for n in sorted(n for n in {1, 2, 3, 4, min(bound, 1000), bound} if n <= bound):
         lines.append(f"  value({n}) = {model.values[n]}")
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
 def _cmd_model_poly(args):
@@ -324,8 +305,7 @@ def _cmd_model_poly(args):
     }
     lines = [f"stabilized on degree windows {cert.window_a} and {cert.window_b}"]
     lines += [f"  degree {d}: values {[v]}" for d, v in model.values.items()]
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
 def _cmd_model_localize(args):
@@ -342,13 +322,12 @@ def _cmd_model_localize(args):
         f"primes: {primes}   samples: {result.samples}   seed: {result.seed}",
         f"division property held on every sample: {result.ok}",
     ]
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
 def _cmd_l_euclidean(args):
     target = args.target.strip()
-    m = re.match(r"^GF\((\d+)\)\[t\]$", target)
+    m = _GF_PID.match(target)
     if target == "Z" or m:
         if m:
             w, fmt = check_not_l_euclidean_polys(_nat(m.group(1))), format_poly
@@ -364,15 +343,13 @@ def _cmd_l_euclidean(args):
             },
             "description": w.description,
         }
-        _emit(args, report, [f"{target} is not length-Euclidean: {w.description}"])
-        return 0
+        return report, [f"{target} is not length-Euclidean: {w.description}"]
     ring = _finite_ring(target)
     ok, cex = check_l_euclidean(ring)
     report = {"input": target, "ring": ring.name, "l_euclidean": ok}
     lines = [f"ring: {ring.name}", f"length function is Euclidean: {ok}"]
     _counterexample(ring, cex, report, lines)
-    _emit(args, report, lines)
-    return 0
+    return report, lines
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +443,7 @@ def _parse(argv: List[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _not_euclidean_report(args, exc: NotEuclideanRing) -> None:
+def _not_euclidean_report(exc: NotEuclideanRing) -> Tuple[dict, List[str]]:
     ring = exc.ring
     report = {
         "finding": "not-euclidean",
@@ -478,19 +455,24 @@ def _not_euclidean_report(args, exc: NotEuclideanRing) -> None:
         f"finding: {ring.name} admits no Euclidean function",
         "stuck elements: " + ", ".join(ring.format_element(x) for x in exc.stuck),
     ]
-    _emit(args, report, lines)
+    return report, lines
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        (report, lines), code = args.func(args), 0
     except NotEuclideanRing as exc:
-        _not_euclidean_report(args, exc)
-        return exc.exit_code
+        (report, lines), code = _not_euclidean_report(exc), exc.exit_code
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    if args.json:
+        print(_dumps({"schema_version": SCHEMA_VERSION, "command": args.verb, **report}))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -265,11 +265,11 @@ def divide(table: EuclideanTable, a, b) -> DivisionWitness:
     ring = table.ring
     if b == ring.zero:
         raise DomainError("division by zero")
-    rank = _ranks(table.values)
-    rb = rank[b]
+    values = table.values
+    vb = values[b]
     for q in ring.elements:
         r = ring.sub(a, ring.mul(q, b))
-        if r == ring.zero or rank[r] < rb:
+        if r == ring.zero or values[r] < vb:
             return DivisionWitness(q, r)
     raise DomainError(f"table on {ring.name} is not Euclidean at ({a!r}, {b!r})")
 

@@ -264,16 +264,7 @@ class GaloisField:
         return out
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if self.k == 1:
-            return (-a) % p
-        if p == 2:
-            return a
-        out, place = 0, 1
-        while a:
-            out += (-a) % p * place
-            a, place = a // p, place * p
-        return out
+        return self.mul(a, self.p - 1)  # the encoding p - 1 is the constant -1
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from euctype import cli
 from euctype.cli import _dumps, _table_lines, main
+from euctype.errors import NotEuclideanRing
 from euctype.euclidean import EuclideanTable, bottom_euclidean, quotient_euclidean, table_to_dict
 from euctype import models, rings
 from euctype.models import windowed_bottom_polynomials
@@ -215,6 +216,17 @@ class TestInputErrors:
         path.write_text('{"ring": "Z/4", ')
         code, _, err = run(["euclid-verify", str(path)])
         assert code == 2 and err.startswith("error:")
+
+    def test_deeply_nested_table_file(self, tmp_path):
+        deep = "[" * 100_000 + "]" * 100_000
+        for name, text in (("array.json", deep),
+                           ("values.json", '{"ring": "Z/4", "values": ' + deep + "}")):
+            path = tmp_path / name
+            path.write_text(text)
+            for tail in ([], ["--json"]):
+                code, out, err = run(["euclid-verify", str(path), *tail])
+                assert (code, out) == (4, "")
+                assert err == f"error: table file {str(path)!r} nests too deeply to read\n"
 
     def test_partial_table(self, tmp_path):
         d = table_to_dict(bottom_euclidean(Zmod(4)))
@@ -879,3 +891,24 @@ def test_a_well_formed_call_takes_one_argparse_pass(monkeypatch):
         passes.clear()
         assert run(argv + ["--json"])[0] == 0
         assert passes == [f"euctype {argv[0]}"], argv
+
+
+def test_main_is_the_only_writer(tmp_path):
+    table = tmp_path / "z4.json"
+    table.write_text(json.dumps(table_to_dict(bottom_euclidean(Zmod(4)))))
+    finding = ["euclid-bottom", "GF(2)[x,y]/(x,y)^2"]
+    for argv in WELL_FORMED + [["euclid-verify", str(table)], finding]:
+        for tail in ([], ["--json"]):
+            args = cli._parse(argv + tail)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                try:
+                    pair = args.func(args)
+                except NotEuclideanRing as exc:
+                    pair = cli._not_euclidean_report(exc)
+            assert out.getvalue() == "", argv
+            assert type(pair) is tuple and [type(x) for x in pair] == [dict, list], argv
+            report, lines = pair
+            expected = (_dumps({"schema_version": 1, "command": argv[0], **report}) + "\n"
+                        if tail else "".join(line + "\n" for line in lines))
+            assert run(argv + tail) == (3 if argv is finding else 0, expected, ""), argv

@@ -584,7 +584,7 @@ def _digit_neg(F, a):
     return _undigits([(-x) % F.p for x in _digits(a, F.p, F.k)], F.p)
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 27, 256])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 4, 8, 9, 27, 256])
 def test_integer_addition_matches_the_digit_form(q):
     F = GaloisField(q)
     for a in range(q):
