@@ -423,9 +423,9 @@ def realize_ordinal(a: Ordinal) -> RingSpec:
     r = 0
     n = 0
     for (e, c) in a.terms:
-        if e == Ordinal(1):
+        if e == 1:
             r = c
-        elif e.is_zero:
+        elif e == 0:
             n = c
     spec = RingSpec(
         pid_factors=("GF(2)[t]",) * r,

@@ -1,15 +1,14 @@
 """Exact ordinal arithmetic below epsilon_0 in Cantor normal form.
 
 An ordinal is stored as a tuple of ``(exponent, coefficient)`` terms with
-the exponents (themselves ordinals) strictly decreasing and every
-coefficient a positive integer; the empty tuple is 0.  The order of
-ordinals is the tuple order of these normal forms: terms compare exponent
-first, then coefficient, and a proper prefix is smaller.  The sums and
-left subtraction compare exponents as these tuples: a finite exponent
-holds the shared zero exponent, which tuple comparison matches by
-identity, so such exponents compare in C with no call of
-:meth:`Ordinal.__lt__`.  All operations are pure and return new values,
-so ordinals can be shared freely.
+the exponents strictly decreasing and every coefficient a positive int;
+the empty tuple is 0.  A finite exponent is a plain ``int`` and an
+infinite one an :class:`Ordinal`, so the normal form is unique and an
+ordinal below omega^omega holds only ints: it compares, hashes and merges
+in C.  The order of ordinals is the tuple order of these normal forms:
+terms compare exponent first, then coefficient, and a proper prefix is
+smaller.  A finite ordinal equals, and hashes as, the int it names.  All
+operations are pure and return new values, so ordinals can be shared freely.
 
 Product conventions.  ``a * b`` is the standard ordinal product, the order
 type of b copies of a, so ``omega * 2 == omega + omega`` while
@@ -27,7 +26,7 @@ from typing import Iterable, Tuple, Union
 
 from .errors import DomainError, ResourceError
 
-OrdinalLike = Union["Ordinal", int]
+OrdinalLike = Union["Ordinal", int]  # also an exponent: an int when finite
 
 
 @functools.total_ordering
@@ -36,23 +35,21 @@ class Ordinal:
 
     __slots__ = ("terms",)
 
-    terms: Tuple[Tuple["Ordinal", int], ...]
+    terms: Tuple[Tuple[OrdinalLike, int], ...]
 
     def __init__(self, value: int = 0):
-        if value < 0:
+        if _int(value, "an ordinal") < 0:
             raise DomainError("ordinals are non-negative")
-        self.terms = ((_ZERO, value),) if value else ()
+        self.terms = ((0, value),) if value else ()
 
     @classmethod
-    def from_terms(cls, terms: Iterable[Tuple["Ordinal", int]]) -> "Ordinal":
+    def from_terms(cls, terms: Iterable[Tuple[OrdinalLike, int]]) -> "Ordinal":
         """Build from CNF terms; exponents must be strictly decreasing."""
-        terms = tuple(terms)
-        for (e, c) in terms:
-            if c < 1:
-                raise DomainError("CNF coefficients must be positive")
-        for (e1, _), (e2, _) in zip(terms, terms[1:]):
-            if not e2 < e1:
-                raise DomainError("CNF exponents must be strictly decreasing")
+        terms = tuple((_as_exponent(e), _int(c, "a CNF coefficient")) for (e, c) in terms)
+        if any(c < 1 for (_, c) in terms):
+            raise DomainError("CNF coefficients must be positive")
+        if any(not e2 < e1 for (e1, _), (e2, _) in zip(terms, terms[1:])):
+            raise DomainError("CNF exponents must be strictly decreasing")
         return _normal(terms)
 
     # -- structure ---------------------------------------------------------
@@ -63,29 +60,26 @@ class Ordinal:
 
     @property
     def is_finite(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0].is_zero)
+        return not self.terms or self.terms[0][0] == 0
 
     def to_int(self) -> int:
-        if self.is_zero:
-            return 0
         if not self.is_finite:
             raise DomainError(f"{self} is not a finite ordinal")
-        return self.terms[0][1]
+        return self.terms[0][1] if self.terms else 0
 
     def is_limit(self) -> bool:
         """True iff nonzero with no finite tail (0 itself is not a limit)."""
-        return bool(self.terms) and not self.terms[-1][0].is_zero
+        return bool(self.terms) and self.terms[-1][0] != 0
 
     def successor(self) -> "Ordinal":
-        return self + Ordinal(1)
+        return self + 1
 
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        other = other if other.__class__ is Ordinal else _ordinal(other)
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self.terms == other.terms
+        if other.__class__ is int:
+            return self.terms == (((0, other),) if other else ())
+        return self.terms == other.terms if other.__class__ is Ordinal else NotImplemented
 
     def __lt__(self, other) -> bool:
         other = other if other.__class__ is Ordinal else _ordinal(other)
@@ -94,7 +88,9 @@ class Ordinal:
         return self.terms < other.terms
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        # a finite ordinal hashes as the int it equals
+        t = self.terms
+        return (hash(t[0][1]) if t[0][0] == 0 else hash(t)) if t else 0
 
     # -- arithmetic --------------------------------------------------------
 
@@ -106,13 +102,12 @@ class Ordinal:
         if not terms:
             return other
         lead = other.terms[0][0]
-        lead_terms = lead.terms
         # the terms of self with exponent at most the lead of other are
         # absorbed; they form a tail, found from the last term
         k = len(terms)
-        while k and terms[k - 1][0].terms <= lead_terms:
+        while k and terms[k - 1][0] <= lead:
             k -= 1
-        if k < len(terms) and terms[k][0].terms == lead_terms:
+        if k < len(terms) and terms[k][0] == lead:
             merged = (lead, terms[k][1] + other.terms[0][1])
             return _normal(terms[:k] + (merged,) + other.terms[1:])
         return _normal(terms[:k] + other.terms)
@@ -125,12 +120,12 @@ class Ordinal:
         lead_exp, lead_coeff = self.terms[0]
         out = Ordinal(0)
         for (e, c) in other.terms:
-            if e.is_zero:
+            if e == 0:
                 # finite part of the multiplier
-                chunk = Ordinal.from_terms(((lead_exp, lead_coeff * c),))
-                out = out + chunk + Ordinal.from_terms(self.terms[1:])
+                out = out + _normal(((lead_exp, lead_coeff * c),)) + _normal(self.terms[1:])
             else:
-                out = out + Ordinal.from_terms(((lead_exp + e, c),))
+                # the lead as an Ordinal: an int has no sum with an infinite one
+                out = out + omega_power(_ordinal(lead_exp) + e, c)
         return out
 
     def __str__(self) -> str:
@@ -145,6 +140,22 @@ def _ordinal(x):
     return Ordinal(x) if isinstance(x, int) else x
 
 
+def _int(x, what: str) -> int:
+    """``x``, refused unless it is an int (a bool is not one here)."""
+    if x.__class__ is not int:
+        raise DomainError(f"{what} must be an int, not {type(x).__name__}")
+    return x
+
+
+def _as_exponent(e: OrdinalLike) -> OrdinalLike:
+    """An exponent in normal form: its int when finite, else its Ordinal."""
+    if e.__class__ is Ordinal:
+        return e.to_int() if e.is_finite else e
+    if _int(e, "a CNF exponent") < 0:
+        raise DomainError("CNF exponents are non-negative")
+    return e
+
+
 def _normal(terms) -> Ordinal:
     """The ordinal of terms already in normal form, taken unchecked."""
     out = object.__new__(Ordinal)
@@ -152,17 +163,16 @@ def _normal(terms) -> Ordinal:
     return out
 
 
-_ZERO = Ordinal()  # the exponent of finite terms
-
-omega = Ordinal.from_terms(((Ordinal(1), 1),))
+omega = _normal(((1, 1),))
 
 
 def omega_power(exponent: OrdinalLike, coefficient: int = 1) -> Ordinal:
-    if coefficient == 0:
+    exponent = _as_exponent(exponent)
+    if _int(coefficient, "a CNF coefficient") == 0:
         return Ordinal(0)
     if coefficient < 1:
         raise DomainError("CNF coefficients must be positive")
-    return _normal(((_ordinal(exponent), coefficient),))
+    return _normal(((exponent, coefficient),))
 
 
 def product_left(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
@@ -180,11 +190,10 @@ def natural_sum(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
     terms, i, j = [], 0, 0
     while i < len(a) and j < len(b):
         (ea, ca), (eb, cb) = a[i], b[j]
-        ta, tb = ea.terms, eb.terms
-        if ta == tb:
+        if ea == eb:
             terms.append((ea, ca + cb))
             i, j = i + 1, j + 1
-        elif tb < ta:
+        elif eb < ea:
             terms.append(a[i])
             i += 1
         else:
@@ -206,7 +215,7 @@ def left_subtract(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
         return _normal(bt[i:])
     ea, ca = at[i]
     eb, cb = bt[i]
-    if ea.terms == eb.terms:
+    if ea == eb:
         # a's tail is absorbed into the replaced coefficient
         return _normal(((eb, cb - ca),) + bt[i + 1:])
     # ea < eb: the whole remaining tail of a is absorbed by b's next term
@@ -222,14 +231,12 @@ def format_ordinal(a: Ordinal) -> str:
     parts = []
     try:
         for (e, c) in a.terms:
-            et = e.terms
-            if not et:
-                parts.append(str(c))
-                continue
-            if len(et) == 1 and not et[0][0].terms:  # a finite exponent
-                n = et[0][1]
-                s = "w" if n == 1 else f"w^{n}"
-            elif et == omega.terms:
+            if e.__class__ is int:
+                if not e:
+                    parts.append(str(c))
+                    continue
+                s = "w" if e == 1 else f"w^{e}"
+            elif e.terms == omega.terms:
                 s = "w^w"
             else:
                 s = f"w^({format_ordinal(e)})"

@@ -37,8 +37,7 @@ from typing import Dict, List, Tuple, Union
 from .errors import DomainError, ParseError, ResourceError
 from .euclidean import EuclideanTable, bottom_euclidean, division_counterexample
 from .models import RingSpec
-from .ordinal import (_ZERO, Ordinal, _normal, left_subtract, natural_sum, omega_power,
-                      product_left)
+from .ordinal import Ordinal, _normal, left_subtract, natural_sum, omega_power, product_left
 from .poset import FinitePoset
 from .rings import (
     FiniteRing,
@@ -132,14 +131,14 @@ def parse_ordinal(src: str) -> Ordinal:
         last = None
         for term in src.split(" + "):
             if term[0] != "w":  # the constant, last by the pattern
-                terms.append((_ZERO, _nat(term)))
+                terms.append((0, _nat(term)))
                 continue
             head, _, coeff = term.partition("*")
             n = _nat(head[2:]) if len(head) > 1 else 1
             if last is not None and n >= last:
                 return _parse_expression(src)
             last = n
-            terms.append((_normal(((_ZERO, n),)), _nat(coeff) if coeff else 1))
+            terms.append((n, _nat(coeff) if coeff else 1))
         return _normal(tuple(terms))
     return _parse_expression(src)
 
@@ -195,14 +194,11 @@ def _product(sc: _Scanner, depth: int) -> Ordinal:
     return value
 
 
-_ONE = Ordinal(1)  # the exponent of a bare w
-
-
 def _atom(sc: _Scanner, depth: int) -> Ordinal:
     tokens, i = sc.tokens, sc.i
     token = tokens[i]
     if token == "w" or token == "ω":
-        exponent = _ONE
+        exponent = 1  # of a bare w
         sc.i = i + 1
         if tokens[i + 1] == "^":
             sc.i = i + 2
@@ -211,9 +207,7 @@ def _atom(sc: _Scanner, depth: int) -> Ordinal:
         if tokens[sc.i] == "*":
             sc.i += 1
             coeff = sc.nat()
-            if coeff == 0:
-                return Ordinal(0)
-        return _normal(((exponent, coeff),))
+        return omega_power(exponent, coeff)
     if token[:1].isdigit():
         return Ordinal(sc.nat())
     if token == "(":
@@ -224,12 +218,12 @@ def _atom(sc: _Scanner, depth: int) -> Ordinal:
     raise ParseError(f"unexpected {token!r}" if token else "unexpected end of input", sc.where())
 
 
-def _exponent(sc: _Scanner, depth: int) -> Ordinal:
+def _exponent(sc: _Scanner, depth: int) -> Union[int, Ordinal]:
     if depth > MAX_EXPONENT_DEPTH:
         raise ResourceError(f"exponent nesting deeper than {MAX_EXPONENT_DEPTH}")
     ch = sc.peek()
     if ch.isdigit():
-        return Ordinal(sc.nat())
+        return sc.nat()
     if ch in ("w", "ω"):
         sc.i += 1
         if sc.take("^"):

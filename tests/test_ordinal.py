@@ -13,6 +13,7 @@ from euctype.ordinal import (
     omega_power,
     product_left,
 )
+from euctype.parsing import _parse_expression, parse_ordinal
 
 
 def cnf(*terms):
@@ -225,9 +226,16 @@ class TestFormatting:
         assert str(a) == format_ordinal(a)
 
 
+def _as_ordinal(x):
+    """An int exponent (or operand) read as the finite Ordinal it names, so
+    the oracles below compare and key every exponent as an Ordinal."""
+    return Ordinal(x) if isinstance(x, int) else x
+
+
 def _loop_lt(a, b):
     """The former hand-written comparison of Ordinal, kept as the oracle for
     the tuple order of the normal forms."""
+    a, b = _as_ordinal(a), _as_ordinal(b)
     for (e1, c1), (e2, c2) in zip(a.terms, b.terms):
         if e1 != e2:
             return _loop_lt(e1, e2)
@@ -242,6 +250,7 @@ _loop_key = functools.cmp_to_key(lambda x, y: _loop_lt(y, x) - _loop_lt(x, y))
 def _from_exponent_pairs(ts):
     merged = {}
     for e, c in ts:
+        e = _as_ordinal(e)
         merged[e] = merged.get(e, 0) + c
     return Ordinal.from_terms(sorted(merged.items(), key=lambda t: _loop_key(t[0]), reverse=True))
 
@@ -286,9 +295,10 @@ class TestTupleOrder:
 def _dict_natural_sum(a, b):
     """The former natural sum, a dict of coefficients keyed by exponent and a
     sort of its keys, kept as the oracle for the merge."""
-    a, b = (Ordinal(x) if isinstance(x, int) else x for x in (a, b))
+    a, b = _as_ordinal(a), _as_ordinal(b)
     coeffs = {}
     for (e, c) in a.terms + b.terms:
+        e = _as_ordinal(e)
         coeffs[e] = coeffs.get(e, 0) + c
     return Ordinal.from_terms((e, coeffs[e]) for e in sorted(coeffs, reverse=True))
 
@@ -321,23 +331,24 @@ class TestMergedNaturalSum:
 def _scan_add(a, b):
     """The former ordinary sum, which compared the lead of b with every term
     of a, kept as the oracle for the scan from the last term."""
-    a, b = (Ordinal(x) if isinstance(x, int) else x for x in (a, b))
+    a, b = _as_ordinal(a), _as_ordinal(b)
     if not b.terms:
         return a
     if not a.terms:
         return b
-    lead = b.terms[0][0]
-    kept = [t for t in a.terms if lead < t[0]]
-    if len(kept) < len(a.terms) and a.terms[len(kept)][0] == lead:
+    lead = _as_ordinal(b.terms[0][0])
+    kept = [t for t in a.terms if lead < _as_ordinal(t[0])]
+    if len(kept) < len(a.terms) and _as_ordinal(a.terms[len(kept)][0]) == lead:
         merged = (lead, a.terms[len(kept)][1] + b.terms[0][1])
         return Ordinal.from_terms(tuple(kept) + (merged,) + b.terms[1:])
     return Ordinal.from_terms(tuple(kept) + b.terms)
 
 
 def _equal_but_not_identical(a):
-    """``a`` with every exponent rebuilt as a fresh object, so that no tuple
-    comparison can match two exponents by identity."""
-    return Ordinal.from_terms((_equal_but_not_identical(e), c) for e, c in a.terms)
+    """``a`` with every exponent rebuilt as a fresh object (an int one goes
+    through a fresh Ordinal and back), so that no tuple comparison can match
+    two Ordinal exponents by identity."""
+    return Ordinal.from_terms((_equal_but_not_identical(_as_ordinal(e)), c) for e, c in a.terms)
 
 
 class TestTermTupleComparisons:
@@ -361,17 +372,20 @@ class TestTermTupleComparisons:
                 left_subtract(a, b)
 
     def test_comparisons_avoided(self, monkeypatch):
-        # the sum appends a smaller term after one tuple comparison, and the
-        # natural sum and left subtraction compare exponents as tuples only
+        # below w^w every exponent is an int, so the sum, the natural sum and
+        # left subtraction compare exponents in C, and a hash is one call
         calls = []
-        real = Ordinal.__lt__
-        monkeypatch.setattr(Ordinal, "__lt__", lambda x, y: calls.append(1) or real(x, y))
+        for name in ("__lt__", "__eq__", "__hash__"):
+            real = getattr(Ordinal, name)
+            monkeypatch.setattr(Ordinal, name, lambda *xs, real=real: calls.append(1) or real(*xs))
         a = omega_power(5, 2) + omega_power(3) + omega * 4
         b = a + 7
-        assert b.terms[-1] == (Ordinal(0), 7)
         natural_sum(a, omega_power(4, 2) + omega + 3)
         left_subtract(a, b)
         assert calls == []
+        hash(b)
+        assert calls == [1]
+        assert b.terms[-1] == (Ordinal(0), 7)
 
     def test_omega_power(self):
         assert omega_power(3, 2) == Ordinal.from_terms(((Ordinal(3), 2),))
@@ -392,3 +406,113 @@ class TestFormattingBounds:
             with pytest.raises(ResourceError) as info:
                 format_ordinal(a)
             assert str(info.value) == message
+
+
+class TestIntEquality:
+    def test_a_finite_ordinal_hashes_as_its_int(self):
+        for n in (0, 1, 3, 2 ** 70):
+            assert Ordinal(n) == n and n == Ordinal(n)
+            assert hash(Ordinal(n)) == hash(n)
+        assert {Ordinal(3): 1}.get(3) == 1
+        assert {3: 1}.get(Ordinal(3)) == 1
+        assert {0: "zero"}[Ordinal(0)] == "zero"
+        assert len({Ordinal(5), 5, parse_ordinal("5"), parse_ordinal("(5)")}) == 1
+
+    def test_an_infinite_ordinal_equals_no_int(self):
+        assert omega != 1 and omega_power(omega) != 1
+        assert Ordinal(0) != -1 and Ordinal(3) != -3
+
+    def test_a_bool_is_not_an_ordinal(self):
+        assert Ordinal(1).__eq__(True) is NotImplemented
+        for refused in (lambda: Ordinal(1) < True, lambda: omega + True,
+                        lambda: natural_sum(omega, False), lambda: product_left(True, omega)):
+            with pytest.raises(DomainError, match="an ordinal must be an int, not bool"):
+                refused()
+
+
+class TestRefusedTypes:
+    @pytest.mark.parametrize("value", [True, False, 2.5, 3.0, "3", None, omega])
+    def test_a_value_that_is_not_an_int(self, value):
+        with pytest.raises(DomainError, match="an ordinal must be an int"):
+            Ordinal(value)
+
+    @pytest.mark.parametrize("coefficient", [True, False, 1.5, 2.0, "2", None])
+    def test_a_coefficient_that_is_not_an_int(self, coefficient):
+        with pytest.raises(DomainError, match="a CNF coefficient must be an int"):
+            Ordinal.from_terms(((Ordinal(1), coefficient),))
+        with pytest.raises(DomainError, match="a CNF coefficient must be an int"):
+            omega_power(2, coefficient)
+
+    @pytest.mark.parametrize("exponent", [True, False, 1.5, 2.0, "w", None, (1, 1)])
+    def test_an_exponent_that_is_neither_an_int_nor_an_ordinal(self, exponent):
+        with pytest.raises(DomainError, match="a CNF exponent must be an int"):
+            Ordinal.from_terms(((exponent, 1),))
+        with pytest.raises(DomainError, match="a CNF exponent must be an int"):
+            omega_power(exponent)
+
+    def test_a_negative_exponent(self):
+        with pytest.raises(DomainError, match="CNF exponents are non-negative"):
+            Ordinal.from_terms(((-1, 1),))
+        with pytest.raises(DomainError, match="CNF exponents are non-negative"):
+            omega_power(-2, 3)
+
+    def test_ints_and_finite_ordinals_are_the_same_exponent(self):
+        for a, terms in ((Ordinal.from_terms(((3, 2), (Ordinal(1), 1), (0, 4))),
+                          ((3, 2), (1, 1), (0, 4))),
+                         (omega_power(Ordinal(2), 5), ((2, 5),)), (omega_power(2, 5), ((2, 5),)),
+                         (omega_power(Ordinal(0)), ((0, 1),)), (omega_power(0), ((0, 1),))):
+            _check_normal(a)
+            assert a.terms == terms
+        with pytest.raises(DomainError, match="strictly decreasing"):
+            Ordinal.from_terms(((2, 1), (Ordinal(2), 1)))
+
+
+def _check_normal(a):
+    """Every exponent of ``a``, at every depth, is an int exactly when it is
+    finite (by the loop oracle), and every coefficient a positive int."""
+    assert a.__class__ is Ordinal
+    for e, c in a.terms:
+        assert c.__class__ is int and c >= 1
+        if e.__class__ is int:
+            assert e >= 0
+        else:
+            assert not _loop_lt(e, omega)
+            _check_normal(e)
+
+
+def _check_same(a, b):
+    """Equal ordinals have equal terms and equal hashes."""
+    assert a == b and a.terms == b.terms and hash(a) == hash(b)
+
+
+class TestNormalForm:
+    @pytest.mark.parametrize("text, terms", [
+        ("w^(w^0)*2", ((1, 2),)), ("w^(3) + w^(1 + 1)", ((3, 1), (2, 1))),
+        ("w^(2 . w)", ((omega * 2, 1),)), ("w^0*4 # w", ((1, 1), (0, 4))),
+        ("w^7*3 + 2", ((7, 3), (0, 2))), ("w^(w + 0)", ((omega, 1),)), ("(w^0)", ((0, 1),))])
+    def test_exponents_written_through_the_descent(self, text, terms):
+        a = parse_ordinal(text)
+        _check_normal(a)
+        assert a.terms == terms
+
+    @given(deep_or_int, deep_or_int)
+    def test_results_keep_finite_exponents_as_ints(self, a, b):
+        x = _as_ordinal(a)
+        results = [x + b, natural_sum(a, b), x * b, product_left(a, b)]
+        if x <= b:
+            results.append(left_subtract(a, b))
+        for r in results:
+            _check_normal(r)
+            text = format_ordinal(r)
+            for read in (parse_ordinal(text), _parse_expression(text)):
+                _check_normal(read)
+                _check_same(read, r)
+            rebuilt = Ordinal.from_terms((_as_ordinal(e), c) for e, c in r.terms)
+            _check_normal(rebuilt)
+            _check_same(rebuilt, r)
+            _check_same(_equal_but_not_identical(r), r)
+            if r.is_finite:
+                assert r == r.to_int() and hash(r) == hash(r.to_int())
+            power = omega_power(r, 2)
+            _check_normal(power)
+            _check_same(power, omega_power(_equal_but_not_identical(r), 2))
