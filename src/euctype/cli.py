@@ -46,7 +46,7 @@ from .models import (
 )
 from .ordinal import format_ordinal
 from .parsing import _GF_PID, _nat, parse_element, parse_ordinal, parse_ring_spec, table_from_dict
-from .rings import IDEAL_ENUMERATION_BOUND, FiniteRing, crt_decompose, format_poly
+from .rings import FiniteRing, crt_decompose, format_poly
 
 SCHEMA_VERSION = 1
 
@@ -135,7 +135,7 @@ def _cmd_ring_analyze(args):
         "size": len(ring),
         "units": ring.unit_count(),
         "principal": principal,
-        "ideals": ring.ideal_count(args.max_size),
+        "ideals": ring.ideal_count(),
     }
     lines = [
         f"ring: {ring.name}",
@@ -378,8 +378,6 @@ def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentPars
 
     p = add("ring-analyze", _cmd_ring_analyze, "size, units, ideals, principality")
     p.add_argument("spec")
-    p.add_argument("--max-size", type=int, default=IDEAL_ENUMERATION_BOUND, metavar="N",
-                   help="carrier bound for ideal enumeration")
 
     p = add("euclid-bottom", _cmd_euclid_bottom, "least Euclidean table and order type")
     p.add_argument("spec")

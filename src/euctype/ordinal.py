@@ -82,6 +82,8 @@ class Ordinal:
         return self.terms == other.terms if other.__class__ is Ordinal else NotImplemented
 
     def __lt__(self, other) -> bool:
+        if other.__class__ is int and other < 0:
+            return False  # as the integers answer: no ordinal lies below a negative int
         other = other if other.__class__ is Ordinal else _ordinal(other)
         if not isinstance(other, Ordinal):
             return NotImplemented

@@ -28,9 +28,9 @@ quotient GF(q)[t]/(t^k) factors and divides nothing, and keys a batch
 with one bisection of each element.  Rings built on
 table-presented ones scan the carrier for their keys (the test oracle
 for the keyed rings) and once for the primitive idempotents.
-Enumerating the ideals of a non-principal ring closes sums of ideals and
-is meant for desk scale; the enumeration bound is explicit.  A ring known
-to be principal counts its ideals from the lengths k_i instead.
+A principal ring counts its ideals from the lengths k_i, a product reads
+its principality, units and ideals from its factors, and any other ring
+closes sums of ideals on at most IDEAL_ENUMERATION_BOUND elements.
 
 A coset layer sits on the ideals.  ``coset_labels(key)`` labels the
 cosets x + I of the ideal I with class key ``key`` a whole batch of
@@ -407,7 +407,7 @@ class FiniteRing:
     def unit_count(self) -> int:
         """The number of units.  On a ring known to be principal, the count
         of carrier keys with the zero valuation vector, with no set of units
-        built."""
+        built; a product multiplies its factors' counts."""
         if self._known_principal:
             keys = self.carrier_classes()
             return sum(map(self._unit_keys(keys).__contains__, keys))
@@ -509,20 +509,15 @@ class FiniteRing:
         cid, count = cache[key]
         return functools.partial(map, cid.__getitem__), count
 
-    def _check_enumeration_bound(self, max_size: int) -> None:
-        if len(self.elements) > max_size:
-            raise ResourceError(
-                f"{self.name} has {len(self.elements)} elements; "
-                f"ideal enumeration is bounded at {max_size}"
-            )
-
-    def all_ideals(self, max_size: int = IDEAL_ENUMERATION_BOUND) -> List[FrozenSet]:
+    def all_ideals(self) -> List[FrozenSet]:
         """Every ideal, smallest first, as one list built once per ring.
 
         In a principal ring these are the distinct principal ideals;
-        otherwise generated subsets are closed one generator at a time.
-        """
-        self._check_enumeration_bound(max_size)
+        otherwise generated subsets are closed one generator at a time.  A
+        carrier of more than IDEAL_ENUMERATION_BOUND elements is refused."""
+        if len(self.elements) > IDEAL_ENUMERATION_BOUND:
+            raise ResourceError(f"{self.name} has {len(self.elements)} elements; "
+                                f"ideal enumeration is bounded at {IDEAL_ENUMERATION_BOUND}")
         try:
             return self._ideals
         except AttributeError:
@@ -549,14 +544,14 @@ class FiniteRing:
                     work.append(bigger)
         return found
 
-    def ideal_count(self, max_size: int = IDEAL_ENUMERATION_BOUND) -> int:
-        """The number of ideals.  On a ring known to be principal they are
-        the valuation vectors 0 <= v <= k, where k holds the lengths k_i of
-        the local factors, so there are prod(k_i + 1); otherwise this is
-        the length of :meth:`all_ideals`, with its bound."""
-        if self._known_principal:
+    def ideal_count(self) -> int:
+        """The number of ideals.  On a principal ring they are the valuation
+        vectors 0 <= v <= k, where k holds the lengths k_i of the local
+        factors, so there are prod(k_i + 1); otherwise this is the length
+        of :meth:`all_ideals`, with its bound."""
+        if self.is_principal():
             return math.prod(k + 1 for k in self.valuations(self.ideal_class(self.zero)))
-        return len(self.all_ideals(max_size))
+        return len(self.all_ideals())
 
     def is_principal(self) -> bool:
         """True iff every ideal is principal: by construction, or when the
@@ -939,13 +934,17 @@ class ProductRing(FiniteRing):
     def valuations(self, key):
         return sum((f.valuations(k) for f, k in zip(self.factors, key)), ())
 
-    def ideal_count(self, max_size: int = IDEAL_ENUMERATION_BOUND) -> int:
+    def is_principal(self) -> bool:
+        return all(f.is_principal() for f in self.factors)
+
+    def unit_count(self) -> int:
+        """The product of the factors' counts, as units are so coordinatewise."""
+        return math.prod(f.unit_count() for f in self.factors)
+
+    def ideal_count(self) -> int:
         """The product of the factors' counts: with a 1 in every factor, each
-        ideal is the product of its projections.  A product not known to be
-        principal keeps the bound of :meth:`all_ideals` on its own size."""
-        if not self._known_principal:
-            self._check_enumeration_bound(max_size)
-        return math.prod(f.ideal_count(max_size) for f in self.factors)
+        ideal is the product of its projections.  No bound of its own."""
+        return math.prod(f.ideal_count() for f in self.factors)
 
     def format_element(self, x) -> str:
         return "(" + ", ".join([f.format_element(a) for f, a in zip(self.factors, x)]) + ")"

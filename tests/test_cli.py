@@ -540,11 +540,13 @@ class TestModelCostBounds:
 
 
 def test_ring_analyze_counts_the_ideals_of_a_principal_ring_from_its_valuations(monkeypatch):
-    def refuse(self, max_size=None):
+    def refuse(self):
         raise AssertionError(f"all_ideals called on {self.name}")
 
     monkeypatch.setattr(FiniteRing, "all_ideals", refuse)
-    for spec, ideals in (("Z/1024", 11), ("Z/720 x Z/36", 270), ("Z/8 x Z/27/((2, 3))", 4)):
+    for spec, ideals in (("Z/1024", 11), ("Z/720 x Z/36", 270), ("Z/8 x Z/27/((2, 3))", 4),
+                         ("GF(2)[x,y]/(x,y)^2/(x) x Z/9", 9),
+                         ("(GF(2)[x,y]/(x,y)^2 x Z/3)/((x, 0))", 6)):
         code, out, err = run(["ring-analyze", spec, "--json"])
         assert (code, err) == (0, "") and json.loads(out)["ideals"] == ideals, spec
     code, out, _ = run(["ring-analyze", "Z/1024"])
@@ -628,8 +630,33 @@ class TestSpecimenQuotient:
         assert report["stuck"] == [ring.format_element(x) for x in ring.elements
                                    if x != ring.zero and x[0] not in fixture.units()]
         code, out, err = run(["ring-analyze", spec])
-        assert (code, out) == (4, "")
-        assert err == f"error: {spec} has 648 elements; ideal enumeration is bounded at 512\n"
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["size: 648   units: 216", "principal: False   ideals: 30"]
+
+    def test_a_product_answers_from_its_factors(self, monkeypatch):
+        # neither the product's principal ideals nor its primitive idempotents
+        def refuse_on_products(name):
+            original = getattr(FiniteRing, name)
+
+            def refuse(self, *args):
+                if isinstance(self, ProductRing):
+                    raise AssertionError(f"{name} called on {self.name}")
+                return original(self, *args)
+
+            monkeypatch.setattr(FiniteRing, name, refuse)
+
+        refuse_on_products("principal_ideals")
+        refuse_on_products("_local_split")
+        spec = "GF(2)[x,y]/(x,y)^2 x Z/81"
+        code, out, err = run(["ring-analyze", spec])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [f"ring: {spec}", "size: 648   units: 216",
+                                    "principal: False   ideals: 30"]
+        code, out, err = run(["ring-analyze", spec, "--json"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["size"], report["units"], report["principal"], report["ideals"]) == (
+            648, 216, False, 30)
 
 
 def test_euclid_verify_checks_a_validated_table_once(tmp_path, monkeypatch):
@@ -690,10 +717,8 @@ def test_euclid_verify_checks_every_table_once(tmp_path, monkeypatch):
 
 def test_cli_defaults_are_stated_once():
     from euctype.cli import _parsers
-    from euctype.rings import IDEAL_ENUMERATION_BOUND
 
     parser = _parsers()[0]
-    assert parser.parse_args(["ring-analyze", "Z/4"]).max_size == IDEAL_ENUMERATION_BOUND
     assert parser.parse_args(["model-z"]).window == 1024
     assert parser.parse_args(["model-poly", "2"]).window == 10
 
@@ -848,7 +873,7 @@ def full_parser_run(argv, monkeypatch):
 
 WELL_FORMED = [
     ["ordinal-eval", "w^2 + w*3 + 1"], ["ring-analyze", "Z/12"],
-    ["ring-analyze", "Z x Z/8", "--max-size", "64"], ["euclid-bottom", "Z/8"],
+    ["ring-analyze", "Z x Z/8"], ["model-poly", "--window", "3", "3"], ["euclid-bottom", "Z/8"],
     ["euclid-quotient", "Z/8", "2"], ["euclid-product", "Z/2", "Z/3"],
     ["product-bounds", "w", "3"], ["realize", "w*2 + 1"], ["model-z", "--window", "40"],
     ["model-poly", "2", "--window", "3"],
@@ -867,6 +892,13 @@ MALFORMED_ARGV = [
     ["ordinal-eval", "w", "--", "extra"], ["model-z", "--", "--window", "3"],
     ["ordinal-eval", "w +"], ["euclid-bottom", "Z/0"],
 ]
+
+
+def test_ring_analyze_has_no_max_size_option():
+    code, out, err = exiting_run(["ring-analyze", "Z/4", "--max-size", "64"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: euctype ")
+    assert err.endswith("euctype: error: unrecognized arguments: --max-size 64\n")
 
 
 def test_dispatch_matches_the_full_parser(tmp_path, monkeypatch):

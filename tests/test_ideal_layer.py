@@ -1130,13 +1130,17 @@ class TestValuations:
             assert not ring._known_principal, ring.name
             assert ring.ideal_count() == len(ring.all_ideals()), ring.name
 
-    def test_product_ideal_count_keeps_the_bound_on_its_own_size(self):
+    def test_product_ideal_count_bounds_only_factors_that_enumerate(self, monkeypatch):
+        ring = ProductRing([truncated_bivariate_fixture(), Zmod(81)])
+        assert (len(ring), ring.ideal_count()) == (648, 30)
         ring = ProductRing([truncated_bivariate_fixture(), Zmod(3)])
-        with pytest.raises(ResourceError, match=r"Z/3 has 24 elements; ideal enumeration "
-                                                r"is bounded at 23$"):
-            ring.ideal_count(23)
-        assert ring.ideal_count(24) == 12
-        assert ProductRing([Zmod(512), Zmod(3)]).ideal_count(20) == 20
+        monkeypatch.setattr(rings_module, "IDEAL_ENUMERATION_BOUND", 7)
+        with pytest.raises(ResourceError, match=r"GF\(2\)\[x,y\]/\(x,y\)\^2 has 8 elements; "
+                                                r"ideal enumeration is bounded at 7$"):
+            ring.ideal_count()
+        monkeypatch.setattr(rings_module, "IDEAL_ENUMERATION_BOUND", 8)
+        assert ring.ideal_count() == 12
+        assert ProductRing([Zmod(512), Zmod(3)]).ideal_count() == 20
 
     def test_unit_count_equals_the_unit_set(self):
         # a ring known to be principal counts its units without the set, and

@@ -422,6 +422,13 @@ class TestIntEquality:
         assert omega != 1 and omega_power(omega) != 1
         assert Ordinal(0) != -1 and Ordinal(3) != -3
 
+    def test_every_ordinal_lies_above_a_negative_int(self):
+        for a in (Ordinal(0), Ordinal(2), omega, omega_power(omega)):
+            for n in (-1, -7, -2 ** 70):
+                assert a > n and a >= n and not a < n and not a <= n
+                assert n < a and n <= a and not n > a and not n >= a
+        assert sorted([Ordinal(2), -1, omega, 0]) == [-1, 0, Ordinal(2), omega]
+
     def test_a_bool_is_not_an_ordinal(self):
         assert Ordinal(1).__eq__(True) is NotImplemented
         for refused in (lambda: Ordinal(1) < True, lambda: omega + True,

@@ -345,16 +345,23 @@ class TestCRT:
 
 
 class TestBounds:
-    def test_ideal_enumeration_bound(self):
-        with pytest.raises(ResourceError):
-            Zmod(600).all_ideals(max_size=512)
+    def test_ideal_enumeration_bound(self, monkeypatch):
+        with pytest.raises(ResourceError, match="Z/600 has 600 elements; ideal enumeration "
+                                                "is bounded at 512$"):
+            Zmod(600).all_ideals()
+        monkeypatch.setattr(rings, "IDEAL_ENUMERATION_BOUND", 599)
+        with pytest.raises(ResourceError, match="is bounded at 599$"):
+            Zmod(600).all_ideals()
+        monkeypatch.setattr(rings, "IDEAL_ENUMERATION_BOUND", 600)
+        assert len(Zmod(600).all_ideals()) == 24
 
-    def test_ideal_list_is_built_once_and_still_bounded(self):
+    def test_ideal_list_is_built_once_and_still_bounded(self, monkeypatch):
         R = truncated_bivariate_fixture()
         ideals = R.all_ideals()
         assert R.all_ideals() is ideals and len(ideals) == 6
+        monkeypatch.setattr(rings, "IDEAL_ENUMERATION_BOUND", 4)
         with pytest.raises(ResourceError):
-            R.all_ideals(max_size=4)
+            R.all_ideals()
 
     def test_element_length_needs_principal(self):
         with pytest.raises(DomainError):
