@@ -10,16 +10,22 @@ failure.
 
 Ordinals print with ASCII ``w``; the Unicode letter is accepted on
 input.
+
+Each verb's arguments are declared once, in ``_VERBS``.  A small reader
+takes a well-formed call, one it reads exactly as argparse would, and
+hands anything else (help, ``--``, abbreviations, ``--opt=value``,
+negative numbers, usage errors) to the argparse parser built from the
+same table.  So a well-formed call never imports argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import List, Optional, Tuple
 
 from .errors import DomainError, EngineError, NotEuclideanRing, ResourceError
 from .euclidean import (
@@ -112,20 +118,16 @@ def _cmd_ordinal_eval(args):
 def _cmd_ring_analyze(args):
     parsed = parse_ring_spec(args.spec)
     if isinstance(parsed, RingSpec):
-        e = order_type_of_spec(parsed)
+        spec, order = str(parsed), format_ordinal(order_type_of_spec(parsed))
         report = {
             "input": args.spec,
             "symbolic": True,
-            "spec": str(parsed),
+            "spec": spec,
             "pid_factors": list(parsed.pid_factors),
             "artinian_lengths": list(parsed.artinian_lengths),
-            "order_type": format_ordinal(e),
+            "order_type": order,
         }
-        lines = [
-            f"symbolic ring spec: {parsed}",
-            f"order type: {format_ordinal(e)}",
-        ]
-        return report, lines
+        return report, [f"symbolic ring spec: {spec}", f"order type: {order}"]
     ring = parsed
     principal = ring.is_principal()
     report = {
@@ -168,13 +170,13 @@ def _table_lines(ring, table) -> List[str]:
 def _cmd_euclid_bottom(args):
     ring = _finite_ring(args.spec)
     table = bottom_euclidean(ring)
-    e = order_type(table)
+    order = format_ordinal(order_type(table))
     report = {
         "input": args.spec,
         "table": table_to_dict(table),
-        "order_type": format_ordinal(e),
+        "order_type": order,
     }
-    lines = [] if args.json else _table_lines(ring, table) + [f"order type: {format_ordinal(e)}"]
+    lines = [] if args.json else _table_lines(ring, table) + [f"order type: {order}"]
     return report, lines
 
 
@@ -209,14 +211,14 @@ def _cmd_euclid_quotient(args):
     b = parse_element(ring, args.element)
     table = bottom_euclidean(ring)
     quot = quotient_euclidean(table, b)
+    value = format_ordinal(table.value(b))
     report = {
         "input": {"ring": args.spec, "element": args.element},
-        "value_of_divisor": format_ordinal(table.value(b)),
+        "value_of_divisor": value,
         "table": table_to_dict(quot),
     }
     lines = [] if args.json else _table_lines(quot.ring, quot) + [
-        f"value of {ring.format_element(b)} in the base ring: "
-        f"{format_ordinal(table.value(b))}"
+        f"value of {ring.format_element(b)} in the base ring: {value}"
     ]
     return report, lines
 
@@ -229,20 +231,17 @@ def _cmd_euclid_product(args):
     pt = nagata_product(t1, t2)
     product_bottom = bottom_euclidean(pt.ring)
     collapsed = collapse_pair_table(pt, product_bottom)
+    o1, o2, product = (format_ordinal(order_type(t)) for t in (t1, t2, product_bottom))
     report = {
         "input": {"factors": [args.spec1, args.spec2]},
-        "factor_order_types": [
-            format_ordinal(order_type(t1)),
-            format_ordinal(order_type(t2)),
-        ],
-        "product_order_type": format_ordinal(order_type(product_bottom)),
+        "factor_order_types": [o1, o2],
+        "product_order_type": product,
         "collapsed_table": table_to_dict(collapsed),
     }
     lines = [
         f"factors: {r1.name}  and  {r2.name}",
-        f"factor order types: {format_ordinal(order_type(t1))}, "
-        f"{format_ordinal(order_type(t2))}",
-        f"product order type: {format_ordinal(order_type(product_bottom))}",
+        f"factor order types: {o1}, {o2}",
+        f"product order type: {product}",
         f"collapsed pair table validated: {collapsed.validated}",
     ]
     return report, lines
@@ -250,15 +249,11 @@ def _cmd_euclid_product(args):
 
 def _cmd_product_bounds(args):
     values = [parse_ordinal(e) for e in args.exprs]
-    lower, upper = product_bounds(values)
-    report = {
-        "input": args.exprs,
-        "lower": format_ordinal(lower),
-        "upper": format_ordinal(upper),
-    }
+    lower, upper = map(format_ordinal, product_bounds(values))
+    report = {"input": args.exprs, "lower": lower, "upper": upper}
     lines = [
-        f"lower bound (iterated sum): {format_ordinal(lower)}",
-        f"upper bound (iterated natural sum): {format_ordinal(upper)}",
+        f"lower bound (iterated sum): {lower}",
+        f"upper bound (iterated natural sum): {upper}",
     ]
     return report, lines
 
@@ -266,12 +261,13 @@ def _cmd_product_bounds(args):
 def _cmd_realize(args):
     a = parse_ordinal(args.expr)
     spec = realize_ordinal(a)
+    text = str(spec)
     report = {
         "input": args.expr,
-        "spec": str(spec),
+        "spec": text,
         "order_type": format_ordinal(order_type_of_spec(spec)),
     }
-    return report, [str(spec)]
+    return report, [text]
 
 
 def _cmd_model_z(args):
@@ -353,92 +349,114 @@ def _cmd_l_euclidean(args):
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# argument plumbing: one table declares every verb, and both the reader and
+# the argparse parsers are built from it
+
+_JSON = ("--json", {"action": "store_true", "help": "emit a JSON report"})
+
+# verb: (function, help, (option string or positional name, add_argument keywords)...)
+_VERBS = {
+    "ordinal-eval": (_cmd_ordinal_eval, "evaluate an ordinal expression", ("expr", {})),
+    "ring-analyze": (_cmd_ring_analyze, "size, units, ideals, principality", ("spec", {})),
+    "euclid-bottom": (_cmd_euclid_bottom, "least Euclidean table and order type", ("spec", {})),
+    "euclid-verify": (_cmd_euclid_verify, "validate a serialized table file", ("file", {})),
+    "euclid-quotient": (
+        _cmd_euclid_quotient, "push the least table down to a quotient ring", ("spec", {}),
+        ("element", {"help": "the divisor b; one that starts with '-' goes after "
+                     "'--', as in: euclid-quotient SPEC -- -t"})),
+    "euclid-product": (_cmd_euclid_product,
+                       "pair-valued product construction and its ordinal collapse",
+                       ("spec1", {}), ("spec2", {})),
+    "product-bounds": (_cmd_product_bounds, "order-type bounds for a product from its factors",
+                       ("exprs", {"nargs": "+"})),
+    "realize": (_cmd_realize, "small ring spec with the given order type", ("expr", {})),
+    "model-z": (_cmd_model_z, "windowed least values on the integers",
+                ("--window", {"type": int, "default": 1024, "metavar": "N",
+                              "help": "reporting bound on |n| (default %(default)s)"})),
+    "model-poly": (_cmd_model_poly, "windowed least values on GF(q)[t]", ("q", {"type": int}),
+                   ("--window", {"type": int, "default": 10, "metavar": "D",
+                                 "help": "reporting degree bound (default %(default)s)"})),
+    "model-localize": (_cmd_model_localize,
+                       "sampled division checks for a semilocal localization of Z",
+                       ("primes", {"nargs": "+", "type": int}),
+                       ("--samples", {"type": int, "default": 10_000, "metavar": "N"}),
+                       ("--seed", {"type": int, "default": 0, "metavar": "S"})),
+    "l-euclidean": (_cmd_l_euclidean, "is the ideal-chain length a Euclidean function?",
+                    ("target", {"help": "'Z', 'GF(q)[t]', or a concrete ring spec"})),
+}
+
+
+def _read(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The arguments of a call as argparse reads them, or None for a call
+    the reader leaves to argparse: one whose first argument names no verb,
+    or with a token that starts with '-' and is none of the verb's option
+    strings, an option value that starts with '-' or is missing, a value
+    ``int`` refuses, a wrong count of positionals, or a ``+`` positional
+    split by an option (argparse takes only its first run)."""
+    entry = _VERBS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    func, _, *arguments = entry
+    options = {flag: kw for flag, kw in arguments if flag[0] == "-"}
+    positionals = [(name, kw) for name, kw in arguments if name[0] != "-"]
+    values = {"json": False, **{flag[2:]: kw["default"] for flag, kw in options.items()}}
+    words, runs, after_option = [], 0, True
+    rest = iter(argv[1:])
+    try:
+        for token in rest:
+            if token == "--json":
+                values["json"] = after_option = True
+            elif token in options:
+                value = next(rest, "-")  # a missing value reads as "-"
+                if value[:1] == "-":
+                    return None
+                values[token[2:]], after_option = options[token]["type"](value), True
+            elif token[:1] == "-":
+                return None
+            else:
+                words.append(token)
+                runs, after_option = runs + after_option, False
+        if positionals and positionals[0][1].get("nargs") == "+":  # then the only positional
+            name, kw = positionals[0]
+            if runs != 1:
+                return None
+            values[name] = list(map(kw.get("type", str), words))
+        elif len(words) == len(positionals):
+            values.update((name, kw.get("type", str)(word))
+                          for (name, kw), word in zip(positionals, words))
+        else:
+            return None
+    except ValueError:  # a value int() refuses
+        return None
+    return SimpleNamespace(verb=argv[0], func=func, **values)
 
 
 @functools.lru_cache(maxsize=None)
-def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
-    """The argument parser and the parser of each verb by name, built on
-    the first call and reused after it."""
+def _parser():
+    """The full argparse parser, built from ``_VERBS`` on the first call and
+    reused after it: help, usage errors and every call the reader leaves
+    go to it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="euctype",
         description="Euclidean-function tables, ordinal arithmetic, and "
         "bounded models of the classical domains.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, func, help_text):
+    for name, (func, help_text, *arguments) in _VERBS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
+        for flag, kw in (_JSON, *arguments):
+            p.add_argument(flag, **kw)
         p.set_defaults(func=func)
-        return p
-
-    p = add("ordinal-eval", _cmd_ordinal_eval, "evaluate an ordinal expression")
-    p.add_argument("expr")
-
-    p = add("ring-analyze", _cmd_ring_analyze, "size, units, ideals, principality")
-    p.add_argument("spec")
-
-    p = add("euclid-bottom", _cmd_euclid_bottom, "least Euclidean table and order type")
-    p.add_argument("spec")
-
-    p = add("euclid-verify", _cmd_euclid_verify, "validate a serialized table file")
-    p.add_argument("file")
-
-    p = add("euclid-quotient", _cmd_euclid_quotient,
-            "push the least table down to a quotient ring")
-    p.add_argument("spec")
-    p.add_argument("element", help="the divisor b; one that starts with '-' goes after "
-                   "'--', as in: euclid-quotient SPEC -- -t")
-
-    p = add("euclid-product", _cmd_euclid_product,
-            "pair-valued product construction and its ordinal collapse")
-    p.add_argument("spec1")
-    p.add_argument("spec2")
-
-    p = add("product-bounds", _cmd_product_bounds,
-            "order-type bounds for a product from its factors")
-    p.add_argument("exprs", nargs="+")
-
-    p = add("realize", _cmd_realize, "small ring spec with the given order type")
-    p.add_argument("expr")
-
-    p = add("model-z", _cmd_model_z, "windowed least values on the integers")
-    p.add_argument("--window", type=int, default=1024, metavar="N",
-                   help="reporting bound on |n| (default %(default)s)")
-
-    p = add("model-poly", _cmd_model_poly, "windowed least values on GF(q)[t]")
-    p.add_argument("q", type=int)
-    p.add_argument("--window", type=int, default=10, metavar="D",
-                   help="reporting degree bound (default %(default)s)")
-
-    p = add("model-localize", _cmd_model_localize,
-            "sampled division checks for a semilocal localization of Z")
-    p.add_argument("primes", nargs="+", type=int)
-    p.add_argument("--samples", type=int, default=10_000, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
-
-    p = add("l-euclidean", _cmd_l_euclidean,
-            "is the ideal-chain length a Euclidean function?")
-    p.add_argument("target", help="'Z', 'GF(q)[t]', or a concrete ring spec")
-
-    return parser, sub.choices
+    return parser
 
 
-def _parse(argv: List[str]) -> argparse.Namespace:
-    """The arguments as the full parser reads them, in one argparse pass
-    when ``argv[0]`` names a verb: the full parser would hand the rest to
-    that verb's parser unchanged.  Anything else, and a call that leaves
-    arguments over, goes to the full parser, which then gives its own
-    usage, help and errors."""
-    parser, verbs = _parsers()
-    verb = verbs.get(argv[0]) if argv else None
-    if verb is not None:
-        args, extras = verb.parse_known_args(argv[1:])
-        if not extras:
-            args.verb = argv[0]
-            return args
-    return parser.parse_args(argv)
+def _parse(argv: List[str]):
+    """The arguments as the full parser reads them: the reader's namespace
+    when it takes the call, else the full parser's, with its own usage,
+    help and errors."""
+    return _read(argv) or _parser().parse_args(argv)
 
 
 def _not_euclidean_report(exc: NotEuclideanRing) -> Tuple[dict, List[str]]:

@@ -31,7 +31,7 @@ ARGVS = ((0, ["ordinal-eval", "w+1"]), (0, ["ring-analyze", "GF(2)[x,y]/(x,y)^2"
 
 @pytest.mark.parametrize("kind", ["spans", "ops"])
 def test_tracer_installs_on_every_wrapped_name(kind, monkeypatch, tmp_path):
-    assert {argv[0] for _, argv in ARGVS} == set(euctype.cli._parsers()[1])
+    assert {argv[0] for _, argv in ARGVS} == set(euctype.cli._VERBS)
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     monkeypatch.chdir(tmp_path)
     good = table_to_dict(bottom_euclidean(Zmod(8)))

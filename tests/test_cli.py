@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -34,21 +33,26 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(GOLDEN_DIR.parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def fresh_run(argv, address_space=None):
     """(exit status, stdout, stderr) and seconds of the CLI in a new interpreter,
     so that no field or ring built by another test is cached.  With
     ``address_space`` (bytes) the interpreter gets that RLIMIT_AS, so a
     carrier that is built after all ends in a MemoryError, not in swap."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(GOLDEN_DIR.parent.parent / "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     script = "import sys; from euctype.cli import main; sys.exit(main(sys.argv[1:]))"
     limit = None if address_space is None else (
         lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
-                          text=True, timeout=60, preexec_fn=limit)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=src_env(),
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit)
     return (proc.returncode, proc.stdout, proc.stderr), time.perf_counter() - t0
 
 
@@ -716,11 +720,9 @@ def test_euclid_verify_checks_every_table_once(tmp_path, monkeypatch):
 
 
 def test_cli_defaults_are_stated_once():
-    from euctype.cli import _parsers
-
-    parser = _parsers()[0]
-    assert parser.parse_args(["model-z"]).window == 1024
-    assert parser.parse_args(["model-poly", "2"]).window == 10
+    for read in (cli._read, cli._parser().parse_args):
+        assert read(["model-z"]).window == 1024
+        assert read(["model-poly", "2"]).window == 10
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +851,7 @@ def test_dumps_on_small_reports(report):
 
 
 # ---------------------------------------------------------------------------
-# one argparse pass per call
+# well-formed calls take no argparse pass
 
 
 def exiting_run(argv):
@@ -864,13 +866,13 @@ def exiting_run(argv):
 
 
 def full_parser_run(argv, monkeypatch):
-    """``exiting_run`` with every argv read by the full parser, the verb's
-    parser reached through it."""
+    """``exiting_run`` with every argv read by the full argparse parser."""
     with monkeypatch.context() as m:
-        m.setattr(cli, "_parse", lambda argv: cli._parsers()[0].parse_args(argv))
+        m.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
         return exiting_run(argv)
 
 
+# calls the reader takes: each also runs with "--json" appended
 WELL_FORMED = [
     ["ordinal-eval", "w^2 + w*3 + 1"], ["ring-analyze", "Z/12"],
     ["ring-analyze", "Z x Z/8"], ["model-poly", "--window", "3", "3"], ["euclid-bottom", "Z/8"],
@@ -878,8 +880,12 @@ WELL_FORMED = [
     ["product-bounds", "w", "3"], ["realize", "w*2 + 1"], ["model-z", "--window", "40"],
     ["model-poly", "2", "--window", "3"],
     ["model-localize", "2", "3", "--samples", "50", "--seed", "1"], ["l-euclidean", "Z"],
+    ["euclid-quotient", "Z/8", "--json", "2"], ["euclid-product", "--json", "Z/2", "Z/3"],
+    ["model-z", "--window", "3", "--window", "4"], ["model-z", "--window", " 4_0"],
+    ["ordinal-eval", "--json", "w"], ["model-localize", "--samples", "5", "2", "3"],
 ]
 
+# calls the reader leaves to argparse, and calls the engine refuses
 MALFORMED_ARGV = [
     [], ["-h"], ["--help"], ["frobnicate", "Z/8"], ["ordinal-eval", "-h"],
     ["ordinal-eval", "--bogus", "w"], ["ordinal-eval", "w", "--bogus"],
@@ -891,6 +897,14 @@ MALFORMED_ARGV = [
     ["ordinal-eval", "--", "-w"], ["euclid-quotient", "Z/8", "--", "--", "2"],
     ["ordinal-eval", "w", "--", "extra"], ["model-z", "--", "--window", "3"],
     ["ordinal-eval", "w +"], ["euclid-bottom", "Z/0"],
+    ["product-bounds", "w", "--json", "3"], ["model-localize", "2", "--seed", "-1"],
+    ["ordinal-eval", ""], ["model-localize", "2", "3", "--samples", "5", "7"],
+    ["model-z", "--window"], ["model-z", "--window", "--json"], ["model-z", "--window", ""],
+    ["model-z", "3"], ["model-localize", "--samples", "5"], ["ordinal-eval", "-w + 1"],
+    ["ordinal-eval", "-"], ["model-poly", "2", "--window", "-1"],
+    ["euclid-quotient", "Z/8", "2", "--json", "4"], ["ordinal-eval", "ordinal-eval"],
+    ["euclid-quotient", "Z/8", "-t"], ["euclid-quotient", "Z/8", "-2"], ["ordinal-eval", "--bogus"],
+    ["model-poly", "--", "2"], ["model-z", "--window", "-1_0"],
 ]
 
 
@@ -910,19 +924,29 @@ def test_dispatch_matches_the_full_parser(tmp_path, monkeypatch):
         assert exiting_run(argv) == full_parser_run(argv, monkeypatch), argv
 
 
-def test_a_well_formed_call_takes_one_argparse_pass(monkeypatch):
-    passes = []
-    parse_known_args = argparse.ArgumentParser.parse_known_args
+def test_a_well_formed_call_takes_no_argparse_pass(monkeypatch):
+    def refused():
+        raise AssertionError("the call reached argparse")
 
-    def counted(self, *args, **kwargs):
-        passes.append(self.prog)
-        return parse_known_args(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    monkeypatch.setattr(cli, "_parser", refused)
     for argv in WELL_FORMED:
-        passes.clear()
-        assert run(argv + ["--json"])[0] == 0
-        assert passes == [f"euctype {argv[0]}"], argv
+        for tail in ([], ["--json"]):
+            assert run(argv + tail)[0] == 0, argv
+
+
+def test_a_fresh_process_imports_argparse_only_for_help():
+    script = ("import contextlib, io, sys\n"
+              "from euctype.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    codes = [main(argv) for argv in {!r}]\n"
+              "print(codes, 'argparse' in sys.modules)\n"
+              "main(sys.argv[1:])\n").format([argv + ["--json"] for argv in WELL_FORMED])
+    proc = subprocess.run([sys.executable, "-c", script, "--help"], env=src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    first, usage = proc.stdout.split("\n", 1)
+    assert first == f"{[0] * len(WELL_FORMED)} False"
+    assert usage.startswith("usage: euctype [-h]")
 
 
 def test_main_is_the_only_writer(tmp_path):
@@ -942,5 +966,5 @@ def test_main_is_the_only_writer(tmp_path):
             assert type(pair) is tuple and [type(x) for x in pair] == [dict, list], argv
             report, lines = pair
             expected = (_dumps({"schema_version": 1, "command": argv[0], **report}) + "\n"
-                        if tail else "".join(line + "\n" for line in lines))
+                        if args.json else "".join(line + "\n" for line in lines))
             assert run(argv + tail) == (3 if argv is finding else 0, expected, ""), argv
