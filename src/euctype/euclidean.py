@@ -303,13 +303,14 @@ def _by_class(ring: FiniteRing, f) -> Dict[object, object]:
 
 
 def _not_euclidean(ring: FiniteRing) -> NotEuclideanRing:
-    """The finding on a ring that is not principal, from one vector of
-    :meth:`FiniteRing._local_vector` per ideal-class key.  Motzkin's levels
-    never reach x where ex lies in m_e, for a local factor eR whose maximal
-    ideal m_e is not principal: for a in m_e outside (ex) at e and 0
-    elsewhere, a + (x) stays in m_e at e, where every element of a level
-    is a unit.  Any other x generates each such eR, so it takes its level
-    in the principal part: the sum of its valuations."""
+    """The finding on a ring that is not principal, from its local split and
+    one :meth:`FiniteRing._local_vector` per ideal-class key, which a product
+    reads from its factors: only a table ring, or a quotient of a ring built
+    on one, scans its carrier.  Motzkin's levels never reach x where ex lies
+    in m_e, for a local factor eR whose maximal ideal m_e is not principal:
+    for a in m_e outside (ex) at e and 0 elsewhere, a + (x) stays in m_e at
+    e, where every element of a level is a unit.  Any other x generates
+    each such eR, so its level is the sum of its valuations."""
     chain = [principal for *_, principal in ring._local_split()]
 
     def level(key):  # None where x is stuck

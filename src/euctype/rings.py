@@ -14,23 +14,27 @@ Z/n, the monic gcd with the modulus in GF(q)[t]/(f), the tuple of factor
 keys in a product, the base ring's key in a quotient -- keeps the keys of
 its carrier, computed a batch at a time (``ideal_classes``), and builds
 the members of each ideal once per key, without multiplying.
-Divisibility and the ideals of a principal ring read this map; the units
-of a ring known to be principal are read from the valuations below.  A finite
-ring is principal exactly when each local factor eR (e a primitive
-idempotent) is a chain ring R_i, of length k_i (Hungerford 1968), and
-``valuations(key)`` maps a key to the valuation v_i of the ideal in each
-R_i (k_i for the zero ideal): element lengths and bottom tables are
-their sums.  The keyed rings read them off the key: in Z/n the
-multiplicity of each prime in gcd(x, n), and in GF(q)[t]/(f), with
-f = t^e * f' and f' prime to t, the count of leading zero coefficients
-of the key for t, so only the factors of f' are divided out; a chain
-quotient GF(q)[t]/(t^k) factors and divides nothing, and keys a batch
-with one bisection of each element.  Rings built on
-table-presented ones scan the carrier for their keys (the test oracle
-for the keyed rings) and once for the primitive idempotents.
-A principal ring counts its ideals from the lengths k_i, a product reads
-its principality, units and ideals from its factors, and any other ring
-closes sums of ideals on at most IDEAL_ENUMERATION_BOUND elements.
+Divisibility and the ideals of a principal ring read this map.  A finite
+ring is the product of its local factors eR (e a primitive idempotent),
+and it is principal exactly when each maximal ideal is, each eR then a
+chain ring R_i of length k_i (Hungerford 1968).  ``_local_split()`` gives
+|eR|, the size q of its residue field and whether its maximal ideal is
+principal, and ``_local_vector(key)`` the valuation v_i of the ideal in
+each eR (0 where ex is a unit of eR, k_i at zero): the units are the
+elements whose vector is zero, prod(|eR| - |eR|/q) of them, and lengths
+and bottom tables are sums of the vectors (``valuations``).  The keyed
+rings compute both: Z/n and GF(q)[t]/(f) from the prime powers of the
+modulus (the multiplicity of each prime in gcd(x, n); with f = t^e * f'
+and f' prime to t, the leading zeros of the key for t and the factors
+of f' divided out, none on a chain quotient GF(q)[t]/(t^k), which keys
+a batch with one bisection of each element), a product from its
+factors', a quotient R/(b) of a keyed ring from R's, cut at v(b).  Only
+table rings and quotients of rings that are not keyed scan the carrier,
+for their keys and once for the primitive idempotents; they are the
+test oracle of the keyed rings and the only rings the CLI builds
+``principal_ideals`` on.  A principal ring counts its ideals from the
+lengths k_i, a product multiplies its factors' counts, and any other
+ring closes sums of ideals on at most IDEAL_ENUMERATION_BOUND elements.
 
 A coset layer sits on the ideals.  ``coset_labels(key)`` labels the
 cosets x + I of the ideal I with class key ``key`` a whole batch of
@@ -347,8 +351,8 @@ class FiniteRing:
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
-    # subclasses that are principal by construction set this True; they are
-    # the rings whose local valuations are computed by arithmetic.
+    # True on the keyed rings, principal by construction: a quotient then cuts
+    # its base's split, and the division check tries the certificate first
     _known_principal = False
 
     def __len__(self):
@@ -386,36 +390,20 @@ class FiniteRing:
     # -- units and divisibility -------------------------------------------
 
     def units(self) -> FrozenSet:
-        """The elements whose principal ideal contains one.  On a ring known
-        to be principal these are the elements whose key has the zero
-        valuation vector, read from the carrier's keys with no ideal built."""
+        """The elements whose :meth:`_local_vector` is zero, x with ex a unit
+        of eR in every local factor eR, read one vector per carrier key."""
         try:
             return self._units
         except AttributeError:
-            pass
-        if self._known_principal:
             keys = self.carrier_classes()
-            self._units = frozenset(itertools.compress(self.elements,
-                                                       map(self._unit_keys(keys).__contains__,
-                                                           keys)))
-        else:
-            one = self.one
-            self._units = frozenset(x for x, ideal in self.principal_ideals().items()
-                                    if one in ideal)
-        return self._units
+            unit = {key: not any(self._local_vector(key)) for key in dict.fromkeys(keys)}
+            self._units = frozenset(itertools.compress(self.elements, map(unit.__getitem__, keys)))
+            return self._units
 
     def unit_count(self) -> int:
-        """The number of units.  On a ring known to be principal, the count
-        of carrier keys with the zero valuation vector, with no set of units
-        built; a product multiplies its factors' counts."""
-        if self._known_principal:
-            keys = self.carrier_classes()
-            return sum(map(self._unit_keys(keys).__contains__, keys))
-        return len(self.units())
-
-    def _unit_keys(self, keys) -> set:
-        """The distinct keys of ``keys`` with the zero valuation vector."""
-        return {key for key in dict.fromkeys(keys) if not any(self.valuations(key))}
+        """prod(|eR| - |eR|/q) over the local factors of :meth:`_local_split`,
+        whose units lie outside the maximal ideal; no element is read."""
+        return math.prod(size - size // q for size, q, _ in self._local_split())
 
     def is_unit(self, x) -> bool:
         return x in self.units()
@@ -545,64 +533,59 @@ class FiniteRing:
         return found
 
     def ideal_count(self) -> int:
-        """The number of ideals.  On a principal ring they are the valuation
-        vectors 0 <= v <= k, where k holds the lengths k_i of the local
-        factors, so there are prod(k_i + 1); otherwise this is the length
-        of :meth:`all_ideals`, with its bound."""
+        """The number of ideals: on a principal ring the vectors 0 <= v <= k
+        of valuations below the local lengths k_i, prod(k_i + 1) of them;
+        otherwise the length of :meth:`all_ideals`, with its bound."""
         if self.is_principal():
             return math.prod(k + 1 for k in self.valuations(self.ideal_class(self.zero)))
         return len(self.all_ideals())
 
     def is_principal(self) -> bool:
-        """True iff every ideal is principal: by construction, or when the
-        maximal ideal of every local factor eR is principal."""
-        return self._known_principal or all(principal for *_, principal in self._local_split())
+        """True iff the maximal ideal of every local factor eR is principal."""
+        return all(principal for *_, principal in self._local_split())
 
     def _require_principal(self):
         if not self.is_principal():
             raise DomainError(f"{self.name} is not a principal ring")
 
-    def _local_split(self) -> List[Tuple[object, int, int, bool]]:
-        """The primitive idempotents e in carrier order, from one scan of the
-        carrier, each with |eR|, the size q = |eR| / |m| of the residue field
-        of eR, and whether m is principal; m is the maximal ideal of eR, its
-        x with x + 1 - e no unit of R."""
-        try:
+    def _local_split(self) -> List[Tuple[int, int, bool]]:
+        """(|eR|, q, m principal) for each local factor eR, where m is the
+        maximal ideal of eR, its x with x + 1 - e no unit of R, and q = |eR|
+        / |m|.  This default scans the carrier once and keeps the split, with
+        the primitive idempotents e in carrier order in ``_idempotents``."""
+        if hasattr(self, "_split"):
             return self._split
-        except AttributeError:
-            pass
-        mul = self.mul
+        mul, pids, one = self.mul, self.principal_ideals(), self.one
         idempotents = [x for x in self.elements if x != self.zero and mul(x, x) == x]
-        units, pids = self.units(), set(self.principal_ideals().values())
-        split = []
-        for e in idempotents:  # e is primitive when no other f has fe = f
-            if not any(f != e and mul(f, e) == f for f in idempotents):
-                local, shift = self.principal_ideal(e), self.sub(self.one, e)
-                maximal = frozenset(x for x in local if self.add(x, shift) not in units)
-                split.append((e, len(local), len(local) // len(maximal), maximal in pids))
-        self._split = split
-        return split
+        units, distinct = {x for x, ideal in pids.items() if one in ideal}, set(pids.values())
+        self._idempotents = [e for e in idempotents  # primitive: no other f has fe = f
+                             if not any(f != e and mul(f, e) == f for f in idempotents)]
+        self._split = []
+        for e in self._idempotents:
+            local, shift = pids[e], self.sub(one, e)
+            maximal = frozenset(x for x in local if self.add(x, shift) not in units)
+            self._split.append((len(local), len(local) // len(maximal), maximal in distinct))
+        return self._split
 
     def valuations(self, key) -> Tuple[int, ...]:
-        """The valuations v_i of the principal ideal with class key ``key``
-        in the local factors R_i of the ring, in the order of
-        :meth:`local_factors`, with the length k_i of R_i for the key of
-        zero.  A quotient keeps the local factors it collapses, at 0.  This
-        default reads :meth:`_local_vector`, kept per key."""
-        cache = self.__dict__.setdefault("_valuations", {})
-        if key not in cache:
+        """The :meth:`_local_vector` of a principal ring, checked once and
+        kept per key: the valuations v_i in its local factors R_i (k_i at
+        zero), those that a quotient collapses kept at 0."""
+        if not hasattr(self, "_valuations"):
             self._require_principal()
-            cache[key] = self._local_vector(key)
-        return cache[key]
+            self._valuations = {}
+        vectors = self._valuations
+        if key not in vectors:
+            vectors[key] = self._local_vector(key)
+        return vectors[key]
 
     def _local_vector(self, key) -> Tuple[int, ...]:
-        """log_q(|eR| / |e(x)|) for each factor eR of :meth:`_local_split`,
-        principal or not, where (x) is the ideal with class key ``key``: the
-        valuation v_e(x) in a chain ring eR, as |m^v| = q^(k - v) there, and
-        in any factor 0 exactly when ex is a unit of eR."""
-        members, mul = list(self.ideal_members(key)), self.mul
+        """log_q(|eR| / |e(x)|) in each factor eR of :meth:`_local_split`,
+        (x) the ideal with class key ``key``: v_e(x) in a chain ring eR, as
+        |m^v| = q^(k - v) there, and in any eR 0 exactly when ex is a unit."""
+        split, members, mul = self._local_split(), list(self.ideal_members(key)), self.mul
         out = []
-        for e, size, q, _ in self._local_split():
+        for e, (size, q, _) in zip(self._idempotents, split):
             ratio, v = size // len({mul(e, m) for m in members}), 0
             while ratio > 1:
                 ratio, v = ratio // q, v + 1
@@ -626,14 +609,13 @@ class FiniteRing:
         Multiplying the local factors back together gives a ring isomorphic
         to this one, the isomorphism being exactly ``coords``.  This default
         takes the quotients R/(1 - e), isomorphic to eR, for the primitive
-        idempotents e of :meth:`_local_split`, with their projections as
-        coordinates; a local ring is its own single factor.
+        idempotents e the scan keeps (``_idempotents``), with their
+        projections as coordinates; a local ring is its own single factor.
         """
         self._require_principal()
-        split = self._local_split()
-        if len(split) == 1:
+        if len(self._idempotents) == 1:
             return [self], _own_coordinate
-        parts = [self.quotient_ring(self.sub(self.one, e)) for e, *_ in split]
+        parts = [self.quotient_ring(self.sub(self.one, e)) for e in self._idempotents]
         return parts, lambda x: tuple(part.projection(x) for part in parts)
 
 
@@ -675,7 +657,11 @@ class Zmod(FiniteRing):
         local factor Z/p^k each, in the order of :meth:`local_factors`."""
         return sorted(_int_factor(self.n).items())
 
-    def valuations(self, d):
+    def _local_split(self):
+        """Z/p^k for each (p, k) of :attr:`_prime_powers`, with maximal ideal (p)."""
+        return [(p ** k, p, True) for p, k in self._prime_powers]
+
+    def _local_vector(self, d):
         """The multiplicity in d = gcd(x, n) of each prime of n, in the
         order of :attr:`_prime_powers`."""
         return tuple(_multiplicity(d, p) for p, _ in self._prime_powers)
@@ -806,7 +792,13 @@ class PolyQuotient(FiniteRing):
             out += sorted(poly_factor(self.field, self._cofactor).items())
         return out
 
-    def valuations(self, g):
+    def _local_split(self):
+        """GF(q)[t]/(g^e) for each (g, e) of :attr:`_prime_powers`, with
+        maximal ideal (g) of index q^deg(g)."""
+        q = self.field.size
+        return [(q ** (e * (len(g) - 1)), q ** (len(g) - 1), True) for g, e in self._prime_powers]
+
+    def _local_vector(self, g):
         """The multiplicity in the monic gcd g of each irreducible factor
         of f, in the order of :attr:`_prime_powers`.  That of t is the
         count of leading zeros of g; only the factors of f' are divided
@@ -931,15 +923,15 @@ class ProductRing(FiniteRing):
 
         return labels, math.prod(counts)
 
-    def valuations(self, key):
+    def _local_split(self):
+        """The factors' splits, concatenated in factor order."""
+        return [entry for f in self.factors for entry in f._local_split()]
+
+    def _local_vector(self, key):
+        return sum((f._local_vector(k) for f, k in zip(self.factors, key)), ())
+
+    def valuations(self, key):  # the error names a factor that is not principal
         return sum((f.valuations(k) for f, k in zip(self.factors, key)), ())
-
-    def is_principal(self) -> bool:
-        return all(f.is_principal() for f in self.factors)
-
-    def unit_count(self) -> int:
-        """The product of the factors' counts, as units are so coordinatewise."""
-        return math.prod(f.unit_count() for f in self.factors)
 
     def ideal_count(self) -> int:
         """The product of the factors' counts: with a 1 in every factor, each
@@ -1022,16 +1014,23 @@ class QuotientRing(FiniteRing):
     def ideal_members(self, key):
         return {self.projection(m) for m in self.base.ideal_members(key)}
 
-    def valuations(self, key):
+    @functools.cached_property
+    def _cap(self) -> Tuple[int, ...]:
+        return self.base.valuations(self.base.ideal_class(self.modulus_element))
+
+    def _local_split(self):
+        """On a keyed base, its local factors R_i cut to the chain rings
+        R_i/(b_i) of q^v_i(b) elements (one where R_i collapses), the v_i(b)
+        kept in ``_cap``; on any other base the carrier scan."""
+        if not self.base._known_principal:
+            return super()._local_split()
+        return [(q ** v, q, True) for (_, q, _), v in zip(self.base._local_split(), self._cap)]
+
+    def _local_vector(self, key):
         """min(v_i(x), v_i(b)) on a keyed base: the ideal (x) + (b) there."""
-        base = self.base
-        if not base._known_principal:
-            return super().valuations(key)
-        try:
-            cap = self._cap
-        except AttributeError:
-            cap = self._cap = base.valuations(base.ideal_class(self.modulus_element))
-        return tuple(map(min, base.valuations(key), cap))
+        if not self.base._known_principal:
+            return super()._local_vector(key)
+        return tuple(map(min, self.base.valuations(key), self._cap))
 
     def format_element(self, x) -> str:
         return self.base.format_element(x)

@@ -638,29 +638,45 @@ class TestSpecimenQuotient:
         assert out.splitlines()[1:] == ["size: 648   units: 216", "principal: False   ideals: 30"]
 
     def test_a_product_answers_from_its_factors(self, monkeypatch):
-        # neither the product's principal ideals nor its primitive idempotents
-        def refuse_on_products(name):
-            original = getattr(FiniteRing, name)
+        # the product keeps neither principal ideals nor a split of its own
+        products = []
+        build = ProductRing.__init__
 
-            def refuse(self, *args):
-                if isinstance(self, ProductRing):
-                    raise AssertionError(f"{name} called on {self.name}")
-                return original(self, *args)
+        def recorded(self, factors):
+            products.append(self)
+            build(self, factors)
 
-            monkeypatch.setattr(FiniteRing, name, refuse)
+        monkeypatch.setattr(ProductRing, "__init__", recorded)
 
-        refuse_on_products("principal_ideals")
-        refuse_on_products("_local_split")
+        def assert_no_product_scanned():
+            assert products
+            for ring in products:
+                assert not {"_split", "_pids"} & set(vars(ring)), ring.name
+            products.clear()
+
         spec = "GF(2)[x,y]/(x,y)^2 x Z/81"
         code, out, err = run(["ring-analyze", spec])
         assert (code, err) == (0, "")
         assert out.splitlines() == [f"ring: {spec}", "size: 648   units: 216",
                                     "principal: False   ideals: 30"]
+        assert_no_product_scanned()
         code, out, err = run(["ring-analyze", spec, "--json"])
         assert (code, err) == (0, "")
         report = json.loads(out)
         assert (report["size"], report["units"], report["principal"], report["ideals"]) == (
             648, 216, False, 30)
+        assert_no_product_scanned()
+        code, out, err = run(["euclid-bottom", spec, "--json"])
+        assert (code, err) == (3, "")
+        report = json.loads(out)
+        fixture = truncated_bivariate_fixture()
+        units = {x for x in fixture.elements
+                 if any(fixture.mul(x, y) == fixture.one for y in fixture.elements)}
+        ring, = products
+        assert report["finding"] == "not-euclidean"
+        assert report["stuck"] == [ring.format_element(x) for x in ring.elements
+                                   if x != ring.zero and x[0] not in units]
+        assert_no_product_scanned()
 
 
 def test_euclid_verify_checks_a_validated_table_once(tmp_path, monkeypatch):

@@ -1143,20 +1143,38 @@ class TestValuations:
         assert ProductRing([Zmod(512), Zmod(3)]).ideal_count() == 20
 
     def test_unit_count_equals_the_unit_set(self):
-        # a ring known to be principal counts its units without the set, and
-        # leaves no set behind; the others count the set
+        # every ring counts its units from its local split, without the set,
+        # and leaves no set behind
         counted = 0
         for ring in valuation_corpus() + specimen_products() + specimen_rings():
             fresh = "_units" not in vars(ring)
             count = ring.unit_count()
-            if fresh and ring._known_principal:
+            if fresh:
                 assert "_units" not in vars(ring), ring.name
                 counted += 1
             assert count == len(ring.units()) == ring.unit_count(), ring.name
         assert counted > 400
         for ring in specimen_products():
-            if not ring._known_principal:
-                assert ring.unit_count() == len(scanned_units(ring)), ring.name
+            assert ring.unit_count() == len(scanned_units(ring)), ring.name
+
+    def test_ring_analyze_reads_no_carrier_keys_on_keyed_rings(self, monkeypatch):
+        """Z/n, GF(q)[t]/(f), their products and quotients answer
+        ``ring-analyze`` from their local splits: the report is the one
+        computed from the carrier scan, with no carrier key read."""
+        rings = valuation_corpus()[::7]
+        assert {type(ring) for ring in rings} == {Zmod, PolyQuotient, ProductRing, QuotientRing}
+        expected = []
+        for ring in rings:
+            report = run_json(["ring-analyze", ring.name])
+            assert (report["size"], report["units"], report["principal"], report["ideals"]) == (
+                len(ring), len(scanned_units(ring)), True, len(ring.all_ideals())), ring.name
+            expected.append(report)
+
+        def refuse(self):
+            raise AssertionError(f"carrier keys of {self.name}")
+        monkeypatch.setattr(FiniteRing, "carrier_classes", refuse)
+        for ring, report in zip(rings, expected):
+            assert run_json(["ring-analyze", ring.name]) == report, ring.name
 
     def test_rings_without_valuations(self):
         fixture = truncated_bivariate_fixture()
