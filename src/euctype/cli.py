@@ -37,7 +37,6 @@ from .euclidean import (
     order_type,
     quotient_euclidean,
     table_to_dict,
-    value_texts,
 )
 from .models import (
     RingSpec,
@@ -154,16 +153,16 @@ def _cmd_ring_analyze(args):
     return report, lines
 
 
-def _table_lines(ring, table) -> List[str]:
-    """One line per value, in order of first appearance in the carrier,
-    naming its elements in carrier order."""
-    lines = [f"ring: {ring.name}"]
+def _table_lines(written: dict) -> List[str]:
+    """One line per value of a :func:`table_to_dict` table, in order of first
+    appearance in the carrier, naming its elements in carrier order."""
+    lines = [f"ring: {written['ring']}"]
     by_value = {}
-    for name, text in zip(*value_texts(table)):
+    for name, text in written["values"].items():
         by_value.setdefault(text, []).append(name)
     for text, names in by_value.items():
         lines.append(f"  value {text}: " + ", ".join(names))
-    lines.append(f"value at zero: {format_ordinal(table.value_at_zero)}")
+    lines.append(f"value at zero: {written['value_at_zero']}")
     return lines
 
 
@@ -176,7 +175,7 @@ def _cmd_euclid_bottom(args):
         "table": table_to_dict(table),
         "order_type": order,
     }
-    lines = [] if args.json else _table_lines(ring, table) + [f"order type: {order}"]
+    lines = [] if args.json else _table_lines(report["table"]) + [f"order type: {order}"]
     return report, lines
 
 
@@ -217,7 +216,7 @@ def _cmd_euclid_quotient(args):
         "value_of_divisor": value,
         "table": table_to_dict(quot),
     }
-    lines = [] if args.json else _table_lines(quot.ring, quot) + [
+    lines = [] if args.json else _table_lines(report["table"]) + [
         f"value of {ring.format_element(b)} in the base ring: {value}"
     ]
     return report, lines
@@ -460,18 +459,18 @@ def _parse(argv: List[str]):
 
 
 def _not_euclidean_report(exc: NotEuclideanRing) -> Tuple[dict, List[str]]:
-    ring = exc.ring
-    report = {
-        "finding": "not-euclidean",
-        "ring": ring.name,
-        "stuck": [ring.format_element(x) for x in exc.stuck],
-        "assigned_levels": {ring.format_element(x): v for x, v in exc.partial.items()},
-    }
-    lines = [
-        f"finding: {ring.name} admits no Euclidean function",
-        "stuck elements: " + ", ".join(ring.format_element(x) for x in exc.stuck),
-    ]
-    return report, lines
+    # one pass over the names: x in exc.partial has a level, any other x but 0 is stuck
+    ring, partial = exc.ring, exc.partial
+    stuck, levels = [], {}
+    for x, name in zip(ring.elements, ring.element_names()):
+        if x in partial:
+            levels[name] = partial[x]
+        elif x != ring.zero:
+            stuck.append(name)
+    report = {"finding": "not-euclidean", "ring": ring.name, "stuck": stuck,
+              "assigned_levels": levels}
+    return report, [f"finding: {ring.name} admits no Euclidean function",
+                    "stuck elements: " + ", ".join(stuck)]
 
 
 def main(argv: Optional[List[str]] = None) -> int:

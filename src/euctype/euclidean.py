@@ -37,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import indexOf, itemgetter, le, lt, mul
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import DomainError, NotEuclideanRing
 from .ordinal import Ordinal, left_subtract, natural_sum
@@ -129,7 +129,7 @@ def _uncertified(ring: FiniteRing, keys: list, rank: Dict[object, int]) -> set:
     that fail at r.  Vectors are grouped by value, not by key: a quotient
     names one ideal by several keys of its base ring.
     """
-    valuations = ring.valuations
+    valuations = ring._local_vector
     pairs = set(zip(keys, map(rank.get, ring.elements)))
     peak: Dict[Tuple[int, ...], int] = {}  # vector -> r+
     extra = []  # (vector, rank) below r+; empty on a function of the vector
@@ -511,9 +511,10 @@ def residual_euclidean(table: EuclideanTable, factor: int = 1) -> EuclideanTable
 
 def _length_values(ring: FiniteRing) -> Dict[object, Ordinal]:
     """x -> ideal-chain length, the sum of the local valuations, on the
-    nonzero elements of a principal ring: the values of its bottom table."""
-    valuations = ring.valuations
-    values = _by_class(ring, lambda key: Ordinal(sum(valuations(key))))
+    nonzero elements of a ring checked principal once: its bottom values."""
+    ring._require_principal()
+    vector = ring._local_vector
+    values = _by_class(ring, lambda key: Ordinal(sum(vector(key))))
     del values[ring.zero]
     return values
 
@@ -534,28 +535,22 @@ def length_table(ring: FiniteRing) -> EuclideanTable:
 # serialization
 
 
-def value_texts(table: EuclideanTable) -> Tuple[List[str], List[str]]:
-    """The names of the nonzero elements in carrier order, and the text of
-    the value of each.  Names come from :meth:`FiniteRing.element_names`,
-    zero is skipped by its position, and each distinct value object is
-    formatted once: the tables share one value per ideal class."""
+def table_to_dict(table: EuclideanTable) -> dict:
+    """The table as JSON-ready data: the ring's name, the value text of each
+    nonzero element under its name, in carrier order, the value at zero and
+    the two flags.  Names come from :meth:`FiniteRing.element_names`, zero
+    is skipped by its position, and each distinct value object is formatted
+    once: the tables share one value per ideal class.
+    :func:`~euctype.parsing.table_from_dict` reads it back."""
     ring = table.ring
     elements, names = ring.elements, ring.element_names()
     z = elements.index(ring.zero)
     values = list(map(table.values.__getitem__, itertools.chain(elements[:z], elements[z + 1:])))
     ids = list(map(id, values))
     text = {i: str(v) for i, v in dict(zip(ids, values)).items()}
-    return names[:z] + names[z + 1:], list(map(text.__getitem__, ids))
-
-
-def table_to_dict(table: EuclideanTable) -> dict:
-    """The table as JSON-ready data: the ring's name, the value text of each
-    nonzero element under its name, in carrier order, the value at zero and
-    the two flags.  :func:`~euctype.parsing.table_from_dict` reads it back."""
-    ring = table.ring
     return {
         "ring": ring.name,
-        "values": dict(zip(*value_texts(table))),
+        "values": dict(zip(names[:z] + names[z + 1:], map(text.__getitem__, ids))),
         "value_at_zero": str(table.value_at_zero),
         "validated": table.validated,
         "bottom": table.is_bottom,

@@ -312,10 +312,8 @@ def parse_ring_spec(src: str) -> Union[FiniteRing, RingSpec]:
         raise ParseError("empty ring spec")
     concrete, symbolic = _parse_factors(src)
     if symbolic:
-        # the local lengths k_i, in CRT order: the valuations of zero; a
-        # quotient lists the local factors it collapses at 0
-        lengths = [k for ring in concrete
-                   for k in ring.valuations(ring.ideal_class(ring.zero)) if k]
+        # the local lengths k_i, in CRT order: the valuations of zero
+        lengths = [k for ring in concrete for k in ring.valuations(ring.ideal_class(ring.zero))]
         return RingSpec(tuple(symbolic), tuple(lengths))
     return _join(concrete)
 

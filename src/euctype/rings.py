@@ -17,24 +17,26 @@ the members of each ideal once per key, without multiplying.
 Divisibility and the ideals of a principal ring read this map.  A finite
 ring is the product of its local factors eR (e a primitive idempotent),
 and it is principal exactly when each maximal ideal is, each eR then a
-chain ring R_i of length k_i (Hungerford 1968).  ``_local_split()`` gives
-|eR|, the size q of its residue field and whether its maximal ideal is
-principal, and ``_local_vector(key)`` the valuation v_i of the ideal in
-each eR (0 where ex is a unit of eR, k_i at zero): the units are the
-elements whose vector is zero, prod(|eR| - |eR|/q) of them, and lengths
-and bottom tables are sums of the vectors (``valuations``).  The keyed
-rings compute both: Z/n and GF(q)[t]/(f) from the prime powers of the
-modulus (the multiplicity of each prime in gcd(x, n); with f = t^e * f'
-and f' prime to t, the leading zeros of the key for t and the factors
-of f' divided out, none on a chain quotient GF(q)[t]/(t^k), which keys
-a batch with one bisection of each element), a product from its
-factors', a quotient R/(b) of a keyed ring from R's, cut at v(b).  Only
-table rings and quotients of rings that are not keyed scan the carrier,
-for their keys and once for the primitive idempotents; they are the
-test oracle of the keyed rings and the only rings the CLI builds
-``principal_ideals`` on.  A principal ring counts its ideals from the
-lengths k_i, a product multiplies its factors' counts, and any other
-ring closes sums of ideals on at most IDEAL_ENUMERATION_BOUND elements.
+chain ring R_i of length k_i (Hungerford 1968).  ``_local_split()`` has
+one entry per local factor eR: |eR| > 1, the size q of its residue field
+and whether its maximal ideal is principal; ``_local_vector(key)``, the
+one vector path, the valuation v_i of the ideal in each eR (0 where ex is
+a unit of eR, k_i >= 1 at zero).  The units are the elements whose
+vector is zero, prod(|eR| - |eR|/q) of them, and lengths and bottom
+tables are sums of the vectors.  The keyed rings compute both: Z/n and
+GF(q)[t]/(f) from the prime powers of the modulus (the multiplicity of
+each prime in gcd(x, n); with f = t^e * f' and f' prime to t, the
+leading zeros of the key for t and the factors of f' divided out, none
+on a chain quotient GF(q)[t]/(t^k), which keys a batch with one
+bisection of each element), a product from its factors', a quotient
+R/(b) of a keyed ring from R's factors where b is no unit, cut at v(b).
+Only table rings and quotients of rings that are not keyed scan the
+carrier, for their keys, their vectors (kept per key) and once for the
+primitive idempotents; they are the test oracle of the keyed rings and
+the only rings the CLI builds ``principal_ideals`` on.  A principal ring
+counts its ideals from the lengths k_i, a product multiplies its
+factors' counts, and any other ring closes sums of ideals on at most
+IDEAL_ENUMERATION_BOUND elements.
 
 A coset layer sits on the ideals.  ``coset_labels(key)`` labels the
 cosets x + I of the ideal I with class key ``key`` a whole batch of
@@ -378,7 +380,7 @@ class FiniteRing:
             return self._names
 
     def _build_names(self) -> List[str]:
-        return list(map(self.format_element, self.elements))
+        return list(map(str, self.elements))  # a ring that formats otherwise builds its own
 
     def parse_element(self, src: str):
         """The element that ``src`` (stripped) names, in the syntax of
@@ -537,7 +539,7 @@ class FiniteRing:
         of valuations below the local lengths k_i, prod(k_i + 1) of them;
         otherwise the length of :meth:`all_ideals`, with its bound."""
         if self.is_principal():
-            return math.prod(k + 1 for k in self.valuations(self.ideal_class(self.zero)))
+            return math.prod(k + 1 for k in self._local_vector(self.ideal_class(self.zero)))
         return len(self.all_ideals())
 
     def is_principal(self) -> bool:
@@ -568,29 +570,27 @@ class FiniteRing:
         return self._split
 
     def valuations(self, key) -> Tuple[int, ...]:
-        """The :meth:`_local_vector` of a principal ring, checked once and
-        kept per key: the valuations v_i in its local factors R_i (k_i at
-        zero), those that a quotient collapses kept at 0."""
-        if not hasattr(self, "_valuations"):
-            self._require_principal()
-            self._valuations = {}
-        vectors = self._valuations
-        if key not in vectors:
-            vectors[key] = self._local_vector(key)
-        return vectors[key]
+        """The :meth:`_local_vector` of a principal ring, checked on each
+        call: the valuations v_i in its local factors R_i (k_i at zero)."""
+        self._require_principal()
+        return self._local_vector(key)
 
     def _local_vector(self, key) -> Tuple[int, ...]:
         """log_q(|eR| / |e(x)|) in each factor eR of :meth:`_local_split`,
         (x) the ideal with class key ``key``: v_e(x) in a chain ring eR, as
-        |m^v| = q^(k - v) there, and in any eR 0 exactly when ex is a unit."""
-        split, members, mul = self._local_split(), list(self.ideal_members(key)), self.mul
-        out = []
-        for e, (size, q, _) in zip(self._idempotents, split):
-            ratio, v = size // len({mul(e, m) for m in members}), 0
-            while ratio > 1:
-                ratio, v = ratio // q, v + 1
-            out.append(v)
-        return tuple(out)
+        |m^v| = q^(k - v) there, and in any eR 0 exactly when ex is a unit.
+        This default scans the ideal once per key and keeps the vector."""
+        vectors = self.__dict__.setdefault("_vectors", {})
+        if key not in vectors:
+            split, members, mul = self._local_split(), list(self.ideal_members(key)), self.mul
+            out = []
+            for e, (size, q, _) in zip(self._idempotents, split):
+                ratio, v = size // len({mul(e, m) for m in members}), 0
+                while ratio > 1:
+                    ratio, v = ratio // q, v + 1
+                out.append(v)
+            vectors[key] = tuple(out)
+        return vectors[key]
 
     def element_length(self, x) -> int:
         """Longest strictly increasing chain of ideals from (x) up to R in a
@@ -665,9 +665,6 @@ class Zmod(FiniteRing):
         """The multiplicity in d = gcd(x, n) of each prime of n, in the
         order of :attr:`_prime_powers`."""
         return tuple(_multiplicity(d, p) for p, _ in self._prime_powers)
-
-    def _build_names(self) -> List[str]:
-        return list(map(str, self.elements))  # format_element is str
 
     def parse_element(self, src: str):
         try:
@@ -930,8 +927,9 @@ class ProductRing(FiniteRing):
     def _local_vector(self, key):
         return sum((f._local_vector(k) for f, k in zip(self.factors, key)), ())
 
-    def valuations(self, key):  # the error names a factor that is not principal
-        return sum((f.valuations(k) for f, k in zip(self.factors, key)), ())
+    def _require_principal(self):  # the error names a factor that is not principal
+        for f in self.factors:
+            f._require_principal()
 
     def ideal_count(self) -> int:
         """The product of the factors' counts: with a 1 in every factor, each
@@ -1015,25 +1013,32 @@ class QuotientRing(FiniteRing):
         return {self.projection(m) for m in self.base.ideal_members(key)}
 
     @functools.cached_property
-    def _cap(self) -> Tuple[int, ...]:
-        return self.base.valuations(self.base.ideal_class(self.modulus_element))
+    def _cap(self) -> Tuple[Tuple[int, int], ...]:
+        """(i, v_i(b)) for each factor R_i of a keyed base where b is no unit."""
+        cap = self.base._local_vector(self.base.ideal_class(self.modulus_element))
+        return tuple((i, v) for i, v in enumerate(cap) if v)
 
     def _local_split(self):
-        """On a keyed base, its local factors R_i cut to the chain rings
-        R_i/(b_i) of q^v_i(b) elements (one where R_i collapses), the v_i(b)
-        kept in ``_cap``; on any other base the carrier scan."""
+        """On a keyed base, the chain rings R_i/(b_i) of q^v_i(b) elements
+        for the factors R_i of ``_cap``; on any other base the carrier scan."""
         if not self.base._known_principal:
             return super()._local_split()
-        return [(q ** v, q, True) for (_, q, _), v in zip(self.base._local_split(), self._cap)]
+        split = self.base._local_split()
+        return [(split[i][1] ** v, split[i][1], True) for i, v in self._cap]
 
     def _local_vector(self, key):
-        """min(v_i(x), v_i(b)) on a keyed base: the ideal (x) + (b) there."""
+        """min(v_i(x), v_i(b)) on a keyed base, for the factors of ``_cap``:
+        the ideal (x) + (b) there."""
         if not self.base._known_principal:
             return super()._local_vector(key)
-        return tuple(map(min, self.base.valuations(key), self._cap))
+        v = self.base._local_vector(key)
+        return tuple([min(v[i], cap) for i, cap in self._cap])
 
     def format_element(self, x) -> str:
         return self.base.format_element(x)
+
+    def _build_names(self) -> List[str]:
+        return list(map(self.base.format_element, self.elements))
 
     def parse_element(self, src: str):
         return self.projection(self.base.parse_element(src))
@@ -1044,7 +1049,7 @@ class QuotientRing(FiniteRing):
         # R/(b) splits as the product of the R_i/(b_i) where b_i is no unit
         locs, base_coords = self.base.local_factors()
         b = base_coords(self.modulus_element)
-        kept = [i for i, loc in enumerate(locs) if any(loc.valuations(loc.ideal_class(b[i])))]
+        kept = [i for i, _ in self._cap]
         if len(kept) == 1:
             return [self], _own_coordinate
         parts = [locs[i].quotient_ring(b[i]) for i in kept]

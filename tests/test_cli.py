@@ -678,6 +678,21 @@ class TestSpecimenQuotient:
                                    if x != ring.zero and x[0] not in units]
         assert_no_product_scanned()
 
+    def test_the_finding_reads_the_bulk_names(self, monkeypatch):
+        # the finding names its elements from ``element_names``, with no
+        # ``format_element`` call per element, in text and --json alike
+        specs = ("GF(2)[x,y]/(x,y)^2 x Z/3", "Z/2 x GF(2)[x,y]/(x,y)^2 x Z/3")
+        argvs = [["euclid-bottom", spec, *flag] for spec in specs for flag in ([], ["--json"])]
+        expected = [run(argv) for argv in argvs]
+        assert {code for code, _, _ in expected} == {3}
+
+        def forbidden(self, x):
+            raise AssertionError(f"format_element on {self.name}")
+
+        for cls in (FiniteRing, ProductRing):
+            monkeypatch.setattr(cls, "format_element", forbidden)
+        assert [run(argv) for argv in argvs] == expected
+
 
 def test_euclid_verify_checks_a_validated_table_once(tmp_path, monkeypatch):
     from euctype import euclidean, parsing
@@ -799,7 +814,7 @@ def test_text_tables_match_the_per_element_writer():
                       if x != ring.zero}
             tables.append(EuclideanTable(ring, values, max(values.values()).successor(), False))
         for table in tables:
-            assert _table_lines(table.ring, table) == old_table_lines(table.ring, table), spec
+            assert _table_lines(table_to_dict(table)) == old_table_lines(table.ring, table), spec
 
 
 def old_model_poly_outputs(q, degree):

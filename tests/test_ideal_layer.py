@@ -1186,20 +1186,48 @@ class TestValuations:
             "0": (2,), "1": (0,), "y": (1,), "1+y": (0,)}
 
     def test_default_valuations_equal_the_keyed_ones(self):
-        # the keyed valuations list the local factors a quotient collapses,
-        # at length 0; the split of the table copy has no such factor
         rings = [ring for ring in valuation_corpus()[::3] if len(ring) <= 100]
         assert len(rings) > 100
         for ring in rings:
             copy = table_copy(ring)
-            lengths = ring.valuations(ring.ideal_class(ring.zero))
             for x in ring.elements:
-                keyed = ring.valuations(ring.ideal_class(x))
                 assert (sorted(copy.valuations(copy.ideal_class(x)))
-                        == sorted(v for v, k in zip(keyed, lengths) if k)), ring.name
+                        == sorted(ring.valuations(ring.ideal_class(x)))), ring.name
             bottom, copied = bottom_euclidean(ring), bottom_euclidean(copy)
             assert copied.values == bottom.values, ring.name
             assert copied.value_at_zero == bottom.value_at_zero, ring.name
+
+    def test_every_split_lists_only_real_local_factors(self):
+        # one entry per local factor, of more than one element and of
+        # length at least 1: a quotient leaves out the factors where its
+        # modulus is a unit, as the carrier scan does
+        rings = valuation_corpus() + specimen_rings()
+        rings += [ring for ring in specimen_products() if ring.is_principal()]
+        assert sum(isinstance(ring, QuotientRing) for ring in rings) > 100
+        for ring in rings:
+            split, lengths = ring._local_split(), ring.valuations(ring.ideal_class(ring.zero))
+            assert len(split) == len(lengths), ring.name
+            assert all(size > 1 for size, _, _ in split), ring.name
+            assert all(k >= 1 for k in lengths), ring.name
+        assert Zmod(12).quotient_ring(4).valuations(4) == (2,)  # Z/4, with Z/3 left out
+
+    def test_keyed_rings_keep_no_vectors(self):
+        # a bottom table reads each vector once, so the keyed rings, their
+        # factors and bases are left with no new dict
+        def parts(ring):
+            yield ring
+            inner = ring.factors if isinstance(ring, ProductRing) else ()
+            for part in inner + ((ring.base,) if isinstance(ring, QuotientRing) else ()):
+                yield from parts(part)
+
+        rings = valuation_corpus()[::4]
+        assert {type(ring) for ring in rings} == {Zmod, PolyQuotient, ProductRing, QuotientRing}
+        for ring in rings:
+            before = {id(part): set(vars(part)) for part in parts(ring)}
+            bottom_euclidean(ring)
+            for part in parts(ring):
+                added = set(vars(part)) - before[id(part)]
+                assert not [name for name in added if isinstance(vars(part)[name], dict)], part.name
 
     def test_isotonicity_on_vectors_equals_the_class_pairs(self):
         # the bottom table, and a forged one with random values per class
