@@ -35,22 +35,34 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from operator import indexOf, itemgetter, le, lt, mul
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, NotEuclideanRing
 from .ordinal import Ordinal, left_subtract, natural_sum
 from .rings import FiniteRing, ProductRing
 
 
-@dataclass
 class EuclideanTable:
-    ring: FiniteRing
-    values: Dict[object, Ordinal]          # total on nonzero elements
-    value_at_zero: Ordinal
-    validated: bool
-    is_bottom: bool = False
+    # A plain class, not a record: ``validated`` and ``is_bottom`` may be set after the build.
+    __slots__ = ("ring", "values", "value_at_zero", "validated", "is_bottom")
+    __hash__ = None
+
+    def __init__(self, ring: FiniteRing, values: Dict[object, Ordinal], value_at_zero: Ordinal,
+                 validated: bool, is_bottom: bool = False):
+        self.ring, self.values = ring, values    # values: total on nonzero elements
+        self.value_at_zero, self.validated, self.is_bottom = value_at_zero, validated, is_bottom
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self):
+        return f"EuclideanTable({', '.join(map('{}={!r}'.format, self.__slots__, self._astuple()))})"
 
     def value(self, x) -> Ordinal:
         """Value including the extension at zero."""
@@ -59,15 +71,13 @@ class EuclideanTable:
         return self.values[x]
 
 
-@dataclass
-class PairTable:
+class PairTable(NamedTuple):
     ring: ProductRing
     values: Dict[object, Tuple[Ordinal, Ordinal]]   # total on nonzero elements
     components: Tuple[EuclideanTable, EuclideanTable]
 
 
-@dataclass
-class DivisionWitness:
+class DivisionWitness(NamedTuple):
     quotient: object
     remainder: object
 

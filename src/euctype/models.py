@@ -19,9 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import DomainError, ResourceError
 from .ordinal import Ordinal, natural_sum, omega, omega_power
@@ -33,14 +31,12 @@ from .rings import (GaloisField, _least_prime_factor, _monic_polys, _multiplicit
 # windowed bottom function on Z
 
 
-@dataclass
-class StabilizationCertificate:
+class StabilizationCertificate(NamedTuple):
     window_a: int
     window_b: int
 
 
-@dataclass
-class WindowedBottom:
+class WindowedBottom(NamedTuple):
     values: Dict[object, int]  # reporting-range element or degree -> value (units at 0)
     certificate: StabilizationCertificate
 
@@ -186,6 +182,7 @@ def localization_function(primes: Sequence[int], x: Fraction) -> int:
     Defined on nonzero elements of the ring of fractions with denominator
     coprime to the prime set.
     """
+    from fractions import Fraction
     primes = _check_primes(primes)
     x = Fraction(x)
     if x == 0:
@@ -195,12 +192,11 @@ def localization_function(primes: Sequence[int], x: Fraction) -> int:
     return sum(_multiplicity(x.numerator, p) for p in primes)
 
 
-@dataclass
-class SampledCheck:
+class SampledCheck(NamedTuple):
     ok: bool
     samples: int
     seed: int
-    failures: List[Tuple[Fraction, Fraction]] = field(default_factory=list)
+    failures: List[Tuple[Fraction, Fraction]]
 
 
 def _localized_divide(primes: Sequence[int], a_num: int, a_den: int, b_num: int,
@@ -293,6 +289,7 @@ def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
         while b_num == 0:
             b_num, b_den = sample_element()
         if _localized_divide(primes, a_num, a_den, b_num) is None:
+            from fractions import Fraction
             failures.append((Fraction(a_num, a_den), Fraction(b_num, b_den)))
     return SampledCheck(not failures, samples, seed, failures)
 
@@ -303,8 +300,7 @@ def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
 MAX_WITNESS_FIELD = 1 << 14
 
 
-@dataclass
-class LengthWitness:
+class LengthWitness(NamedTuple):
     divisor: object
     target: object
     allowed_remainders: Tuple
@@ -355,32 +351,28 @@ def check_not_l_euclidean_polys(q: int) -> LengthWitness:
 
 
 def _valid_pid_tag(tag: str) -> bool:
-    if tag == "Z":
-        return True
-    return tag.startswith("GF(") and tag.endswith(")[t]")
+    return tag == "Z" or tag.startswith("GF(") and tag.endswith(")[t]")
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(NamedTuple("RingSpec", [("pid_factors", Tuple[str, ...]),
+                                         ("artinian_lengths", Tuple[int, ...])])):
     """Symbolic ring description: PID factors plus Artinian local lengths."""
 
-    pid_factors: Tuple[str, ...] = ()
-    artinian_lengths: Tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.pid_factors and not self.artinian_lengths:
+    def __new__(cls, pid_factors: Tuple[str, ...] = (), artinian_lengths: Tuple[int, ...] = ()):
+        if not pid_factors and not artinian_lengths:
             raise DomainError("a ring spec needs at least one factor")
-        for tag in self.pid_factors:
+        for tag in pid_factors:
             if not _valid_pid_tag(tag):
                 raise DomainError(f"unsupported PID factor {tag!r}")
-        for n in self.artinian_lengths:
+        for n in artinian_lengths:
             if n < 1:
                 raise DomainError("Artinian local lengths must be >= 1")
+        return super().__new__(cls, pid_factors, artinian_lengths)
 
     def __str__(self):
-        parts = list(self.pid_factors)
-        parts += [f"Z/{2 ** n}" for n in self.artinian_lengths]
-        return " x ".join(parts)
+        return " x ".join([*self.pid_factors, *(f"Z/{2 ** n}" for n in self.artinian_lengths)])
 
 
 def order_type_of_spec(spec: RingSpec) -> Ordinal:
@@ -427,9 +419,6 @@ def realize_ordinal(a: Ordinal) -> RingSpec:
             r = c
         elif e == 0:
             n = c
-    spec = RingSpec(
-        pid_factors=("GF(2)[t]",) * r,
-        artinian_lengths=(n,) if n else (),
-    )
+    spec = RingSpec(("GF(2)[t]",) * r, (n,) if n else ())
     assert order_type_of_spec(spec) == a
     return spec

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from euctype import models
+from euctype import euclidean, models
 from euctype.errors import DomainError, ResourceError
 from euctype.models import (
     RingSpec,
@@ -573,3 +573,57 @@ class TestCrossChecks:
         a = order_type_of_spec(RingSpec((), (2,)))
         b = order_type_of_spec(RingSpec((), (3,)))
         assert natural_sum(a, b) == order_type_of_spec(RingSpec((), (2, 3)))
+
+
+class TestRecordContracts:
+    """The result records print, compare and hash as the dataclasses they
+    replaced did; ``EuclideanTable`` stays a writable class."""
+
+    @pytest.mark.parametrize("record, text", [
+        (lambda: models.StabilizationCertificate(3, 4),
+         "StabilizationCertificate(window_a=3, window_b=4)"),
+        (lambda: models.WindowedBottom({1: 0}, models.StabilizationCertificate(3, 4)),
+         "WindowedBottom(values={1: 0}, certificate="
+         "StabilizationCertificate(window_a=3, window_b=4))"),
+        (lambda: models.SampledCheck(False, 3, 4, [(Fraction(1, 2), Fraction(3))]),
+         "SampledCheck(ok=False, samples=3, seed=4, "
+         "failures=[(Fraction(1, 2), Fraction(3, 1))])"),
+        (lambda: models.LengthWitness(5, 2, (0, 1, -1), "d"),
+         "LengthWitness(divisor=5, target=2, allowed_remainders=(0, 1, -1), description='d')"),
+        (lambda: RingSpec(("Z",), (2,)), "RingSpec(pid_factors=('Z',), artinian_lengths=(2,))"),
+        (lambda: euclidean.DivisionWitness(1, 2), "DivisionWitness(quotient=1, remainder=2)"),
+        (lambda: euclidean.PairTable(1, {2: 3}, (4, 5)),
+         "PairTable(ring=1, values={2: 3}, components=(4, 5))"),
+        (lambda: euclidean.EuclideanTable("R", {1: 2}, 3, True),
+         "EuclideanTable(ring='R', values={1: 2}, value_at_zero=3, validated=True, "
+         "is_bottom=False)"),
+    ])
+    def test_repr_is_the_dataclass_text(self, record, text):
+        assert repr(record()) == text
+
+    def test_ring_spec_compares_and_hashes_by_its_fields(self):
+        spec = RingSpec(pid_factors=("Z",), artinian_lengths=(2,))
+        assert spec == RingSpec(("Z",), (2,)) and spec != RingSpec(("Z",), (3,))
+        assert hash(spec) == hash(RingSpec(("Z",), (2,))) == hash((("Z",), (2,)))
+        assert RingSpec(artinian_lengths=(1,)).pid_factors == ()
+        with pytest.raises(AttributeError):
+            spec.pid_factors = ()
+        for args, message in [((), "a ring spec needs at least one factor"),
+                              ((("Q",),), "unsupported PID factor 'Q'"),
+                              ((("Z",), (0,)), "Artinian local lengths must be >= 1")]:
+            with pytest.raises(DomainError) as info:
+                RingSpec(*args)
+            assert str(info.value) == message
+
+    def test_euclidean_table_is_writable_and_compares_five_fields(self):
+        table = euclidean.EuclideanTable("R", {1: 2}, 3, True)
+        assert table.is_bottom is False
+        assert table == euclidean.EuclideanTable("R", {1: 2}, 3, True, False)
+        for name, other in [("ring", "S"), ("values", {1: 1}), ("value_at_zero", 4),
+                            ("validated", False), ("is_bottom", True)]:
+            changed = euclidean.EuclideanTable("R", {1: 2}, 3, True)
+            setattr(changed, name, other)
+            assert getattr(changed, name) == other and changed != table
+        assert table != ("R", {1: 2}, 3, True, False)
+        with pytest.raises(TypeError):
+            hash(table)

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "euctype"
@@ -27,3 +28,23 @@ def test_the_library_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
                 seen.add(top)
     assert {"itertools", "math", "json"} <= seen
+
+
+COLD_START_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize", "copy",
+                   "fractions", "decimal", "numbers")
+
+
+def test_the_cli_import_loads_no_dataclasses_inspect_or_fractions():
+    """``import euctype.cli`` in a fresh interpreter, run with ``-S`` so no
+    site hook imports anything, loads none of ``COLD_START_FREE``, and
+    ``localization_function`` still builds its ``Fraction`` after it."""
+    script = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import euctype.cli\n"
+        f"print(sorted(set({COLD_START_FREE!r}) & set(sys.modules)))\n"
+        "from fractions import Fraction\n"
+        "from euctype.models import localization_function\n"
+        "print(localization_function([2], Fraction(8)))\n"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "3"]
