@@ -35,7 +35,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from operator import indexOf, itemgetter, le, lt, mul
+from operator import indexOf, itemgetter, mul
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, NotEuclideanRing
@@ -370,32 +370,27 @@ def isotone_minimization(table: EuclideanTable) -> EuclideanTable:
     return out
 
 
-def _divisibility_monotone(table: EuclideanTable, strict: bool) -> bool:
-    # Isotonicity on the ordered quotient by association, in both modes:
-    # associates (equal vectors) must share a value, and the values must
-    # rise along each step v -> v + e_i: (a) lies in (b) exactly when
-    # v(a) >= v(b) at every coordinate, and the steps generate that order.
-    # The vector of zero is left out: the value at zero lies above every
-    # other value, so no step into it decides the answer.  This is the
-    # reading under which a Euclidean table is isotone iff it is weakly
-    # isotone.
+def is_isotone_euclidean(table: EuclideanTable) -> bool:
+    """Whether the table is isotone for divisibility: associates share a
+    value, and (b) < (a) gives value(a) < value(b).  It is read on the
+    ordered quotient by association: (b) lies in (a) exactly when
+    v(b) >= v(a) at every coordinate of the valuation vectors, so the
+    values must rise along each step v -> v + e_i, which generate that
+    order.  The vector of zero is left out: the value at zero lies above
+    every other value, so no step into it decides the answer.
+
+    Weak isotonicity, value(a) <= value(b), says no more on a Euclidean
+    table.  Let b = ac with (b) < (a), and divide a = bq + r.  Then
+    r = a(1 - cq) is a multiple of a, nonzero since a is no multiple of b,
+    with value(r) < value(b); so value(a) <= value(r) < value(b)."""
     _require_validated(table)
     vector = _by_class(table.ring, table.ring.valuations)
     value: Dict[Tuple[int, ...], Ordinal] = {}
     for x, v in table.values.items():
         if value.setdefault(vector[x], v) != v:
             return False
-    rise = lt if strict else le
-    return all(rise(value[v], value[w]) for v in value for i in range(len(v))
+    return all(value[v] < value[w] for v in value for i in range(len(v))
                if (w := v[:i] + (v[i] + 1,) + v[i + 1:]) in value)
-
-
-def is_isotone_euclidean(table: EuclideanTable) -> bool:
-    return _divisibility_monotone(table, strict=True)
-
-
-def is_weakly_isotone_euclidean(table: EuclideanTable) -> bool:
-    return _divisibility_monotone(table, strict=False)
 
 
 def quotient_euclidean(table: EuclideanTable, b) -> EuclideanTable:
@@ -534,11 +529,6 @@ def check_l_euclidean(ring: FiniteRing):
     Euclidean function."""
     cex = division_counterexample(ring, _length_values(ring))
     return cex is None, cex
-
-
-def length_table(ring: FiniteRing) -> EuclideanTable:
-    """The x -> ideal-chain-length table, validated; fails if not Euclidean."""
-    return make_table(ring, _length_values(ring))
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,6 @@ def chain(n: int) -> FinitePoset:
     return FinitePoset(range(n), [(i, i + 1) for i in range(n - 1)])
 
 
-def antichain(labels: Iterable[Hashable]) -> FinitePoset:
-    return FinitePoset(labels, [])
-
-
 def product_poset(p: FinitePoset, q: FinitePoset) -> FinitePoset:
     """Componentwise order on the Cartesian product.
 
@@ -135,21 +131,13 @@ def brookfield_sum_finite(m: int, n: int) -> int:
 
 
 def is_isotone(f: Mapping[Hashable, int], p: FinitePoset) -> bool:
-    return _check_monotone(f, p, strict=True)
-
-
-def is_weakly_isotone(f: Mapping[Hashable, int], p: FinitePoset) -> bool:
-    return _check_monotone(f, p, strict=False)
-
-
-def _check_monotone(f, p, strict):
     for x in p.elements:
         if x not in f:
             raise DomainError(f"assignment is not total: missing {x!r}")
     p._walk()  # rejects cycles
     # rising along every generating pair is rising along the closure, since
     # the values are transitively ordered
-    return all(f[lo] < f[hi] if strict else f[lo] <= f[hi] for lo, hi in p.pairs)
+    return all(f[lo] < f[hi] for lo, hi in p.pairs)
 
 
 def pointwise_min(maps: Iterable[Mapping[Hashable, int]], p: FinitePoset) -> IsotoneMap:

@@ -1,9 +1,13 @@
-"""The library imports nothing outside the Python standard library."""
+"""The library imports nothing outside the Python standard library, and
+exports each public name once."""
 
 import ast
 import pathlib
 import subprocess
 import sys
+import types
+
+import euctype
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "euctype"
 
@@ -48,3 +52,13 @@ def test_the_cli_import_loads_no_dataclasses_inspect_or_fractions():
     out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines() == ["[]", "3"]
+
+
+def test_the_export_list_is_every_public_attribute_once():
+    """``__all__`` has no duplicate and names exactly the package's public
+    attributes that are not modules, so a name dropped from the imports
+    cannot stay behind in it."""
+    public = {name for name, value in vars(euctype).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(set(euctype.__all__)) == len(euctype.__all__)
+    assert set(euctype.__all__) == public
