@@ -25,7 +25,6 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
-from typing import List, Optional, Tuple
 
 from .errors import DomainError, EngineError, NotEuclideanRing, ResourceError
 from .euclidean import (
@@ -153,7 +152,7 @@ def _cmd_ring_analyze(args):
     return report, lines
 
 
-def _table_lines(written: dict) -> List[str]:
+def _table_lines(written: dict) -> list[str]:
     """One line per value of a :func:`table_to_dict` table, in order of first
     appearance in the carrier, naming its elements in carrier order."""
     lines = [f"ring: {written['ring']}"]
@@ -179,7 +178,7 @@ def _cmd_euclid_bottom(args):
     return report, lines
 
 
-def _counterexample(ring, cex, report: dict, lines: List[str]) -> None:
+def _counterexample(ring, cex, report: dict, lines: list[str]) -> None:
     """Adds the least failing pair (a, b), if any, to both reports."""
     if cex is not None:
         a, b = (ring.format_element(x) for x in cex)
@@ -385,7 +384,7 @@ _VERBS = {
 }
 
 
-def _read(argv: List[str]) -> Optional[SimpleNamespace]:
+def _read(argv: list[str]) -> SimpleNamespace | None:
     """The arguments of a call as argparse reads them, or None for a call
     the reader leaves to argparse: one whose first argument names no verb,
     or with a token that starts with '-' and is none of the verb's option
@@ -451,14 +450,14 @@ def _parser():
     return parser
 
 
-def _parse(argv: List[str]):
+def _parse(argv: list[str]):
     """The arguments as the full parser reads them: the reader's namespace
     when it takes the call, else the full parser's, with its own usage,
     help and errors."""
     return _read(argv) or _parser().parse_args(argv)
 
 
-def _not_euclidean_report(exc: NotEuclideanRing) -> Tuple[dict, List[str]]:
+def _not_euclidean_report(exc: NotEuclideanRing) -> tuple[dict, list[str]]:
     # one pass over the names: x in exc.partial has a level, any other x but 0 is stuck
     ring, partial = exc.ring, exc.partial
     stuck, levels = [], {}
@@ -473,7 +472,7 @@ def _not_euclidean_report(exc: NotEuclideanRing) -> Tuple[dict, List[str]]:
                     "stuck elements: " + ", ".join(stuck)]
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         (report, lines), code = args.func(args), 0

@@ -35,8 +35,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import namedtuple
 from operator import indexOf, itemgetter, mul
-from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, NotEuclideanRing
 from .ordinal import Ordinal, left_subtract, natural_sum
@@ -48,7 +48,7 @@ class EuclideanTable:
     __slots__ = ("ring", "values", "value_at_zero", "validated", "is_bottom")
     __hash__ = None
 
-    def __init__(self, ring: FiniteRing, values: Dict[object, Ordinal], value_at_zero: Ordinal,
+    def __init__(self, ring: FiniteRing, values: dict[object, Ordinal], value_at_zero: Ordinal,
                  validated: bool, is_bottom: bool = False):
         self.ring, self.values = ring, values    # values: total on nonzero elements
         self.value_at_zero, self.validated, self.is_bottom = value_at_zero, validated, is_bottom
@@ -71,29 +71,24 @@ class EuclideanTable:
         return self.values[x]
 
 
-class PairTable(NamedTuple):
-    ring: ProductRing
-    values: Dict[object, Tuple[Ordinal, Ordinal]]   # total on nonzero elements
-    components: Tuple[EuclideanTable, EuclideanTable]
+# ring: a ProductRing; values: element -> (Ordinal, Ordinal), total on
+# nonzero elements; components: the two factors' EuclideanTables
+PairTable = namedtuple("PairTable", "ring values components")
+DivisionWitness = namedtuple("DivisionWitness", "quotient remainder")
 
 
-class DivisionWitness(NamedTuple):
-    quotient: object
-    remainder: object
-
-
-def _sup_plus_one(values: Dict[object, Ordinal]) -> Ordinal:
+def _sup_plus_one(values: dict[object, Ordinal]) -> Ordinal:
     return max(values.values()).successor() if values else Ordinal(1)
 
 
-def _ranks(table_values: Dict[object, Ordinal]) -> Dict[object, int]:
+def _ranks(table_values: dict[object, Ordinal]) -> dict[object, int]:
     """Element -> rank of its value; ranks compare like the ordinals do.
 
     Tables share their value objects, so the values are deduplicated by
     identity first, and each distinct object is hashed once, when equal
     values are grouped."""
     values = table_values.values()
-    groups: Dict[Ordinal, list] = {}
+    groups: dict[Ordinal, list] = {}
     for i, v in dict(zip(map(id, values), values)).items():
         groups.setdefault(v, []).append(i)
     rank_of_id = {}
@@ -121,7 +116,7 @@ def _up(bits: int, stride: int, below: int, steps: int) -> int:
     return up
 
 
-def _uncertified(ring: FiniteRing, keys: list, rank: Dict[object, int]) -> set:
+def _uncertified(ring: FiniteRing, keys: list, rank: dict[object, int]) -> set:
     """The (key, rank) pairs of the carrier's divisors that the boxes
     cannot certify; a table with none is Euclidean.
 
@@ -141,7 +136,7 @@ def _uncertified(ring: FiniteRing, keys: list, rank: Dict[object, int]) -> set:
     """
     valuations = ring._local_vector
     pairs = set(zip(keys, map(rank.get, ring.elements)))
-    peak: Dict[Tuple[int, ...], int] = {}  # vector -> r+
+    peak: dict[tuple[int, ...], int] = {}  # vector -> r+
     extra = []  # (vector, rank) below r+; empty on a function of the vector
     for key, r in pairs:
         if r is None:  # the key of zero
@@ -182,7 +177,7 @@ def _uncertified(ring: FiniteRing, keys: list, rank: Dict[object, int]) -> set:
             if r in failed and failed[r] >> sum(map(mul, valuations(key), strides)) & 1}
 
 
-def division_counterexample(ring: FiniteRing, values: Dict[object, Ordinal]):
+def division_counterexample(ring: FiniteRing, values: dict[object, Ordinal]):
     """Least (a, b) with no valid quotient, or None if the table is Euclidean.
 
     A pair (a, b) is satisfied iff the coset a + (b) contains 0 or some r
@@ -213,7 +208,7 @@ def division_counterexample(ring: FiniteRing, values: Dict[object, Ordinal]):
     if not unsure:
         return None
     # class key -> rank -> index of the least divisor of that rank in the class
-    classes: Dict[object, Dict[int, int]] = {}
+    classes: dict[object, dict[int, int]] = {}
     swept = {key for key, _ in unsure}
     for i in itertools.compress(range(len(keys)), map(swept.__contains__, keys)):
         if (pair := (keys[i], rank.get(elements[i]))) in unsure:
@@ -244,7 +239,7 @@ def is_euclidean_function(table: EuclideanTable):
     return cex is None, cex
 
 
-def make_table(ring: FiniteRing, values: Dict[object, Ordinal]) -> EuclideanTable:
+def make_table(ring: FiniteRing, values: dict[object, Ordinal]) -> EuclideanTable:
     """The table of ``values``, validated exhaustively."""
     if set(values) != set(ring.elements) - {ring.zero}:
         raise DomainError("table must assign exactly the nonzero elements")
@@ -258,8 +253,8 @@ def make_table(ring: FiniteRing, values: Dict[object, Ordinal]) -> EuclideanTabl
     return EuclideanTable(ring, dict(values), _sup_plus_one(values), validated=True)
 
 
-def _certified_table(ring: FiniteRing, values: Dict[object, Ordinal],
-                     known: Optional[EuclideanTable]) -> EuclideanTable:
+def _certified_table(ring: FiniteRing, values: dict[object, Ordinal],
+                     known: EuclideanTable | None) -> EuclideanTable:
     """The table of ``values``, validated by equality with the validated
     table ``known`` on the same ring where they agree at every element, and
     by :func:`make_table` otherwise (``known`` None included).  Each caller
@@ -304,7 +299,7 @@ def bottom_euclidean(ring: FiniteRing) -> EuclideanTable:
     return EuclideanTable(ring, _length_values(ring), top, validated=True, is_bottom=True)
 
 
-def _by_class(ring: FiniteRing, f) -> Dict[object, object]:
+def _by_class(ring: FiniteRing, f) -> dict[object, object]:
     """x -> f(the ideal-class key of x), in carrier order, with f called once
     per key, so elements of one class share one value object."""
     keys = ring.carrier_classes()
@@ -360,7 +355,7 @@ def isotone_minimization(table: EuclideanTable) -> EuclideanTable:
     _require_validated(table)
     ring = table.ring
     vector = _by_class(ring, ring.valuations)
-    least: Dict[Tuple[int, ...], Ordinal] = {}
+    least: dict[tuple[int, ...], Ordinal] = {}
     for x, value in table.values.items():
         v = vector[x]
         least[v] = min(least.get(v, value), value)
@@ -385,7 +380,7 @@ def is_isotone_euclidean(table: EuclideanTable) -> bool:
     with value(r) < value(b); so value(a) <= value(r) < value(b)."""
     _require_validated(table)
     vector = _by_class(table.ring, table.ring.valuations)
-    value: Dict[Tuple[int, ...], Ordinal] = {}
+    value: dict[tuple[int, ...], Ordinal] = {}
     for x, v in table.values.items():
         if value.setdefault(vector[x], v) != v:
             return False
@@ -460,20 +455,20 @@ def pair_divide(pt: PairTable, x, y) -> DivisionWitness:
     return DivisionWitness((q1, q2), (r1, r2))
 
 
-def pair_value(pt: PairTable, x) -> Tuple[Ordinal, Ordinal]:
+def pair_value(pt: PairTable, x) -> tuple[Ordinal, Ordinal]:
     if x == pt.ring.zero:
         t1, t2 = pt.components
         return (t1.value_at_zero, t2.value_at_zero)
     return pt.values[x]
 
 
-def pair_less(a: Tuple[Ordinal, Ordinal], b: Tuple[Ordinal, Ordinal]) -> bool:
+def pair_less(a: tuple[Ordinal, Ordinal], b: tuple[Ordinal, Ordinal]) -> bool:
     """Strictly below in the componentwise (product) order."""
     return a[0] <= b[0] and a[1] <= b[1] and a != b
 
 
 def collapse_pair_table(pt: PairTable,
-                        product_bottom: Optional[EuclideanTable] = None) -> EuclideanTable:
+                        product_bottom: EuclideanTable | None = None) -> EuclideanTable:
     """Ordinal-valued table obtained by composing with the length function
     of the product value poset, i.e. the natural sum of the components.
 
@@ -514,7 +509,7 @@ def residual_euclidean(table: EuclideanTable, factor: int = 1) -> EuclideanTable
     return make_table(fac, values)
 
 
-def _length_values(ring: FiniteRing) -> Dict[object, Ordinal]:
+def _length_values(ring: FiniteRing) -> dict[object, Ordinal]:
     """x -> ideal-chain length, the sum of the local valuations, on the
     nonzero elements of a ring checked principal once: its bottom values."""
     ring._require_principal()

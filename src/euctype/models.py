@@ -19,7 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import DomainError, ResourceError
 from .ordinal import Ordinal, natural_sum, omega, omega_power
@@ -31,17 +32,12 @@ from .rings import (GaloisField, _least_prime_factor, _monic_polys, _multiplicit
 # windowed bottom function on Z
 
 
-class StabilizationCertificate(NamedTuple):
-    window_a: int
-    window_b: int
+StabilizationCertificate = namedtuple("StabilizationCertificate", "window_a window_b")
+# values: reporting-range element or degree -> value (units at 0)
+WindowedBottom = namedtuple("WindowedBottom", "values certificate")
 
 
-class WindowedBottom(NamedTuple):
-    values: Dict[object, int]  # reporting-range element or degree -> value (units at 0)
-    certificate: StabilizationCertificate
-
-
-def _integer_window_table(window: int) -> Dict[int, int]:
+def _integer_window_table(window: int) -> dict[int, int]:
     """Least-value assignment on 1..window, one level at a time.
 
     The coset test for b consults only elements of magnitude strictly
@@ -124,19 +120,21 @@ def windowed_polynomial_levels(q: int, report_degree: int = 10) -> WindowedBotto
     and no polynomial is listed.  The value of b reads only values at lower
     degree, so every degree window of the schedule 8 + 4k at or above the
     report degree gives this report; the certificate names the first such
-    window and the next.  A request whose polynomials, q^(report_degree+1)
-    of them, number more than MAX_POLY_CARRIER = 2^18 stops with
-    :class:`ResourceError`: :func:`windowed_bottom_polynomials` lists them.
+    window and the next.  A q that is not a prime power stops with
+    :class:`DomainError` first; then a request whose polynomials,
+    q^(report_degree+1) of them, number more than MAX_POLY_CARRIER = 2^18
+    stops with :class:`ResourceError`: :func:`windowed_bottom_polynomials`
+    lists them.
     """
     if report_degree < 0:
         raise DomainError("reporting degree must be nonnegative")
+    _prime_power(q)  # GF(q) exists; only its size is needed
     # q >= 2 gives q^19 > 2^18, so the capped exponent decides exactly
-    if q >= 2 and q ** min(report_degree + 1, 19) > MAX_POLY_CARRIER:
+    if q ** min(report_degree + 1, 19) > MAX_POLY_CARRIER:
         raise ResourceError(
             f"GF({q})[t] up to degree {report_degree} has more than "
             f"{MAX_POLY_CARRIER} polynomials"
         )
-    _prime_power(q)  # GF(q) exists; only its size is needed
     window = 8
     while window < report_degree:
         window += 4
@@ -166,7 +164,7 @@ def windowed_bottom_polynomials(q: int, report_degree: int = 10) -> WindowedBott
 MAX_SAMPLES = 10 ** 6
 
 
-def _check_primes(primes: Sequence[int]) -> Tuple[int, ...]:
+def _check_primes(primes: Sequence[int]) -> tuple[int, ...]:
     primes = tuple(sorted(set(primes)))
     if not primes:
         raise DomainError("the prime set must be nonempty")
@@ -192,11 +190,8 @@ def localization_function(primes: Sequence[int], x: Fraction) -> int:
     return sum(_multiplicity(x.numerator, p) for p in primes)
 
 
-class SampledCheck(NamedTuple):
-    ok: bool
-    samples: int
-    seed: int
-    failures: List[Tuple[Fraction, Fraction]]
+# failures: the sampled pairs (a, b) that fail, as Fractions
+SampledCheck = namedtuple("SampledCheck", "ok samples seed failures")
 
 
 def _localized_divide(primes: Sequence[int], a_num: int, a_den: int, b_num: int,
@@ -272,7 +267,7 @@ def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
     span = 2 * height + 1
     num_bits, den_bits = span.bit_length(), height.bit_length()
 
-    def sample_element() -> Tuple[int, int]:
+    def sample_element() -> tuple[int, int]:
         num = getrandbits(num_bits)
         while num >= span:
             num = getrandbits(num_bits)
@@ -300,11 +295,7 @@ def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
 MAX_WITNESS_FIELD = 1 << 14
 
 
-class LengthWitness(NamedTuple):
-    divisor: object
-    target: object
-    allowed_remainders: Tuple
-    description: str
+LengthWitness = namedtuple("LengthWitness", "divisor target allowed_remainders description")
 
 
 def check_not_l_euclidean_integers() -> LengthWitness:
@@ -354,13 +345,12 @@ def _valid_pid_tag(tag: str) -> bool:
     return tag == "Z" or tag.startswith("GF(") and tag.endswith(")[t]")
 
 
-class RingSpec(NamedTuple("RingSpec", [("pid_factors", Tuple[str, ...]),
-                                         ("artinian_lengths", Tuple[int, ...])])):
+class RingSpec(namedtuple("RingSpec", "pid_factors artinian_lengths")):
     """Symbolic ring description: PID factors plus Artinian local lengths."""
 
     __slots__ = ()
 
-    def __new__(cls, pid_factors: Tuple[str, ...] = (), artinian_lengths: Tuple[int, ...] = ()):
+    def __new__(cls, pid_factors: tuple[str, ...] = (), artinian_lengths: tuple[int, ...] = ()):
         if not pid_factors and not artinian_lengths:
             raise DomainError("a ring spec needs at least one factor")
         for tag in pid_factors:
@@ -388,7 +378,7 @@ def order_type_of_spec(spec: RingSpec) -> Ordinal:
     return pid_part + Ordinal(sum(spec.artinian_lengths))
 
 
-def product_bounds(order_types: Sequence[Ordinal]) -> Tuple[Ordinal, Ordinal]:
+def product_bounds(order_types: Sequence[Ordinal]) -> tuple[Ordinal, Ordinal]:
     """(iterated ordinary sum, iterated natural sum): the two bounds on the
     order type of a product in terms of its factors."""
     lower = Ordinal(0)

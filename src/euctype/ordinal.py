@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import functools
 import sys
-from typing import Iterable, Tuple, Union
+from collections.abc import Iterable
 
 from .errors import DomainError, ResourceError
-
-OrdinalLike = Union["Ordinal", int]  # also an exponent: an int when finite
 
 
 @functools.total_ordering
@@ -35,7 +33,7 @@ class Ordinal:
 
     __slots__ = ("terms",)
 
-    terms: Tuple[Tuple[OrdinalLike, int], ...]
+    terms: tuple[tuple[Ordinal | int, int], ...]
 
     def __init__(self, value: int = 0):
         if _int(value, "an ordinal") < 0:
@@ -43,7 +41,7 @@ class Ordinal:
         self.terms = ((0, value),) if value else ()
 
     @classmethod
-    def from_terms(cls, terms: Iterable[Tuple[OrdinalLike, int]]) -> "Ordinal":
+    def from_terms(cls, terms: Iterable[tuple[Ordinal | int, int]]) -> "Ordinal":
         """Build from CNF terms; exponents must be strictly decreasing."""
         terms = tuple((_as_exponent(e), _int(c, "a CNF coefficient")) for (e, c) in terms)
         if any(c < 1 for (_, c) in terms):
@@ -96,7 +94,7 @@ class Ordinal:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: OrdinalLike) -> "Ordinal":
+    def __add__(self, other: Ordinal | int) -> "Ordinal":
         other = _ordinal(other)
         if not other.terms:
             return self
@@ -114,7 +112,7 @@ class Ordinal:
             return _normal(terms[:k] + (merged,) + other.terms[1:])
         return _normal(terms[:k] + other.terms)
 
-    def __mul__(self, other: OrdinalLike) -> "Ordinal":
+    def __mul__(self, other: Ordinal | int) -> "Ordinal":
         """Standard product: the order type of ``other`` copies of ``self``."""
         other = _ordinal(other)
         if self.is_zero or other.is_zero:
@@ -149,7 +147,7 @@ def _int(x, what: str) -> int:
     return x
 
 
-def _as_exponent(e: OrdinalLike) -> OrdinalLike:
+def _as_exponent(e: Ordinal | int) -> Ordinal | int:
     """An exponent in normal form: its int when finite, else its Ordinal."""
     if e.__class__ is Ordinal:
         return e.to_int() if e.is_finite else e
@@ -168,7 +166,7 @@ def _normal(terms) -> Ordinal:
 omega = _normal(((1, 1),))
 
 
-def omega_power(exponent: OrdinalLike, coefficient: int = 1) -> Ordinal:
+def omega_power(exponent: Ordinal | int, coefficient: int = 1) -> Ordinal:
     exponent = _as_exponent(exponent)
     if _int(coefficient, "a CNF coefficient") == 0:
         return Ordinal(0)
@@ -177,12 +175,12 @@ def omega_power(exponent: OrdinalLike, coefficient: int = 1) -> Ordinal:
     return _normal(((exponent, coefficient),))
 
 
-def product_left(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
+def product_left(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
     """The product reading ``a . b`` as a copies of b (2 . w == w + w)."""
     return _ordinal(b) * a
 
 
-def natural_sum(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
+def natural_sum(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
     """Coefficient-wise sum of the two normal forms on a shared support,
     taken as one linear merge of their decreasing exponents.  Commutative,
     associative, cancellative and strictly monotone in each argument,
@@ -204,7 +202,7 @@ def natural_sum(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
     return _normal(tuple(terms) + a[i:] + b[j:])
 
 
-def left_subtract(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
+def left_subtract(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
     """The unique g with a + g == b; defined only for a <= b."""
     a, b = _ordinal(a), _ordinal(b)
     at, bt = a.terms, b.terms

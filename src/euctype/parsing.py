@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from typing import Dict, List, Tuple, Union
 
 from .errors import DomainError, ParseError, ResourceError
 from .euclidean import EuclideanTable, bottom_euclidean, division_counterexample
@@ -218,7 +217,7 @@ def _atom(sc: _Scanner, depth: int) -> Ordinal:
     raise ParseError(f"unexpected {token!r}" if token else "unexpected end of input", sc.where())
 
 
-def _exponent(sc: _Scanner, depth: int) -> Union[int, Ordinal]:
+def _exponent(sc: _Scanner, depth: int) -> int | Ordinal:
     if depth > MAX_EXPONENT_DEPTH:
         raise ResourceError(f"exponent nesting deeper than {MAX_EXPONENT_DEPTH}")
     ch = sc.peek()
@@ -240,7 +239,7 @@ def _exponent(sc: _Scanner, depth: int) -> Union[int, Ordinal]:
 # polynomials in t
 
 
-def parse_poly(src: str, field: GaloisField, encode) -> Tuple[int, ...]:
+def parse_poly(src: str, field: GaloisField, encode) -> tuple[int, ...]:
     """Coefficient tuple (constant first) of a polynomial in t.
 
     ``encode`` maps each written nonnegative integer to a field element;
@@ -251,7 +250,7 @@ def parse_poly(src: str, field: GaloisField, encode) -> Tuple[int, ...]:
     list is built.
     """
     sc = _Scanner(src)
-    coeffs: List[int] = []
+    coeffs: list[int] = []
 
     def bump(degree: int, c: int):
         while len(coeffs) <= degree:
@@ -307,7 +306,7 @@ _GF_PID = re.compile(r"^GF\((\d+)\)\[t\]$")
 _ZMOD = re.compile(r"^Z/(\d+)$")
 
 
-def parse_ring_spec(src: str) -> Union[FiniteRing, RingSpec]:
+def parse_ring_spec(src: str) -> FiniteRing | RingSpec:
     if not src or not src.strip():
         raise ParseError("empty ring spec")
     concrete, symbolic = _parse_factors(src)
@@ -318,12 +317,12 @@ def parse_ring_spec(src: str) -> Union[FiniteRing, RingSpec]:
     return _join(concrete)
 
 
-def _join(concrete: List[FiniteRing]) -> FiniteRing:
+def _join(concrete: list[FiniteRing]) -> FiniteRing:
     return concrete[0] if len(concrete) == 1 else ProductRing(concrete)
 
 
 def _parse_factors(src: str, depth: int = 0,
-                   product: bool = True) -> Tuple[List[FiniteRing], List[str]]:
+                   product: bool = True) -> tuple[list[FiniteRing], list[str]]:
     """The concrete and the symbolic factors of a spec, in order; ``depth``
     counts the parentheses and quotient suffixes around it, and ``product``
     is False on a factor already split off a product."""
@@ -370,7 +369,7 @@ def _last_group(src: str) -> int:
 _top_level_pattern = functools.lru_cache(maxsize=None)(lambda sep: re.compile(r"[()]|" + sep))
 
 
-def split_top_level(src: str, separator: str) -> List[str]:
+def split_top_level(src: str, separator: str) -> list[str]:
     """Split at the matches of the ``separator`` pattern outside parentheses."""
     pieces, depth, start = [], 0, 0
     for m in _top_level_pattern(separator).finditer(src):
@@ -430,7 +429,7 @@ def parse_poset(src: str):
     starting with ``#`` are skipped.  Isolated elements can be listed on
     a line of their own.
     """
-    elements: List[str] = []
+    elements: list[str] = []
     seen = set()
     pairs = []
 
@@ -486,7 +485,7 @@ def table_from_dict(data: dict) -> EuclideanTable:
     if not isinstance(ring, FiniteRing):
         raise DomainError("tables exist for concrete finite rings only")
     values = {}
-    parsed: Dict[str, Ordinal] = {}  # tables repeat few values; parse each text once
+    parsed: dict[str, Ordinal] = {}  # tables repeat few values; parse each text once
     named = dict(zip(ring.element_names(), ring.elements))
     for key, text in data["values"].items():
         if key in named:

@@ -11,15 +11,13 @@ puts each element in the round after its last predecessor.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Mapping, Tuple
+from collections.abc import Hashable, Iterable, Mapping
 
 from .errors import DomainError
 
-IsotoneMap = Dict[Hashable, int]
-
 
 class FinitePoset:
-    def __init__(self, elements: Iterable[Hashable], pairs: Iterable[Tuple[Hashable, Hashable]]):
+    def __init__(self, elements: Iterable[Hashable], pairs: Iterable[tuple[Hashable, Hashable]]):
         self.elements = tuple(elements)
         self._elemset = set(self.elements)
         if len(self._elemset) != len(self.elements):
@@ -29,7 +27,7 @@ class FinitePoset:
             if lo not in self._elemset or hi not in self._elemset:
                 raise DomainError(f"pair ({lo!r}, {hi!r}) mentions unknown labels")
         self._walked = None  # Kahn order over the generating pairs, predecessors
-        self._rounds: IsotoneMap = {}  # each element's round of that walk
+        self._rounds: dict[Hashable, int] = {}  # each element's round of that walk
 
     def _walk(self):
         """Kahn order over the generating pairs, and each element's
@@ -38,17 +36,17 @@ class FinitePoset:
         and keeps each element's round in ``_rounds``."""
         if self._walked is not None:
             return self._walked
-        preds: Dict[Hashable, set] = {x: set() for x in self.elements}
+        preds: dict[Hashable, set] = {x: set() for x in self.elements}
         for lo, hi in self.pairs:
             preds[hi].add(lo)
-        succs: Dict[Hashable, list] = {x: [] for x in self.elements}
+        succs: dict[Hashable, list] = {x: [] for x in self.elements}
         for hi, lows in preds.items():
             for lo in lows:
                 succs[lo].append(hi)
         indeg = {x: len(lows) for x, lows in preds.items()}
         level = [x for x in self.elements if not indeg[x]]
         order: list = []
-        rounds: IsotoneMap = {}
+        rounds: dict[Hashable, int] = {}
         k = 0
         while level:
             rounds.update(dict.fromkeys(level, k))
@@ -74,7 +72,7 @@ class FinitePoset:
             todo.extend(new)
         return a in below
 
-    def maximal_elements(self) -> Tuple[Hashable, ...]:
+    def maximal_elements(self) -> tuple[Hashable, ...]:
         # in a strict order, x lies below something iff it is the lower end
         # of a generating pair
         self._walk()  # rejects cycles
@@ -108,7 +106,7 @@ def product_poset(p: FinitePoset, q: FinitePoset) -> FinitePoset:
     return FinitePoset(elements, pairs)
 
 
-def length_function(p: FinitePoset) -> IsotoneMap:
+def length_function(p: FinitePoset) -> dict[Hashable, int]:
     """The pointwise-least isotone map: longest-chain depth below each element.
 
     That depth is the element's round in the walk by rounds, since a
@@ -140,7 +138,7 @@ def is_isotone(f: Mapping[Hashable, int], p: FinitePoset) -> bool:
     return all(f[lo] < f[hi] for lo, hi in p.pairs)
 
 
-def pointwise_min(maps: Iterable[Mapping[Hashable, int]], p: FinitePoset) -> IsotoneMap:
+def pointwise_min(maps: Iterable[Mapping[Hashable, int]], p: FinitePoset) -> dict[Hashable, int]:
     """Greatest lower bound of a nonempty family of isotone maps.
 
     The result is again isotone; this is exactly why least elements of

@@ -66,7 +66,7 @@ import gc
 import itertools
 import math
 import operator
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ParseError, ResourceError
 
@@ -81,7 +81,7 @@ MILLER_RABIN_LIMIT = 3317044064679887385961981  # the least strong pseudoprime t
 # polynomials over a finite field (coefficient tuples, constant term first)
 
 
-def poly_trim(a: Sequence[int]) -> Tuple[int, ...]:
+def poly_trim(a: Sequence[int]) -> tuple[int, ...]:
     a = tuple(a)
     n = len(a)
     while n and a[n - 1] == 0:
@@ -89,18 +89,18 @@ def poly_trim(a: Sequence[int]) -> Tuple[int, ...]:
     return a[:n]
 
 
-def poly_add(F, a, b) -> Tuple[int, ...]:
+def poly_add(F, a, b) -> tuple[int, ...]:
     n = max(len(a), len(b))
     a = tuple(a) + (0,) * (n - len(a))
     b = tuple(b) + (0,) * (n - len(b))
     return poly_trim(F.add(x, y) for x, y in zip(a, b))
 
 
-def poly_neg(F, a) -> Tuple[int, ...]:
+def poly_neg(F, a) -> tuple[int, ...]:
     return tuple(F.neg(x) for x in a)
 
 
-def poly_mul(F, a, b) -> Tuple[int, ...]:
+def poly_mul(F, a, b) -> tuple[int, ...]:
     a, b = poly_trim(a), poly_trim(b)
     if not a or not b:
         return ()
@@ -115,7 +115,7 @@ def poly_mul(F, a, b) -> Tuple[int, ...]:
     return poly_trim(out)
 
 
-def poly_divmod(F, a, b) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def poly_divmod(F, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
     a, b = list(poly_trim(a)), poly_trim(b)
     if not b:
         raise DomainError("polynomial division by zero")
@@ -135,11 +135,11 @@ def poly_divmod(F, a, b) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return poly_trim(q), poly_trim(a[:db])
 
 
-def poly_mod(F, a, b) -> Tuple[int, ...]:
+def poly_mod(F, a, b) -> tuple[int, ...]:
     return poly_divmod(F, a, b)[1]
 
 
-def poly_gcd(F, a, b) -> Tuple[int, ...]:
+def poly_gcd(F, a, b) -> tuple[int, ...]:
     """Monic greatest common divisor of two polynomials, not both zero."""
     a, b = poly_trim(a), poly_trim(b)
     while b:
@@ -156,18 +156,10 @@ def _monic_polys(F, degree: int):
 
 
 def poly_is_irreducible(F, f) -> bool:
-    f = poly_trim(f)
-    d = len(f) - 1
-    if d < 1:
-        return False
-    for e in range(1, d // 2 + 1):
-        for g in _monic_polys(F, e):
-            if not poly_mod(F, f, g):
-                return False
-    return True
+    return len(poly_trim(f)) > 1 and list(poly_factor(F, f).values()) == [1]
 
 
-def _poly_multiplicity(F, f, g) -> Tuple[int, Tuple[int, ...]]:
+def _poly_multiplicity(F, f, g) -> tuple[int, tuple[int, ...]]:
     """The exponent k of the non-constant g in the nonzero polynomial f,
     and the cofactor f / g^k."""
     k = 0
@@ -178,14 +170,14 @@ def _poly_multiplicity(F, f, g) -> Tuple[int, Tuple[int, ...]]:
         f, k = q, k + 1
 
 
-def poly_factor(F, f) -> Dict[Tuple[int, ...], int]:
+def poly_factor(F, f) -> dict[tuple[int, ...], int]:
     """Factor a nonzero polynomial into monic irreducibles with multiplicity.
     The monic g of degree 1, 2, ... are divided out in turn, so each g that
     divides is irreducible, and so is the rest of f once 2 deg g > deg f."""
     f = poly_trim(f)
     if not f:
         raise DomainError("cannot factor the zero polynomial")
-    factors: Dict[Tuple[int, ...], int] = {}
+    factors: dict[tuple[int, ...], int] = {}
     # normalize to monic; the unit factor does not matter for ideals
     f = poly_mul(F, f, (F.inv(f[-1]),))
     d = 1
@@ -204,7 +196,7 @@ def poly_factor(F, f) -> Dict[Tuple[int, ...], int]:
 # finite fields GF(p^k)
 
 
-def _prime_power(q: int) -> Tuple[int, int]:
+def _prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise DomainError(f"GF({q}) does not exist")
     p = _least_prime_factor(q)
@@ -228,7 +220,7 @@ class GaloisField:
     of the integers, an XOR for p = 2.
     """
 
-    _cache: Dict[int, "GaloisField"] = {}
+    _cache: dict[int, "GaloisField"] = {}
 
     def __new__(cls, q: int):
         if q in cls._cache:
@@ -244,7 +236,7 @@ class GaloisField:
         self.p, self.k, self.size = p, k, q
         self.name = f"GF({q})"
         if k == 1:
-            self.modulus: Tuple[int, ...] = ()
+            self.modulus: tuple[int, ...] = ()
         else:
             base = GaloisField(p)
             monic = (poly_trim(_digits(m, p, k) + (1,)) for m in range(q))
@@ -289,7 +281,7 @@ class GaloisField:
         return c % self.p
 
 
-def _digits(n: int, p: int, k: int) -> Tuple[int, ...]:
+def _digits(n: int, p: int, k: int) -> tuple[int, ...]:
     out = []
     for _ in range(k):
         out.append(n % p)
@@ -314,7 +306,7 @@ def _check_carrier(name: str, size: int) -> None:
         raise ResourceError(f"{name} has {size} elements; carriers are bounded at {CARRIER_BOUND}")
 
 
-def _build_carrier(elements: Iterable) -> Tuple:
+def _build_carrier(elements: Iterable) -> tuple:
     """``tuple(elements)`` with the cyclic collector paused: the tuples of a
     carrier are then scanned by one collection after the build, not by the
     thousand or more that building a large one would trigger.  The
@@ -328,7 +320,7 @@ def _build_carrier(elements: Iterable) -> Tuple:
             gc.enable()
 
 
-def _own_coordinate(x) -> Tuple:
+def _own_coordinate(x) -> tuple:
     """The coordinates of x in a ring that is its own single local factor."""
     return (x,)
 
@@ -336,7 +328,7 @@ def _own_coordinate(x) -> Tuple:
 class FiniteRing:
     """Base class: subclasses set elements/zero/one/name and add/mul/neg."""
 
-    elements: Tuple
+    elements: tuple
     zero: object
     one: object
     name: str
@@ -370,7 +362,7 @@ class FiniteRing:
     def format_element(self, x) -> str:
         return str(x)
 
-    def element_names(self) -> List[str]:
+    def element_names(self) -> list[str]:
         """The :meth:`format_element` name of each element, in carrier
         order, built once per ring and kept."""
         try:
@@ -379,7 +371,7 @@ class FiniteRing:
             self._names = self._build_names()
             return self._names
 
-    def _build_names(self) -> List[str]:
+    def _build_names(self) -> list[str]:
         return list(map(str, self.elements))  # a ring that formats otherwise builds its own
 
     def parse_element(self, src: str):
@@ -391,7 +383,7 @@ class FiniteRing:
 
     # -- units and divisibility -------------------------------------------
 
-    def units(self) -> FrozenSet:
+    def units(self) -> frozenset:
         """The elements whose :meth:`_local_vector` is zero, x with ex a unit
         of eR in every local factor eR, read one vector per carrier key."""
         try:
@@ -434,11 +426,11 @@ class FiniteRing:
             key = keys[x] = frozenset(mul(q, x) for q in self.elements)
         return key
 
-    def ideal_classes(self, xs: Sequence) -> List:
+    def ideal_classes(self, xs: Sequence) -> list:
         """The ideal-class key of each x of the sequence ``xs``, in order."""
         return list(map(self.ideal_class, xs))
 
-    def carrier_classes(self) -> List:
+    def carrier_classes(self) -> list:
         """The ideal-class keys of the carrier, in carrier order, computed
         by :meth:`ideal_classes` once per ring and kept."""
         try:
@@ -451,10 +443,10 @@ class FiniteRing:
         """The elements of the principal ideal whose class key is ``key``."""
         return key
 
-    def principal_ideal(self, x) -> FrozenSet:
+    def principal_ideal(self, x) -> frozenset:
         return self.principal_ideals()[x]
 
-    def principal_ideals(self) -> Dict[object, FrozenSet]:
+    def principal_ideals(self) -> dict[object, frozenset]:
         """The map x -> (x), computed once for the whole carrier.
 
         Members are built once per class key, and every distinct ideal is
@@ -465,8 +457,8 @@ class FiniteRing:
             return self._pids
         except AttributeError:
             members = self.ideal_members
-            by_key: Dict[object, FrozenSet] = {}
-            seen: Dict[FrozenSet, FrozenSet] = {}
+            by_key: dict[object, frozenset] = {}
+            seen: dict[frozenset, frozenset] = {}
             pids = {}
             for x, key in zip(self.elements, self.carrier_classes()):
                 ideal = by_key.get(key)
@@ -477,7 +469,7 @@ class FiniteRing:
             self._pids = pids
             return pids
 
-    def coset_labels(self, key) -> Tuple[Callable[[Sequence], Iterator], int]:
+    def coset_labels(self, key) -> tuple[Callable[[Sequence], Iterator], int]:
         """A batch labeller and the number of cosets of I, the principal
         ideal with class key ``key``: ``labels(xs)`` yields a label of the
         coset x + I for each x of the sequence ``xs``, in order.  This
@@ -488,7 +480,7 @@ class FiniteRing:
         cache = self.__dict__.setdefault("_cosets", {})
         if key not in cache:
             ideal, add = frozenset(self.ideal_members(key)), self.add
-            cid: Dict[object, int] = {}
+            cid: dict[object, int] = {}
             count = 0
             for x in self.elements:
                 if x not in cid:
@@ -499,7 +491,7 @@ class FiniteRing:
         cid, count = cache[key]
         return functools.partial(map, cid.__getitem__), count
 
-    def all_ideals(self) -> List[FrozenSet]:
+    def all_ideals(self) -> list[frozenset]:
         """Every ideal, smallest first, as one list built once per ring.
 
         In a principal ring these are the distinct principal ideals;
@@ -550,7 +542,7 @@ class FiniteRing:
         if not self.is_principal():
             raise DomainError(f"{self.name} is not a principal ring")
 
-    def _local_split(self) -> List[Tuple[int, int, bool]]:
+    def _local_split(self) -> list[tuple[int, int, bool]]:
         """(|eR|, q, m principal) for each local factor eR, where m is the
         maximal ideal of eR, its x with x + 1 - e no unit of R, and q = |eR|
         / |m|.  This default scans the carrier once and keeps the split, with
@@ -569,13 +561,13 @@ class FiniteRing:
             self._split.append((len(local), len(local) // len(maximal), maximal in distinct))
         return self._split
 
-    def valuations(self, key) -> Tuple[int, ...]:
+    def valuations(self, key) -> tuple[int, ...]:
         """The :meth:`_local_vector` of a principal ring, checked on each
         call: the valuations v_i in its local factors R_i (k_i at zero)."""
         self._require_principal()
         return self._local_vector(key)
 
-    def _local_vector(self, key) -> Tuple[int, ...]:
+    def _local_vector(self, key) -> tuple[int, ...]:
         """log_q(|eR| / |e(x)|) in each factor eR of :meth:`_local_split`,
         (x) the ideal with class key ``key``: v_e(x) in a chain ring eR, as
         |m^v| = q^(k - v) there, and in any eR 0 exactly when ex is a unit.
@@ -652,7 +644,7 @@ class Zmod(FiniteRing):
         return functools.partial(map, d.__rmod__), d  # x -> x mod d
 
     @functools.cached_property
-    def _prime_powers(self) -> List[Tuple[int, int]]:
+    def _prime_powers(self) -> list[tuple[int, int]]:
         """The (p, k) with p^k exactly dividing n, smallest p first: one
         local factor Z/p^k each, in the order of :meth:`local_factors`."""
         return sorted(_int_factor(self.n).items())
@@ -711,7 +703,7 @@ class PolyQuotient(FiniteRing):
             self._chain_keys = [(0,) * v + (1,) for v in range(self.deg, -1, -1)]
             self._thresholds = self._chain_keys[1:]
 
-    def _pad(self, coeffs) -> Tuple[int, ...]:
+    def _pad(self, coeffs) -> tuple[int, ...]:
         coeffs = tuple(coeffs)
         return coeffs + (0,) * (self.deg - len(coeffs))
 
@@ -778,7 +770,7 @@ class PolyQuotient(FiniteRing):
         return functools.partial(map, label), F.size ** j
 
     @functools.cached_property
-    def _prime_powers(self) -> List[Tuple[Tuple[int, ...], int]]:
+    def _prime_powers(self) -> list[tuple[tuple[int, ...], int]]:
         """The (g, e) with g^e exactly dividing f, one local factor
         GF(q)[t]/(g^e) each: t first at e = ``_t_exp`` when it divides f,
         then the factors of f' in sorted order, as every monic irreducible
@@ -805,14 +797,14 @@ class PolyQuotient(FiniteRing):
         return tuple(v if p == (0, 1) else _poly_multiplicity(F, g[v:], p)[0]
                      for p, _ in self._prime_powers)
 
-    def reduce(self, coeffs) -> Tuple[int, ...]:
+    def reduce(self, coeffs) -> tuple[int, ...]:
         """Canonical representative of an arbitrary coefficient tuple."""
         return self._pad(poly_mod(self.field, coeffs, self.modulus))
 
     def format_element(self, x) -> str:
         return format_poly(x)
 
-    def _build_names(self) -> List[str]:
+    def _build_names(self) -> list[str]:
         """The names of :func:`format_poly`, built one coefficient at a time
         from the top: the carrier varies its last coefficient fastest, so
         the names of the polynomials in t^i..t^(deg-1) repeat once for each
@@ -939,7 +931,7 @@ class ProductRing(FiniteRing):
     def format_element(self, x) -> str:
         return "(" + ", ".join([f.format_element(a) for f, a in zip(self.factors, x)]) + ")"
 
-    def _build_names(self) -> List[str]:
+    def _build_names(self) -> list[str]:
         """The factors' names joined over the product of their name lists,
         which runs in carrier order."""
         names = itertools.product(*(f.element_names() for f in self.factors))
@@ -960,7 +952,7 @@ class ProductRing(FiniteRing):
         locals_ = [loc for locs, _ in splits for loc in locs]
         return locals_, lambda x: sum((coords(a) for (_, coords), a in zip(splits, x)), ())
 
-    def inject(self, i: int, value) -> Tuple:
+    def inject(self, i: int, value) -> tuple:
         """The element with ``value`` in factor i and 0 elsewhere."""
         return tuple(value if j == i else f.zero for j, f in enumerate(self.factors))
 
@@ -1013,7 +1005,7 @@ class QuotientRing(FiniteRing):
         return {self.projection(m) for m in self.base.ideal_members(key)}
 
     @functools.cached_property
-    def _cap(self) -> Tuple[Tuple[int, int], ...]:
+    def _cap(self) -> tuple[tuple[int, int], ...]:
         """(i, v_i(b)) for each factor R_i of a keyed base where b is no unit."""
         cap = self.base._local_vector(self.base.ideal_class(self.modulus_element))
         return tuple((i, v) for i, v in enumerate(cap) if v)
@@ -1037,7 +1029,7 @@ class QuotientRing(FiniteRing):
     def format_element(self, x) -> str:
         return self.base.format_element(x)
 
-    def _build_names(self) -> List[str]:
+    def _build_names(self) -> list[str]:
         return list(map(self.base.format_element, self.elements))
 
     def parse_element(self, src: str):
@@ -1064,7 +1056,7 @@ class QuotientRing(FiniteRing):
 class TableRing(FiniteRing):
     """A ring presented by explicit operation tables over opaque labels."""
 
-    def __init__(self, labels: Sequence, add_table: Dict, mul_table: Dict, zero, one, name: str):
+    def __init__(self, labels: Sequence, add_table: dict, mul_table: dict, zero, one, name: str):
         self.elements = tuple(labels)
         self._add = add_table
         self._mul = mul_table
@@ -1134,8 +1126,8 @@ def _least_prime_factor(n: int) -> int:
     return p
 
 
-def _int_factor(n: int) -> Dict[int, int]:
-    out: Dict[int, int] = {}
+def _int_factor(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
     while n > 1:
         p = _least_prime_factor(n)
         out[p] = _multiplicity(n, p)

@@ -479,7 +479,8 @@ class TestModelCostBounds:
             assert code == 0
             assert json.loads(out) == {"schema_version": 1, "command": argv[0], **report}
             assert elapsed < 1.0
-        for argv in (["ring-analyze", "GF(6)[t]"], ["model-poly", "6", "--window", "0"]):
+        for argv in (["ring-analyze", "GF(6)[t]"], ["model-poly", "6"],
+                     ["model-poly", "6", "--window", "0"]):
             code, _, err = run(argv)
             assert code == 2
             assert err == "error: GF(6) does not exist: 6 is not a prime power\n"

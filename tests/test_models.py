@@ -601,6 +601,23 @@ class TestRecordContracts:
     def test_repr_is_the_dataclass_text(self, record, text):
         assert repr(record()) == text
 
+    @pytest.mark.parametrize("record, fields", [
+        (models.StabilizationCertificate(3, 4), ("window_a", "window_b")),
+        (models.WindowedBottom({1: 0}, None), ("values", "certificate")),
+        (models.SampledCheck(True, 3, 4, []), ("ok", "samples", "seed", "failures")),
+        (models.LengthWitness(5, 2, (0,), "d"),
+         ("divisor", "target", "allowed_remainders", "description")),
+        (RingSpec(("Z",), (2,)), ("pid_factors", "artinian_lengths")),
+        (euclidean.DivisionWitness(1, 2), ("quotient", "remainder")),
+        (euclidean.PairTable(1, {2: 3}, (4, 5)), ("ring", "values", "components")),
+    ])
+    def test_records_are_named_tuples_with_fixed_fields(self, record, fields):
+        assert isinstance(record, tuple) and record._fields == fields
+        assert tuple(record) == tuple(getattr(record, name) for name in fields)
+        changed = record._replace(**{fields[0]: record[1]})
+        assert type(changed) is type(record) and changed[1:] == record[1:]
+        assert changed[0] == record[1]
+
     def test_ring_spec_compares_and_hashes_by_its_fields(self):
         spec = RingSpec(pid_factors=("Z",), artinian_lengths=(2,))
         assert spec == RingSpec(("Z",), (2,)) and spec != RingSpec(("Z",), (3,))

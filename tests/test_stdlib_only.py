@@ -14,8 +14,8 @@ SRC = pathlib.Path(__file__).parent.parent / "src" / "euctype"
 
 def test_the_library_imports_only_the_standard_library():
     """Every absolute import in ``src/euctype``, at module level or inside a
-    function, names a standard-library module; relative imports stay in
-    the package."""
+    function, names a standard-library module other than ``typing``;
+    relative imports stay in the package."""
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) > 5
     seen = set()
@@ -30,12 +30,13 @@ def test_the_library_imports_only_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+                assert top != "typing", f"{path.name} imports {name}"
                 seen.add(top)
     assert {"itertools", "math", "json"} <= seen
 
 
 COLD_START_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize", "copy",
-                   "fractions", "decimal", "numbers")
+                   "fractions", "decimal", "numbers", "typing")
 
 
 def test_the_cli_import_loads_no_dataclasses_inspect_or_fractions():
