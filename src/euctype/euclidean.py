@@ -81,12 +81,12 @@ def _sup_plus_one(values: dict[object, Ordinal]) -> Ordinal:
     return max(values.values()).successor() if values else Ordinal(1)
 
 
-def _ranks(table_values: dict[object, Ordinal]) -> dict[object, int]:
-    """Element -> rank of its value; ranks compare like the ordinals do.
+def _ranks(table_values: dict[object, Ordinal], elements) -> list[int | None]:
+    """The rank of each element's value, None at zero; ranks compare like the ordinals do.
 
     Tables share their value objects, so the values are deduplicated by
     identity first, and each distinct object is hashed once, when equal
-    values are grouped."""
+    values are grouped.  Zero has no value, so it reads the id of None."""
     values = table_values.values()
     groups: dict[Ordinal, list] = {}
     for i, v in dict(zip(map(id, values), values)).items():
@@ -94,7 +94,7 @@ def _ranks(table_values: dict[object, Ordinal]) -> dict[object, int]:
     rank_of_id = {}
     for r, (_, ids) in enumerate(sorted(groups.items(), key=itemgetter(0))):
         rank_of_id.update(dict.fromkeys(ids, r))
-    return dict(zip(table_values, map(rank_of_id.__getitem__, map(id, values))))
+    return list(map(rank_of_id.get, map(id, map(table_values.get, elements))))
 
 
 def _down(bits: int, stride: int, below: int, steps: int) -> int:
@@ -116,7 +116,7 @@ def _up(bits: int, stride: int, below: int, steps: int) -> int:
     return up
 
 
-def _uncertified(ring: FiniteRing, keys: list, rank: dict[object, int]) -> set:
+def _uncertified(ring: FiniteRing, keys: list, ranks: list[int | None]) -> set:
     """The (key, rank) pairs of the carrier's divisors that the boxes
     cannot certify; a table with none is Euclidean.
 
@@ -135,7 +135,7 @@ def _uncertified(ring: FiniteRing, keys: list, rank: dict[object, int]) -> set:
     names one ideal by several keys of its base ring.
     """
     valuations = ring._local_vector
-    pairs = set(zip(keys, map(rank.get, ring.elements)))
+    pairs = set(zip(keys, ranks))
     peak: dict[tuple[int, ...], int] = {}  # vector -> r+
     extra = []  # (vector, rank) below r+; empty on a function of the vector
     for key, r in pairs:
@@ -201,18 +201,20 @@ def division_counterexample(ring: FiniteRing, values: dict[object, Ordinal]):
     coset ids found by addition, keep them per key.
     """
     zero, elements = ring.zero, ring.elements
-    rank = _ranks(values)
+    ranks = _ranks(values, elements)
     keys = ring.carrier_classes()
-    unsure = (_uncertified(ring, keys, rank) if ring._known_principal else
-              set(zip(keys, map(rank.get, elements))) - {(keys[elements.index(zero)], None)})
+    unsure = (_uncertified(ring, keys, ranks) if ring._known_principal else
+              set(zip(keys, ranks)) - {(keys[elements.index(zero)], None)})
     if not unsure:
         return None
     # class key -> rank -> index of the least divisor of that rank in the class
     classes: dict[object, dict[int, int]] = {}
     swept = {key for key, _ in unsure}
     for i in itertools.compress(range(len(keys)), map(swept.__contains__, keys)):
-        if (pair := (keys[i], rank.get(elements[i]))) in unsure:
+        if (pair := (keys[i], ranks[i])) in unsure:
             classes.setdefault(pair[0], {}).setdefault(pair[1], i)
+    rank = dict(zip(elements, ranks))
+    del rank[zero]
     by_rank = sorted(rank, key=rank.__getitem__) if max(r for _, r in unsure) else []
     best = None
     for key, divisors in classes.items():

@@ -463,10 +463,13 @@ def table_from_dict(data: dict) -> EuclideanTable:
     """Table read back from :func:`~euctype.euclidean.table_to_dict` output.
 
     Every nonzero element needs exactly one value, under its canonical
-    name (as the ring prints it, up to whitespace).  Keys are looked up in
-    the ring's list of element names (:meth:`FiniteRing.element_names`),
-    so a key written as the ring prints it formats and parses no element;
-    any other key is parsed, then checked against its element's name.  The value at zero
+    name (as the ring prints it, up to whitespace).  A file whose keys are
+    the ring's element names (:meth:`FiniteRing.element_names`) in carrier
+    order without zero, as written, and whose values are strings has no
+    zero key, duplicate or missing element, and is read in bulk.  Any other
+    file is read key by key, so its first fault is named: a key not in
+    those names is parsed, then checked against its element's name.  Each
+    distinct value text is parsed once.  The value at zero
     must lie above every value: at least their supremum plus one, which
     is what a written table holds.  A larger one is kept, since a table
     edited to fail the division property may keep its old value at zero.
@@ -484,27 +487,32 @@ def table_from_dict(data: dict) -> EuclideanTable:
     ring = parse_ring_spec(data["ring"])
     if not isinstance(ring, FiniteRing):
         raise DomainError("tables exist for concrete finite rings only")
-    values = {}
-    parsed: dict[str, Ordinal] = {}  # tables repeat few values; parse each text once
-    named = dict(zip(ring.element_names(), ring.elements))
-    for key, text in data["values"].items():
-        if key in named:
-            x, name = named[key], key
-        else:
-            x = parse_element(ring, key)
-            name = ring.format_element(x)
-            if key != name and "".join(key.split()) != "".join(name.split()):
-                raise DomainError(f"table key {key!r} is not canonical; the element is {name!r}")
-        if x == ring.zero:
-            raise DomainError("the value at zero belongs in 'value_at_zero', not in 'values'")
-        if x in values:
-            raise DomainError(f"two table keys name the element {name!r}")
-        if not isinstance(text, str):
-            raise DomainError(f"the value of {name!r} is not an ordinal expression")
-        value = parsed.get(text)
-        if value is None:
-            value = parsed[text] = parse_ordinal(text)
-        values[x] = value
+    elements, names, texts = ring.elements, ring.element_names(), list(data["values"].values())
+    keys, z = list(data["values"]), elements.index(ring.zero)
+    if keys[:z] == names[:z] and keys[z:] == names[z + 1:] and set(map(type, texts)) == {str}:
+        parsed = dict(zip(distinct := dict.fromkeys(texts), map(parse_ordinal, distinct)))
+        values = dict(zip(elements[:z] + elements[z + 1:], map(parsed.__getitem__, texts)))
+    else:
+        values, parsed, named = {}, {}, dict(zip(names, elements))
+        for key, text in zip(keys, texts):
+            if key in named:
+                x, name = named[key], key
+            else:
+                x = parse_element(ring, key)
+                name = ring.format_element(x)
+                if key != name and "".join(key.split()) != "".join(name.split()):
+                    raise DomainError(f"table key {key!r} is not canonical; "
+                                      f"the element is {name!r}")
+            if x == ring.zero:
+                raise DomainError("the value at zero belongs in 'value_at_zero', not in 'values'")
+            if x in values:
+                raise DomainError(f"two table keys name the element {name!r}")
+            if not isinstance(text, str):
+                raise DomainError(f"the value of {name!r} is not an ordinal expression")
+            value = parsed.get(text)
+            if value is None:
+                value = parsed[text] = parse_ordinal(text)
+            values[x] = value
     if len(values) < len(ring.elements) - 1:
         missing = next(x for x in ring.elements if x != ring.zero and x not in values)
         raise DomainError(f"the table has no value for {ring.format_element(missing)!r}")

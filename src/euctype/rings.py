@@ -1115,12 +1115,12 @@ def _is_prime(n: int) -> bool:
 
 def _least_prime_factor(n: int) -> int:
     """The least prime factor of n >= 2: n if :func:`_is_prime` says so, else
-    by trial division up to TRIAL_DIVISION_BOUND; a larger n with no factor
-    up to it is refused."""
+    by trial division up to TRIAL_DIVISION_BOUND; a larger n that is not
+    proven prime and has no factor up to it is refused."""
     root = math.isqrt(n)
     top = 1 if root > 1 << 16 and n < MILLER_RABIN_LIMIT and _is_prime(n) else root
     p = next((d for d in range(2, min(top, TRIAL_DIVISION_BOUND) + 1) if n % d == 0), n)
-    if p == n and root > TRIAL_DIVISION_BOUND:
+    if p == n and top > TRIAL_DIVISION_BOUND:  # top is 1 once n is proven prime
         raise ResourceError(f"{n} has no prime factor up to {TRIAL_DIVISION_BOUND}, "
                             "where trial division stops")
     return p

@@ -486,11 +486,30 @@ class TestModelCostBounds:
             assert err == "error: GF(6) does not exist: 6 is not a prime power\n"
 
     def test_prime_beyond_the_trial_division_bound(self):
-        for argv in (["model-localize", "100000000000000000039", "--samples", "1"],
-                     ["ring-analyze", "GF(100000000000000000039)[t]"]):
+        # a prime the Miller-Rabin test proves needs no trial division
+        for argv, text in (
+                (["model-localize", "100000000000000000039", "--samples", "1"],
+                 "primes: [100000000000000000039]   samples: 1   seed: 0\n"
+                 "division property held on every sample: True\n"),
+                (["ring-analyze", "GF(100000000000000000039)[t]"],
+                 "symbolic ring spec: GF(100000000000000000039)[t]\norder type: w\n"),
+                (["ring-analyze", "GF(1000000000000037)[t]"],
+                 "symbolic ring spec: GF(1000000000000037)[t]\norder type: w\n")):
+            (code, out, err), elapsed = self._timed(argv)
+            assert (code, out, err) == (0, text, "")
+            assert elapsed < 5.0
+        code, out, err = run(["model-poly", "1000000000000037", "--window", "0"])
+        assert (code, out) == (4, "")
+        assert err == ("error: GF(1000000000000037)[t] up to degree 0 has more than "
+                       "262144 polynomials\n")
+
+    def test_composite_beyond_the_trial_division_bound(self):
+        # 399165290221 * 798330580441: no prime factor up to 10^7, and not prime
+        for argv in (["model-localize", "318665857834031151167461", "--samples", "1"],
+                     ["ring-analyze", "GF(318665857834031151167461)[t]"]):
             (code, out, err), elapsed = self._timed(argv)
             assert (code, out) == (4, "")
-            assert err == ("error: 100000000000000000039 has no prime factor up to "
+            assert err == ("error: 318665857834031151167461 has no prime factor up to "
                            "10000000, where trial division stops\n")
             assert elapsed < 5.0
 

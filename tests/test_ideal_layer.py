@@ -269,12 +269,23 @@ class TestChainKeys:
         assert Zmod(360).element_names() == list(map(str, range(360)))
 
 
+def ranks_by_value(values):
+    """Element -> rank of its value, from a sort of the distinct values."""
+    order = {v: i for i, v in enumerate(sorted(set(values.values())))}
+    return {x: order[v] for x, v in values.items()}
+
+
+def carrier_ranks(ring, values):
+    """The ranks in carrier order, None at zero, as the certificate reads them."""
+    return list(map(ranks_by_value(values).get, ring.elements))
+
+
 def old_division_counterexample(ring, values):
     """The quadratic scan the class sweep replaced: every divisor against
     every ranked element."""
     zero = ring.zero
     pids = ring.principal_ideals()
-    rank = _ranks(values)
+    rank = ranks_by_value(values)
     index = ring.index
     best = None
     for b in ring.elements:
@@ -355,7 +366,7 @@ def coset_label_keys(monkeypatch, ring):
 def failing_pairs(ring, values):
     """The (key, rank) of every divisor b with some a that has no quotient,
     from the coset partition of each (b)."""
-    rank = _ranks(values)
+    rank = ranks_by_value(values)
     partitions = {}
     out = set()
     for b in values:
@@ -474,7 +485,7 @@ class TestCertificateSweep:
             for x in rng.sample(list(bottom), min(2, len(bottom))):
                 moved[x] = Ordinal(rng.randrange(4))
             for values, exact in ((bottom, True), (function, True), (moved, False)):
-                left = _uncertified(ring, keys, _ranks(values))
+                left = _uncertified(ring, keys, carrier_ranks(ring, values))
                 failing = failing_pairs(ring, values)
                 assert (left == failing) if exact else (left >= failing), ring.name
                 checked += bool(failing)
@@ -486,8 +497,7 @@ def class_sweep_division_counterexample(ring, values):
     distinct principal ideal, built by adding the ideal to every element."""
     zero = ring.zero
     pids = ring.principal_ideals()
-    order = {v: i for i, v in enumerate(sorted(set(values.values())))}
-    rank = {x: order[v] for x, v in values.items()}
+    rank = ranks_by_value(values)
     by_rank = sorted(rank, key=rank.__getitem__)
     index = ring.index
     classes = {}
@@ -635,11 +645,7 @@ class TestCosetLabels:
     def test_ranks_match_the_sort_by_value(self):
         # shared: one Ordinal per ideal class or per level, as bottom tables
         # (the last by the fixed point) and parsed tables hold them; fresh: a
-        # new Ordinal at every element
-        def by_value(values):
-            order = {v: i for i, v in enumerate(sorted(set(values.values())))}
-            return {x: order[v] for x, v in values.items()}
-
+        # new Ordinal at every element; the ranks come in carrier order
         rng = random.Random(18)
         for ring in (Zmod(720), ProductRing([Zmod(8), Zmod(27)]), poly(3, 0, 0, 0, 1),
                      ProductRing([truncated_bivariate_fixture().quotient_ring("x"), Zmod(9)])):
@@ -652,7 +658,9 @@ class TestCosetLabels:
                      for x, v in shared.items()}
             assert len({id(v) for v in fresh.values()}) == len(fresh)
             for values in (shared, parsed, fresh, _table_variants(shared, rng)[-1]):
-                assert _ranks(values) == by_value(values), ring.name
+                ranks = _ranks(values, ring.elements)
+                assert ranks == carrier_ranks(ring, values), ring.name
+                assert ranks[ring.elements.index(ring.zero)] is None, ring.name
 
     def test_table_rings_keep_their_keys_between_checks(self, monkeypatch):
         specimen = truncated_bivariate_fixture()
@@ -733,10 +741,10 @@ def vector_of(ring):
     return {x: ring.valuations(ring.ideal_class(x)) for x in ring.elements}
 
 
-def every_pair(ring, keys, rank):
+def every_pair(ring, keys, ranks):
     """The (key, rank) pair of every nonzero element: the certificate that
     certifies nothing."""
-    return {(key, r) for key, r in zip(keys, map(rank.get, ring.elements)) if r is not None}
+    return {(key, r) for key, r in zip(keys, ranks) if r is not None}
 
 
 def sweep_only(ring, values):
@@ -759,7 +767,7 @@ class TestValuationBoxes:
     def certified(ring, values):
         from euctype import euclidean
 
-        return not euclidean._uncertified(ring, ring.carrier_classes(), _ranks(values))
+        return not euclidean._uncertified(ring, ring.carrier_classes(), carrier_ranks(ring, values))
 
     def test_the_certificate_matches_the_sweep_on_the_valuation_corpus(self):
         rng = random.Random(19)

@@ -492,6 +492,69 @@ class TestTableRoundTrip:
             back = table_from_dict(d)
             assert back.values == t.values and back.validated and back.is_bottom
 
+    @staticmethod
+    def _key_orders(values, rng):
+        """The written key order, reversed, shuffled, and every key spelled
+        with extra whitespace."""
+        items = list(values.items())
+        shuffled = rng.sample(items, len(items))
+        spaced = [(" " + key.replace(", ", " ,") + "\n", text) for key, text in items]
+        return [dict(items), dict(items[::-1]), dict(shuffled), dict(spaced)]
+
+    def test_every_key_order_reads_the_same_table(self):
+        rng = random.Random(38)
+        for ring in (Zmod(360), ProductRing([Zmod(4), Zmod(9)]),
+                     PolyQuotient(GaloisField(2), (0, 1, 1, 0, 1, 1))):  # t (t^2 + t + 1)^2
+            bottom = bottom_euclidean(ring)
+            relabelled = {x: omega_power(1) * v.to_int() + 1 for x, v in bottom.values.items()}
+            tables = [table_to_dict(bottom),
+                      {**table_to_dict(EuclideanTable(ring, relabelled,
+                                                      max(relabelled.values()).successor(),
+                                                      False)), "validated": True}]
+            for data in tables:
+                texts = set(data["values"].values())
+                written = table_from_dict(data)
+                assert len({id(v) for v in written.values.values()}) == len(texts)
+                for values in self._key_orders(data["values"], rng):
+                    back = table_from_dict({**data, "values": values})
+                    assert (back.values, back.value_at_zero, back.validated, back.is_bottom) \
+                        == (written.values, written.value_at_zero, written.validated,
+                            written.is_bottom), ring.name
+                    assert len({id(v) for v in back.values.values()}) == len(texts), ring.name
+            assert written.validated and not written.is_bottom
+
+    @staticmethod
+    def _first_fault(data):
+        with pytest.raises((DomainError, ParseError)) as exc:
+            table_from_dict(data)
+        return type(exc.value), str(exc.value)
+
+    def test_two_faults_name_the_first_in_any_key_order(self):
+        d = table_to_dict(bottom_euclidean(Zmod(12)))
+        written = d["values"]
+        zero_key = "the value at zero belongs in 'value_at_zero', not in 'values'"
+        not_canonical = "table key '13' is not canonical; the element is '1'"
+        not_text = "the value of '5' is not an ordinal expression"
+        renamed = {("13" if k == "1" else k): v for k, v in written.items()}
+        cases = [
+            ({**renamed, "0": "1"}, (DomainError, not_canonical)),
+            ({"0": "1", **renamed}, (DomainError, zero_key)),
+            ({"0": "1", **written, "5": 3}, (DomainError, zero_key)),
+            ({**written, "5": 3, "0": "1"}, (DomainError, not_text)),
+            ({**written, "5": ["1"]}, (DomainError, not_text)),
+            ({**written, "3": "w+", "5": 3},
+             (ParseError, "unexpected end of input (at position 2)")),
+            ({**written, "3": "w*", "5": "w+"}, (ParseError, "expected a number (at position 2)")),
+        ]
+        missing = {k: v for k, v in written.items() if k != "7"}
+        cases.append(({**missing, "1": "3x"}, (ParseError, "unexpected 'x' (at position 1)")))
+        cases.append(({**missing, "1": 3}, (DomainError, "the value of '1' is not an ordinal "
+                                                          "expression")))
+        for values, fault in cases:
+            assert self._first_fault({**d, "values": values}) == fault, values
+        assert self._first_fault({**d, "values": missing}) == (DomainError,
+                                                               "the table has no value for '7'")
+
     def test_value_at_zero_below_the_values_rejected(self):
         d = self._z4()
         d["value_at_zero"] = "1"  # the value of 2 is 1 already

@@ -506,12 +506,16 @@ class TestFactoringOracles:
         assert _least_prime_factor(100000000000031) == 100000000000031
         assert _least_prime_factor(3 * (2 ** 61 - 1)) == 3
         assert _least_prime_factor(1000003 * 1000033) == 1000003
-        with pytest.raises(ResourceError, match="^100000000000000000039 has no prime factor "
+        # primes above (10^7 + 1)^2, proven so, are their own least factor
+        assert _least_prime_factor(1000000000000037) == 1000000000000037
+        assert _least_prime_factor(10 ** 20 + 39) == 10 ** 20 + 39
+        with pytest.raises(ResourceError, match="^318665857834031151167461 has no prime factor "
                                                 "up to 10000000, where trial division stops$"):
-            _least_prime_factor(10 ** 20 + 39)
+            _least_prime_factor(399165290221 * 798330580441)
         monkeypatch.setattr(rings, "TRIAL_DIVISION_BOUND", 10)
-        with pytest.raises(ResourceError, match="no prime factor up to 10,"):
-            _least_prime_factor(2 ** 61 - 1)
+        assert _least_prime_factor(2 ** 61 - 1) == 2 ** 61 - 1
+        with pytest.raises(ResourceError, match="^1000036000099 has no prime factor up to 10,"):
+            _least_prime_factor(1000003 * 1000033)
 
     def test_trial_division_stops_at_its_bound(self, monkeypatch):
         monkeypatch.setattr(rings, "TRIAL_DIVISION_BOUND", 10)
