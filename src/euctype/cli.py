@@ -375,7 +375,7 @@ _VERBS = {
                    ("--window", {"type": int, "default": 10, "metavar": "D",
                                  "help": "reporting degree bound (default %(default)s)"})),
     "model-localize": (_cmd_model_localize,
-                       "sampled division checks for a semilocal localization of Z",
+                       "division checks on a box of a semilocal localization of Z",
                        ("primes", {"nargs": "+", "type": int}),
                        ("--samples", {"type": int, "default": 10_000, "metavar": "N"}),
                        ("--seed", {"type": int, "default": 0, "metavar": "S"})),

@@ -6,7 +6,9 @@ value of b reads only values below b (or of lower degree), so the report
 is the same on every window at or above the report range, and one pass
 over that range computes it.  The certificate names two such windows of
 a fixed schedule; the cost of the pass is bounded and stated, and larger
-requests stop with :class:`ResourceError`.
+requests stop with :class:`ResourceError`.  On a semilocal localization
+of Z the division property is decided on a fixed box of fractions, with
+one explicit remainder per key and nothing drawn.
 
 The module also houses the symbolic side: order types of ring
 descriptions with PID factors and an Artinian part, the additive bounds
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from collections import namedtuple
 from collections.abc import Sequence
 
@@ -190,102 +191,56 @@ def localization_function(primes: Sequence[int], x: Fraction) -> int:
     return sum(_multiplicity(x.numerator, p) for p in primes)
 
 
-# failures: the sampled pairs (a, b) that fail, as Fractions
+# failures: the keys (abar, m) whose remainder fails the check, as int pairs
 SampledCheck = namedtuple("SampledCheck", "ok samples seed failures")
 
-
-def _localized_divide(primes: Sequence[int], a_num: int, a_den: int, b_num: int,
-                      search: int = 64):
-    """The remainder r of a = q b + r in the localization, with r = 0 or of
-    smaller value than b, for a = a_num / a_den and b = b_num / unit; None
-    if no r = abar + k m with |k| <= search serves.  Here b = m * unit with
-    m the product of the p^v_p(b), so (b) = (m) and abar is a modulo m."""
-    vb, m = 0, 1
-    for p in primes:
-        while b_num % p == 0:
-            b_num //= p
-            vb += 1
-            m *= p
-    abar = a_num * pow(a_den, -1, m) % m
-    if abar == 0:
-        return 0
-    for k in range(-search, search + 1):
-        r = abar + k * m
-        if r and sum(_multiplicity(r, p) for p in primes) < vb and (a_num - r * a_den) % m == 0:
-            return r
-    return None
+BOX = 50  # numerators in [-BOX, BOX], denominators in [1, BOX]
 
 
-def _smooth_moduli(primes: Sequence[int], height: int, budget: int):
-    """The products m <= height of powers of the primes, or None when their
-    sum exceeds budget; the enumeration stops as soon as it does."""
-    moduli, total = [1], 1
-    for p in primes:
-        for m in moduli[:]:
-            m *= p
-            while m <= height and total <= budget:
-                moduli.append(m)
-                total += m
-                m *= p
-    return moduli if total <= budget else None
+def _localized_divide(radical: int, abar: int, m: int) -> int:
+    """The remainder r = abar + k m of abar modulo m in the localization
+    at the primes whose product is radical, for abar not divisible by m.
+
+    With g = gcd(abar, m) and k the product of the primes that divide
+    neither abar / g nor m / g, abar / g + k m / g is prime to every prime,
+    so r has the prime factors of g, a proper divisor of m, and when m is
+    a product of powers of the primes r has the smaller exponent sum."""
+    g = math.gcd(abar, m)
+    return abar + radical // math.gcd(abar // g * (m // g), radical) * m
 
 
 def check_localization_euclidean(primes: Sequence[int], samples: int = 10_000,
-                                 seed: int = 0, height: int = 50) -> SampledCheck:
-    """Division check for the exponent-sum function on ``samples`` sampled
-    pairs (a, b), with every failing pair reported.
+                                 seed: int = 0) -> SampledCheck:
+    """Division check for the exponent-sum function on every pair (a, b)
+    with numerators in [-BOX, BOX] and denominators in [1, BOX].
 
-    Samples are integer pairs (numerator, denominator), more than
-    MAX_SAMPLES of them stop with :class:`ResourceError`.  They are the
-    draws of ``randint(-height, height)`` and ``randint(1, height)`` on
-    ``random.Random(seed)``, made by the same rejection of random bits.
-
-    The division of a by b depends only on the key (m, abar), where m, the
-    product of the p^v_p(b), is a product of powers of the primes up to
-    height, and abar = a_num / a_den mod m: :func:`_localized_divide`
-    scans at most 129 remainders abar + k m, and every r = abar (mod m)
-    leaves a - r b divisible by m.  When the keys number no more than
-    ``samples`` (they are the sum of those m), every key is decided first,
-    from a = abar: if none fails, every pair the samples could hold
-    divides, the report is the same for every seed, and nothing is drawn.
-    Otherwise the samples are drawn, each pair is divided, and the pairs
-    that fail are listed.
+    The division of a by b depends only on the key (m, abar), where m is
+    the product of the p^v_p(b), at most BOX, and abar is a modulo m: b is
+    m times a unit, and every r = abar (mod m) leaves a - r b divisible by
+    m.  Of the at most BOX (BOX + 1) / 2 = 1,275 keys, those with abar = 0
+    have remainder 0, and each other is decided once by the remainder r
+    of :func:`_localized_divide`, checked with one gcd against the
+    product of the primes: r / g has no prime factor in the set, so the
+    exponent sum of r is that of g = gcd(abar, m), a proper divisor of m.
+    The keys that fail are listed as (abar, m).  Nothing is drawn:
+    ``samples`` and ``seed`` are echoed, and more than MAX_SAMPLES
+    samples stop with :class:`ResourceError`.
     """
     primes = _check_primes(primes)
     if samples < 0:
         raise DomainError("the sample count must be nonnegative")
     if samples > MAX_SAMPLES:
         raise ResourceError(f"{samples} samples requested; the check is bounded at {MAX_SAMPLES}")
-    if height < 1:
-        raise DomainError("the sample height must be at least 1")
-    moduli = _smooth_moduli(primes, height, samples)
-    if moduli is not None and all(_localized_divide(primes, abar, 1, m) is not None
-                                  for m in moduli for abar in range(m)):
-        return SampledCheck(True, samples, seed, [])
-    getrandbits = random.Random(seed).getrandbits
     radical = math.prod(primes)
-    span = 2 * height + 1
-    num_bits, den_bits = span.bit_length(), height.bit_length()
-
-    def sample_element() -> tuple[int, int]:
-        num = getrandbits(num_bits)
-        while num >= span:
-            num = getrandbits(num_bits)
-        bits = getrandbits(den_bits)
-        # den = bits + 1 is redrawn above height or sharing a prime
-        while bits >= height or math.gcd(bits + 1, radical) != 1:
-            bits = getrandbits(den_bits)
-        return num - height, bits + 1
-
     failures = []
-    for _ in range(samples):
-        a_num, a_den = sample_element()
-        b_num, b_den = sample_element()
-        while b_num == 0:
-            b_num, b_den = sample_element()
-        if _localized_divide(primes, a_num, a_den, b_num) is None:
-            from fractions import Fraction
-            failures.append((Fraction(a_num, a_den), Fraction(b_num, b_den)))
+    # m <= BOX < 2^6 has no exponent above 5, so m is a product of powers
+    # of the primes exactly when it divides radical^5
+    for m in range(2, BOX + 1):
+        if pow(radical, 5, m) == 0:
+            for abar in range(1, m):
+                r = _localized_divide(radical, abar, m)
+                if math.gcd(r // math.gcd(abar, m), radical) != 1:
+                    failures.append((abar, m))
     return SampledCheck(not failures, samples, seed, failures)
 
 

@@ -285,6 +285,15 @@ class TestInputErrors:
         report = json.loads(out)
         assert (report["ok"], report["samples"], report["failures"]) == (True, 0, [])
 
+    def test_model_localize_first_66_primes(self):
+        # the key (2, 5) has the remainder 337 = 2 + 5 * 67, a unit: a scan
+        # of the remainders 2 + 5k with |k| <= 64 missed it
+        primes = [p for p in range(2, 318) if all(p % q for q in range(2, p))]
+        assert len(primes) == 66
+        code, out, _ = run(["model-localize", *map(str, primes), "--samples", "1000", "--json"])
+        report = json.loads(out)
+        assert (code, report["ok"], report["failures"]) == (0, True, [])
+
 
 class TestParserBounds:
     LONG = "9" * 5000  # longer than the 4,300 digits int() reads by default

@@ -1,7 +1,7 @@
-import functools
+import importlib
 import math
+import pathlib
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -111,33 +111,17 @@ def _fraction_failures(primes, samples, seed, height=50, search=64):
             if _fraction_divide(primes, a, b, search) is None]
 
 
-def _per_sample_check(primes, samples, seed=0, height=50):
-    """The former check, one ``_localized_divide`` call per sample and one
-    gcd per denominator draw, kept as the oracle for the per-call tables."""
-    primes = tuple(sorted(set(primes)))
-    getrandbits = random.Random(seed).getrandbits
-    radical = math.prod(primes)
-    span = 2 * height + 1
-    num_bits, den_bits = span.bit_length(), height.bit_length()
+def _first_primes(n):
+    primes, candidate = [], 2
+    while len(primes) < n:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return tuple(primes)
 
-    def sample_element():
-        num = getrandbits(num_bits)
-        while num >= span:
-            num = getrandbits(num_bits)
-        while True:
-            den = getrandbits(den_bits) + 1
-            if den <= height and math.gcd(den, radical) == 1:
-                return num - height, den
 
-    failures = []
-    for _ in range(samples):
-        a_num, a_den = sample_element()
-        b_num, b_den = sample_element()
-        while b_num == 0:
-            b_num, b_den = sample_element()
-        if models._localized_divide(primes, a_num, a_den, b_num) is None:
-            failures.append((Fraction(a_num, a_den), Fraction(b_num, b_den)))
-    return failures
+FIRST_66_PRIMES = _first_primes(66)  # 2 ... 317
+BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestWindowedIntegers:
@@ -300,153 +284,106 @@ class TestLocalization:
         with pytest.raises(ResourceError, match="bounded at 5"):
             check_localization_euclidean([2], samples=6)
 
-    def test_samples_are_the_randint_stream(self, monkeypatch):
-        # with every division failing, the failures list every sampled pair
-        monkeypatch.setattr(models, "_localized_divide", lambda *args: None)
-        for primes in [(2,), (3, 7), (2, 3, 5, 7)]:
-            for seed in range(50):
-                for height in range(1, 61):
-                    result = check_localization_euclidean(primes, samples=4, seed=seed,
-                                                          height=height)
-                    assert result.failures == list(_fraction_samples(primes, 4, seed, height))
-
-    def test_height_below_one_is_refused(self):
-        for height in (0, -1):
-            with pytest.raises(DomainError, match="height must be at least 1"):
-                check_localization_euclidean([2], samples=1, height=height)
-
     def test_integer_kernel_matches_the_fraction_code(self):
-        prime_sets = [(2,), (3,), (97,), (2, 3), (5, 7, 11), (2, 3, 5, 7, 11, 13)]
+        # every sampled pair a, b, in the box and beyond it, divides with
+        # the remainder of its key: (a - r) / b lies in the localization
+        prime_sets = [(2,), (3,), (97,), (2, 3), (5, 7, 11), (2, 3, 5, 7, 11, 13),
+                      FIRST_66_PRIMES]
         for seed in range(6):
             for primes in prime_sets:
+                radical = math.prod(primes)
                 for height in (5, 50, 500, 5000):
-                    result = check_localization_euclidean(primes, samples=60, seed=seed,
-                                                          height=height)
-                    assert result.failures == _fraction_failures(primes, 60, seed, height)
+                    for a, b in _fraction_samples(primes, 60, seed, height):
+                        m = math.prod(p ** _fraction_exponent(abs(b.numerator), p)
+                                      for p in primes)
+                        abar = a.numerator * pow(a.denominator, -1, m) % m
+                        r = _localized_divide(radical, abar, m) if abar else 0
+                        assert r == 0 or (_fraction_value(primes, Fraction(r))
+                                          < _fraction_value(primes, b))
+                        assert _fraction_in_localization((a - r) / b, primes)
 
     PRIME_SETS = [(2,), (3, 7), (2, 3, 5, 7), (97,), (2, 3, 5, 7, 11, 13)]
 
     @staticmethod
-    def _key_moduli(primes, height):
-        """The m <= height that are products of powers of the primes, by a scan."""
-        return [m for m in range(1, height + 1)
+    def _key_moduli(primes):
+        """The m <= 50 that are products of powers of the primes, by a scan."""
+        return [m for m in range(1, 51)
                 if math.prod(p ** _fraction_exponent(m, p) for p in primes) == m]
 
-    def _key_count(self, primes, height):
-        """The number of keys (m, abar) with m <= height."""
-        return sum(self._key_moduli(primes, height))
+    def _key_count(self, primes):
+        """The number of keys (m, abar) with m <= 50."""
+        return sum(self._key_moduli(primes))
 
-    @pytest.mark.parametrize("search", [0, 64])
-    def test_tables_match_the_per_sample_loop(self, monkeypatch, search):
-        # search=0 makes many divisions fail, so the failures lists are long.
-        # Besides 12 samples, one count below the key count, where keys are
-        # decided as they are drawn, and one equal to it, where every key is
-        # decided first: on every seed where the keys number at most 30, on
-        # seeds 0-2 up to 10^4 keys
-        monkeypatch.setattr(models, "_localized_divide",
-                            functools.partial(_localized_divide, search=search))
-        sides, failed = set(), 0
+    def _box_keys(self, primes):
+        """The keys (abar, m) with abar != 0, m ascending, then abar."""
+        return [(abar, m) for m in self._key_moduli(primes) for abar in range(1, m)]
+
+    def test_the_remainder_of_every_key_has_fewer_prime_factors(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        workloads = importlib.import_module("workloads")
+        small = _first_primes(15)  # the primes up to 50
+        rng = random.Random(39)
+        prime_sets = [primes for primes, _ in workloads.LOCALIZE] + [(2, 3)]
+        prime_sets += [rng.sample(small, rng.randint(1, 15)) for _ in range(40)]
+        prime_sets += [FIRST_66_PRIMES, _first_primes(100), _first_primes(500)]
+        for primes in prime_sets:
+            radical = math.prod(primes)
+            for abar, m in self._box_keys(primes):
+                r = _localized_divide(radical, abar, m)
+                assert r != 0 and (r - abar) % m == 0
+                assert (_fraction_value(primes, Fraction(r))
+                        < _fraction_value(primes, Fraction(m))), (primes, abar, m)
+
+    def test_the_first_66_primes_divide_on_every_key(self):
+        # 32 = 5 (-61) + 337 and 337 is a unit: a scan of the remainders
+        # 2 + 5k with |k| <= 64 found none for the key (2, 5)
+        result = check_localization_euclidean(FIRST_66_PRIMES, samples=1000, seed=0)
+        assert result == models.SampledCheck(True, 1000, 0, [])
+        assert _localized_divide(math.prod(FIRST_66_PRIMES), 2, 5) % 5 == 2
+
+    @pytest.mark.parametrize("search", [64])
+    def test_decided_keys_match_the_fraction_code(self, search):
+        # on these prime sets the fraction code's scan of |k| <= search
+        # divides every sampled pair, and the check agrees
         for primes in self.PRIME_SETS:
-            for height in [*range(1, 61), 5000]:
-                keys = self._key_count(primes, height)
-                for seed in range(50):
-                    counts = [12]
-                    if keys <= 30 or (seed < 3 and keys <= 10_000):
-                        counts += [keys - 1, keys]
-                    for samples in counts:
-                        result = check_localization_euclidean(primes, samples=samples,
-                                                              seed=seed, height=height)
-                        assert result.failures == _per_sample_check(primes, samples, seed,
-                                                                    height)
-                        assert result.ok == (not result.failures)
-                        assert result.samples == samples and result.seed == seed
-                        sides.add((samples >= keys, result.ok))
-                        failed += len(result.failures)
-        assert (failed > 1000) == (search == 0)
-        assert sides == ({(False, True), (True, True), (False, False), (True, False)}
-                         if search == 0 else {(False, True), (True, True)})
+            keys = self._key_count(primes)
+            for seed in range(3):
+                for samples in (keys - 1, keys, keys + 1):
+                    result = check_localization_euclidean(primes, samples=samples, seed=seed)
+                    assert result.failures == _fraction_failures(primes, samples, seed, 50,
+                                                                 search) == []
 
-    @pytest.mark.parametrize("search", [0, 64])
-    def test_decided_keys_match_the_fraction_code(self, monkeypatch, search):
-        monkeypatch.setattr(models, "_localized_divide",
-                            functools.partial(_localized_divide, search=search))
-        for primes in self.PRIME_SETS:
-            for height in (1, 2, 7, 12, 30, 60, 5000):
-                keys = self._key_count(primes, height)
-                if keys > 1200:
-                    continue
-                for seed in range(3):
-                    for samples in (keys - 1, keys, keys + 1):
-                        result = check_localization_euclidean(primes, samples=samples,
-                                                              seed=seed, height=height)
-                        assert result.failures == _fraction_failures(primes, samples, seed,
-                                                                     height, search)
-
-    def test_key_moduli_are_the_products_of_prime_powers(self):
-        for primes in self.PRIME_SETS:
-            for height in [*range(1, 61), 5000]:
-                keys = self._key_count(primes, height)
-                moduli = models._smooth_moduli(primes, height, keys)
-                assert sorted(moduli) == self._key_moduli(primes, height)
-                assert models._smooth_moduli(primes, height, keys - 1) is None
-
-    def test_no_draw_when_every_key_divides(self, monkeypatch):
-        def refuse(seed):
-            raise AssertionError("a random generator was made")
-
-        monkeypatch.setattr(models.random, "Random", refuse)
-        for primes, height in [((2,), 1), ((2, 3), 30), ((2, 3, 5, 7), 50), ((97,), 5000)]:
-            keys = self._key_count(primes, height)
-            for samples in (keys, keys + 1, models.MAX_SAMPLES):
-                assert check_localization_euclidean(primes, samples=samples, seed=3,
-                                                    height=height) == models.SampledCheck(
-                    True, samples, 3, [])
-            with pytest.raises(AssertionError, match="random generator"):
-                check_localization_euclidean(primes, samples=keys - 1, height=height)
-
-    def test_huge_height_enumerates_no_range(self):
-        # the powers of 2 up to 10^12 sum past 10 after four of them, so the
-        # keys are never listed and the ten samples are drawn
-        start = time.perf_counter()
-        result = check_localization_euclidean([2], samples=10, height=10 ** 12)
-        assert result.ok and result.samples == 10
-        assert models._smooth_moduli((2,), 10 ** 12, 10) is None
-        assert time.perf_counter() - start < 1.0
-
-    def test_one_division_per_modulus_and_residue(self, monkeypatch):
+    def _divided_keys(self, monkeypatch, primes):
         calls = []
 
-        def counted(primes, a_num, a_den, b_num, search=64):
-            m = math.prod(p ** _fraction_exponent(abs(b_num), p) for p in primes)
-            calls.append((m, a_num * pow(a_den, -1, m) % m))
-            return _localized_divide(primes, a_num, a_den, b_num, search)
+        def counted(radical, abar, m):
+            calls.append((abar, m))
+            return _localized_divide(radical, abar, m)
 
         monkeypatch.setattr(models, "_localized_divide", counted)
-        result = check_localization_euclidean((2, 3), samples=5000, seed=1, height=30)
-        assert result.ok and result.failures == []
-        assert len(calls) == len(set(calls)) <= 30 * 30
-        assert len(calls) < 1000
+        assert check_localization_euclidean(primes, samples=5000, seed=1).ok
+        return calls
 
-    def test_failures_match_the_fraction_code_on_a_short_scan(self, monkeypatch):
-        # a scan of 2 * search + 1 remainders fails now and then: both sides
-        # find the same remainder or both fail, on short scans and on the
-        # full one, and the check reports the same failures
-        failed = 0
-        for primes in [(2,), (2, 3), (3, 5, 7), (2, 3, 5, 7, 11, 13)]:
-            for search in (0, 1, 2, 64):
-                for a, b in _fraction_samples(primes, 300, search, 200):
-                    old = _fraction_divide(primes, a, b, search)
-                    new = _localized_divide(primes, a.numerator, a.denominator, b.numerator,
-                                            search)
-                    assert new == (None if old is None else old[1])
-                    failed += new is None
-        assert failed > 100
-        monkeypatch.setattr(models, "_localized_divide",
-                            functools.partial(_localized_divide, search=0))
-        for primes in [(2, 3), (3, 5, 7), (2, 3, 5, 7, 11, 13)]:
-            result = check_localization_euclidean(primes, samples=300, seed=5, height=200)
-            assert result.failures == _fraction_failures(primes, 300, 5, 200, search=0)
-            assert result.failures and not result.ok
+    def test_key_moduli_are_the_products_of_prime_powers(self, monkeypatch):
+        # m = 1 has the one key abar = 0, whose remainder is 0
+        for primes in [*self.PRIME_SETS, FIRST_66_PRIMES]:
+            moduli = {m for _, m in self._divided_keys(monkeypatch, primes)}
+            assert sorted(moduli) == self._key_moduli(primes)[1:]
+
+    def test_no_draw_when_every_key_divides(self):
+        # nothing is drawn, so the report echoes any sample count and seed
+        assert not hasattr(models, "random")
+        for primes in [*self.PRIME_SETS, FIRST_66_PRIMES]:
+            keys = self._key_count(primes)
+            for seed in (0, 3, 11, 2 ** 40):
+                for samples in (0, 1, keys - 1, keys, models.MAX_SAMPLES):
+                    assert check_localization_euclidean(
+                        primes, samples=samples, seed=seed) == models.SampledCheck(
+                        True, samples, seed, [])
+
+    def test_one_division_per_modulus_and_residue(self, monkeypatch):
+        for primes in [*self.PRIME_SETS, FIRST_66_PRIMES]:
+            assert self._divided_keys(monkeypatch, primes) == self._box_keys(primes)
 
 
 class TestNotLengthEuclidean:

@@ -36,7 +36,7 @@ def test_the_library_imports_only_the_standard_library():
 
 
 COLD_START_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize", "copy",
-                   "fractions", "decimal", "numbers", "typing")
+                   "fractions", "decimal", "numbers", "typing", "random")
 
 
 def test_the_cli_import_loads_no_dataclasses_inspect_or_fractions():

@@ -1,4 +1,4 @@
-"""One digest line per CLI call of the benchmark's job lists, to compare two trees.
+"""One digest line per CLI call of the benchmark's job lists and the golden reports.
 
 Usage: python3 tools/output_digest.py SRC > digest.txt
 
@@ -9,8 +9,10 @@ are generated for seeds 1 and 2 in one fixed directory, since
 emitting ``roundtrip`` argv runs through ``euctype.cli.main`` in process,
 with and without ``--json``; the table a round trip emits is written to
 its file and read back with ``euclid-verify``, as the benchmark does.
-Each line is the sha256 of (exit status, stdout, stderr) and the argv,
-so the digests of two trees that agree ``diff`` to nothing.
+The argv of each golden report in ``tests/golden`` (of this checkout)
+runs the same way, after the job lists.  Each line is the sha256 of
+(exit status, stdout, stderr) and the argv, so the digests of two trees
+that agree ``diff`` to nothing.
 """
 
 import contextlib
@@ -32,6 +34,7 @@ from euctype import cli  # noqa: E402
 import workloads  # noqa: E402
 
 WORKDIR = os.path.join(tempfile.gettempdir(), "euctype-output-digest")
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests", "golden")
 
 
 def call(argv):
@@ -62,6 +65,11 @@ def main():
                         json.dump(json.loads(out)[job["table_key"]], fh)
                     call(["euclid-verify", job["path"]])
                     call(["euclid-verify", job["path"], "--json"])
+    for name in sorted(os.listdir(GOLDEN_DIR)):
+        with open(os.path.join(GOLDEN_DIR, name)) as fh:
+            argv = [a for a in json.load(fh)["argv"] if a != "--json"]
+        call(argv)
+        call(argv + ["--json"])
 
 
 if __name__ == "__main__":
